@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ from .geometry import (
     DegenerateMetricError,
     FrameError,
     MinimalSurfaceError,
+    grid_geometry,
     grid_points,
 )
 from .jets import JetDomainError
@@ -39,13 +41,20 @@ USAGE_ERRORS = (CatalogError, GateError, MinimalSurfaceError, ValueError)
 FIELD_QUANTITIES = ("K", "normT", "normS", "detS", "mu_integrand")
 
 
+def _finite(flag: str, item: str, value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{flag} {item!r}: value must be finite, got {value.strip()!r}")
+    return number
+
+
 def _parse_params(items: list[str] | None) -> dict[str, float]:
     params: dict[str, float] = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
-        params[name.strip()] = float(value)
+        params[name.strip()] = _finite("--param", item, value)
     return params
 
 
@@ -76,7 +85,7 @@ def _parse_tols(items: list[str] | None) -> dict[str, float]:
         if name not in identities.DEFAULT_TOLERANCES:
             known = ", ".join(sorted(identities.DEFAULT_TOLERANCES))
             raise ValueError(f"unknown identity {name!r}; known: {known}")
-        tols[name] = float(value)
+        tols[name] = _finite("--tol", item, value)
     return tols
 
 
@@ -172,11 +181,6 @@ def cmd_field(args) -> int:
         if quantity in ("normS", "detS") else None
 
     def value_at(u: float, v: float) -> float:
-        gp = spec.geom(u, v)
-        if quantity == "K":
-            return gp.K_val
-        if quantity == "normT":
-            return gp.normT
         if quantity == "normS":
             s2 = codazzi.norm_sq_jet(op_field.matrix_at(u, v)).value
             return float(np.sqrt(max(s2, 0.0)))
@@ -184,9 +188,15 @@ def cmd_field(args) -> int:
             return codazzi.det_jet(op_field.matrix_at(u, v)).value
         return identities.mu_integrand(spec, u, v)
 
+    pts = grid_points(spec, grid[0], grid[1], margin)
+    if quantity in ("K", "normT"):
+        batch = grid_geometry(spec, grid[0], grid[1], margin)
+        values = batch.K_val if quantity == "K" else batch.normT
+    else:
+        values = [value_at(u, v) for (u, v) in pts]
     rows = ["u,v,value"]
-    for (u, v) in grid_points(spec, grid[0], grid[1], margin):
-        rows.append(f"{u:.17g},{v:.17g},{value_at(u, v):.17g}")
+    for (u, v), value in zip(pts, values):
+        rows.append(f"{u:.17g},{v:.17g},{value:.17g}")
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 

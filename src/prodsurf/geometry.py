@@ -10,18 +10,25 @@ curvature via the Brioschi formula.
 The intrinsic curvature is computed purely from the metric so that the
 structure equations checked elsewhere (Gauss equation, curvature formula)
 are genuine cross-checks rather than tautologies.
+
+A sample grid is evaluated in one batched pass: every jet carries one row
+per grid point and the per-point choices of the normal frame become masks.
+Per-point consumers read a point's slice of that batch through
+:meth:`SurfaceSpec.geom`; value-only consumers read the batch arrays from
+:func:`grid_geometry` directly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet2, first_where
 from .spaceforms import (
     AmbientModel,
     ConstraintError,
@@ -53,6 +60,17 @@ class FrameError(ArithmeticError):
 
 
 @dataclass
+class _Grid:
+    """A registered sample grid; its geometry is evaluated once, on first use."""
+
+    key: tuple[int, int, float]
+    points: list[tuple[float, float]]
+    index: dict[tuple[float, float], int]
+    batch: "GeomPoint | None" = None
+    cached: dict[int, "GeomPoint"] = field(default_factory=dict)
+
+
+@dataclass
 class SurfaceSpec:
     """A chart domain plus an immersion formula into a product model."""
 
@@ -63,20 +81,36 @@ class SurfaceSpec:
     chart: Callable[[Jet2, Jet2], list[Jet2]]
     expected: dict[str, float] = field(default_factory=dict)
     minimal: bool = False
-    _geom_cache: dict = field(default_factory=dict, repr=False)
+    _grid: _Grid | None = field(default=None, repr=False)
 
     def geom(self, u: float, v: float, order: int = 4) -> "GeomPoint":
-        key = (u, v, order)
-        gp = self._geom_cache.get(key)
+        """Geometry at (u, v).
+
+        A point of the grid registered by :func:`grid_points` is read from the
+        grid's batched evaluation, made on the first lookup of any of its
+        points; its GeomPoint is kept, so per-point memos persist.  Any other
+        point is a one-point evaluation.
+        """
+        grid = self._grid
+        k = grid.index.get((u, v)) if grid is not None and order == 4 else None
+        if k is None:
+            return evaluate_chart(self, u, v, order)
+        gp = grid.cached.get(k)
         if gp is None:
-            if len(self._geom_cache) > 2500:
-                self._geom_cache.clear()
-            gp = evaluate_chart(self, u, v, order)
-            self._geom_cache[key] = gp
+            gp = grid.cached[k] = self._grid_batch().at(k)
         return gp
 
+    def _grid_batch(self) -> "GeomPoint":
+        grid = self._grid
+        if grid.batch is None:
+            u, v = np.array(grid.points).T
+            # The grid's points refer to a copy of this spec without the grid:
+            # no reference cycle, so they are freed as soon as the spec is.
+            grid.batch = evaluate_chart(dataclasses.replace(self, _grid=None), u, v)
+        return grid.batch
+
     def clear_cache(self) -> None:
-        self._geom_cache.clear()
+        self._grid = None
 
 
 @dataclass
@@ -86,6 +120,12 @@ class GeomPoint:
     Jets keep the orders implied by differentiating an order-4 immersion:
     metric entries order 3, Christoffels and second-fundamental-form data
     order 2, intrinsic curvature order 1.
+
+    A batched GeomPoint (from :func:`evaluate_chart` on arrays) holds N points:
+    its jets are batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are
+    arrays of length N, the other arrays gain a leading axis of length N, and
+    ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  Every
+    coefficient and value array is read-only.
     """
 
     spec: SurfaceSpec
@@ -132,6 +172,21 @@ class GeomPoint:
         w = np.asarray(w, dtype=float)
         return math.sqrt(max(float(w @ self.g_val @ w), 0.0))
 
+    def at(self, k: int) -> "GeomPoint":
+        """Point k of a batched GeomPoint; its jets and arrays view the batch."""
+        def take(x):
+            if isinstance(x, Jet2):
+                return Jet2(x.c[k], x.order)
+            if isinstance(x, list):
+                return [take(y) for y in x]
+            return x[k]
+
+        values = {f.name: take(getattr(self, f.name)) for f in fields(self)
+                  if f.name not in ("spec", "order", "_frame_jets", "_t_field")}
+        values.update(u=float(self.u[k]), v=float(self.v[k]), normH=float(self.normH[k]),
+                      normT=float(self.normT[k]), xi=list(self.xi[k]), A=list(self.A[k]))
+        return GeomPoint(spec=self.spec, order=self.order, **values)
+
 
 def christoffels(g: list[list[Jet2]], ginv: list[list[Jet2]] | None = None):
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) as jets."""
@@ -175,8 +230,9 @@ def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
     if min(E.order, F.order, G.order) < 2:
         raise ValueError("metric jets must have order >= 2 for curvature")
     det = E * G - F * F
-    if det.value <= 0.0:
-        raise DegenerateMetricError(f"non-positive det g = {det.value!r}")
+    bad = first_where(det.value <= 0.0)
+    if bad is not None:
+        raise DegenerateMetricError(f"non-positive det g = {det.value[bad]!r}")
     Eu, Ev = E.d_u(), E.d_v()
     Gu, Gv = G.d_u(), G.d_v()
     Fu, Fv = F.d_u(), F.d_v()
@@ -238,13 +294,6 @@ def grad_norm_sq(phi: Jet2, g: list[list[Jet2]]) -> float:
     return float(d @ ginv @ d)
 
 
-def _fix_sign_floats(w: np.ndarray) -> np.ndarray:
-    for c in w:
-        if abs(c) > 1e-9:
-            return -w if c < 0 else w
-    return w
-
-
 def _fix_sign_jets(w: list[Jet2]) -> list[Jet2]:
     for c in w:
         if abs(c.value) > 1e-9:
@@ -252,43 +301,66 @@ def _fix_sign_jets(w: list[Jet2]) -> list[Jet2]:
     return w
 
 
-def _normal_frame_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
-                         H_val, normH) -> list[np.ndarray]:
-    """Orthonormal frame of the normal space inside the product tangent space.
+def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
+                        w) -> np.ndarray:
+    """Normal part of flat vectors inside the product tangent space (values).
 
-    Seeded with H/|H| when the point is non-minimal, then canonical flat axes
+    Strips the space-form radial component, then the surface tangent part.
+    Every argument is one point's array or a batch with a leading point axis.
+    """
+    sig = np.asarray(model.signature)
+    w = np.array(w, dtype=float)
+    if model.kappa != 0:
+        inner = (sig[:-1] * w[..., :-1] * f_val[..., :-1]).sum(axis=-1)
+        w[..., :-1] -= (model.kappa * inner)[..., None] * f_val[..., :-1]
+    sw = sig * w
+    p0, p1 = (sw * fu_val).sum(axis=-1), (sw * fv_val).sum(axis=-1)
+    c0 = (ginv_val[..., 0, 0] * p0 + ginv_val[..., 0, 1] * p1)[..., None]
+    c1 = (ginv_val[..., 1, 0] * p0 + ginv_val[..., 1, 1] * p1)[..., None]
+    return w - (c0 * fu_val + c1 * fv_val)
+
+
+def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
+                   normH) -> np.ndarray:
+    """Orthonormal frames of the normal spaces inside the product tangent space.
+
+    One frame per point of the leading axis, shape (points, n - 1, flat_dim).
+    Seeded with H/|H| where the point is non-minimal, then canonical flat axes
     in fixed order; near-dependent candidates are dropped.  Auxiliary vectors
     get a deterministic sign (first component above threshold made positive).
+    Each point's choices are masks, so every point gets the frame it would get
+    on its own.
     """
-    dim = model.flat_dim
-    sig = np.asarray(model.signature)
-    tang = (fu_val, fv_val)
+    npts, dim = f_val.shape
     need = model.n - 1
-
-    def strip(w):
-        w = w.astype(float).copy()
-        if model.kappa != 0:
-            inner = float(np.dot(sig[:-1] * w[:-1], f_val[:-1]))
-            w[:-1] -= model.kappa * inner * f_val[:-1]
-        coeff = ginv_val @ np.array([np.dot(sig * w, tang[0]), np.dot(sig * w, tang[1])])
-        w -= coeff[0] * tang[0] + coeff[1] * tang[1]
-        return w
-
-    frame: list[np.ndarray] = []
-    if normH > MINIMAL_TOL:
-        frame.append(H_val / normH)
+    sig = np.asarray(model.signature)
+    rows = np.arange(npts)
+    frame = np.zeros((npts, need, dim))
+    count = np.zeros(npts, dtype=np.intp)
+    seeded = normH > MINIMAL_TOL
+    frame[seeded, 0] = H_val[seeded] / normH[seeded, None]
+    count[seeded] = 1
     for axis in range(dim):
-        if len(frame) == need:
+        open_ = count < need
+        if not open_.any():
             break
-        w = strip(np.eye(dim)[axis])
-        for xi in frame:
-            w -= float(np.dot(sig * w, xi)) * xi
-        nrm = math.sqrt(max(float(np.dot(sig * w, w)), 0.0))
-        if nrm < FRAME_DROP_TOL:
-            continue
-        frame.append(_fix_sign_floats(w / nrm))
-    if len(frame) != need:
-        raise FrameError(f"normal frame incomplete: {len(frame)} of {need}")
+        w = _normal_part_values(model, f_val, fu_val, fv_val, ginv_val,
+                                np.broadcast_to(np.eye(dim)[axis], f_val.shape))
+        for j in range(need):
+            inner = np.where(j < count, np.sum(sig * w * frame[:, j], axis=-1), 0.0)
+            w = w - inner[:, None] * frame[:, j]
+        nrm = np.sqrt(np.maximum(np.sum(sig * w * w, axis=-1), 0.0))
+        take = open_ & ~(nrm < FRAME_DROP_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = w / nrm[:, None]
+        big = np.abs(unit) > 1e-9
+        lead = unit[rows, np.argmax(big, axis=-1)]
+        unit = np.where((big.any(axis=-1) & (lead < 0))[:, None], -unit, unit)
+        frame[rows[take], count[take]] = unit[take]
+        count += take
+    bad = first_where(count != need)
+    if bad is not None:
+        raise FrameError(f"normal frame incomplete: {count[bad]} of {need}")
     return frame
 
 
@@ -337,49 +409,87 @@ def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
     return frame
 
 
-def evaluate_chart(spec: SurfaceSpec, u: float, v: float, order: int = 4) -> GeomPoint:
-    """Evaluate all pointwise geometry of the chart at (u, v)."""
+def _values(x, batched: bool) -> np.ndarray:
+    """Constant terms of a nested list of jets; a batch's point axis comes first."""
+    def strip(y):
+        return y.value if isinstance(y, Jet2) else [strip(z) for z in y]
+
+    arr = np.array(strip(x))
+    return np.ascontiguousarray(np.moveaxis(arr, -1, 0)) if batched else arr
+
+
+def _freeze(x) -> None:
+    if isinstance(x, Jet2):
+        x.c.flags.writeable = False
+    elif isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, list):
+        for y in x:
+            _freeze(y)
+
+
+def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray,
+                   order: int = 4) -> GeomPoint:
+    """Evaluate all pointwise geometry of the chart at (u, v).
+
+    With equal-length 1-D arrays ``u`` and ``v`` the whole set of points is
+    evaluated in one batched pass and the result is a batched GeomPoint; an
+    error names the first offending point.
+    """
     if order < 3:
         raise ValueError("chart evaluation needs jet order >= 3 for intrinsic curvature")
+    batched = np.ndim(u) > 0
+    ua, va = np.array(u, dtype=float), np.array(v, dtype=float)
+    if ua.shape != va.shape or ua.ndim > 1:
+        raise ValueError("u and v must be floats or equal-length 1-D arrays")
     (u0, u1), (v0, v1) = spec.domain
     slack = 1e-9 * (1 + abs(u1 - u0) + abs(v1 - v0))
-    if not (u0 - slack <= u <= u1 + slack and v0 - slack <= v <= v1 + slack):
-        raise ValueError(f"({u}, {v}) outside chart domain {spec.domain}")
+    inside = (u0 - slack <= ua) & (ua <= u1 + slack) & (v0 - slack <= va) & (va <= v1 + slack)
+    bad = first_where(~inside)
+    if bad is not None:
+        raise ValueError(f"({ua[bad]}, {va[bad]}) outside chart domain {spec.domain}")
     model = spec.ambient
     dim = model.flat_dim
 
-    uj = Jet2.variable("u", u, order)
-    vj = Jet2.variable("v", v, order)
+    uj = Jet2.variable("u", ua if batched else ua[()], order)
+    vj = Jet2.variable("v", va if batched else va[()], order)
     f = spec.chart(uj, vj)
-    f_val = np.array([c.value for c in f])
+    if batched:  # a constant coordinate comes back as a single-point jet
+        f = [c if c.c.ndim > 1 else Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
+             for c in f]
+    f_val = _values(f, batched)
     if model.kappa != 0:
-        res = constraint_residual(model, f_val)
-        if abs(res) > 1e-10:
-            raise ConstraintError(f"chart point off the model by {res!r}")
+        res = constraint_residual(model, f_val.T)
+        bad = first_where(abs(res) > 1e-10)
+        if bad is not None:
+            raise ConstraintError(
+                f"chart point off the model by {res[bad]!r} at ({ua[bad]}, {va[bad]})")
 
     fu = [c.d_u() for c in f]
     fv = [c.d_v() for c in f]
-    tang = (fu, fv)
-    g = [[flat_inner(model, tang[a], tang[b]) for b in range(2)] for a in range(2)]
+    g01 = flat_inner(model, fu, fv)
+    g = [[flat_inner(model, fu, fu), g01], [g01, flat_inner(model, fv, fv)]]
     detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
-    if detg.value <= 1e-12:
-        raise DegenerateMetricError(f"det g = {detg.value!r} at ({u}, {v})")
-    ginv = [[g[1][1] / detg, -g[0][1] / detg], [-g[0][1] / detg, g[0][0] / detg]]
+    bad = first_where(detg.value <= 1e-12)
+    if bad is not None:
+        raise DegenerateMetricError(f"det g = {detg.value[bad]!r} at ({ua[bad]}, {va[bad]})")
+    inv_det = 1.0 / detg
+    off = -g01 * inv_det
+    ginv = [[g[1][1] * inv_det, off], [off, g[0][0] * inv_det]]
     gamma = christoffels(g, ginv)
 
-    d2 = [[[c.d_u() for c in fu], [c.d_v() for c in fu]],
-          [[c.d_v() for c in fu], [c.d_v() for c in fv]]]
-
+    # Second fundamental form: the surface-normal part of the projected second
+    # derivatives.  Each derivative list is dropped once it is projected.
     alpha_flat = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(a, 2):
-            w = project_to_product_tangent(model, f, d2[a][b])
-            c0 = flat_inner(model, w, fu)
-            c1 = flat_inner(model, w, fv)
-            t0 = ginv[0][0] * c0 + ginv[0][1] * c1
-            t1 = ginv[1][0] * c0 + ginv[1][1] * c1
-            alpha_flat[a][b] = [w[i] - t0 * fu[i] - t1 * fv[i] for i in range(dim)]
-            alpha_flat[b][a] = alpha_flat[a][b]
+    for a, b, first in ((0, 0, fu), (0, 1, fu), (1, 1, fv)):
+        w = project_to_product_tangent(model, f, [c.d(b) for c in first])
+        c0 = flat_inner(model, w, fu)
+        c1 = flat_inner(model, w, fv)
+        t0 = ginv[0][0] * c0 + ginv[0][1] * c1
+        t1 = ginv[1][0] * c0 + ginv[1][1] * c1
+        alpha_flat[a][b] = alpha_flat[b][a] = [w[i] - t0 * fu[i] - t1 * fv[i]
+                                               for i in range(dim)]
+    del w, c0, c1, t0, t1
 
     H = [
         0.5
@@ -391,7 +501,6 @@ def evaluate_chart(spec: SurfaceSpec, u: float, v: float, order: int = 4) -> Geo
         for i in range(dim)
     ]
     normH2 = flat_inner(model, H, H)
-    normH = math.sqrt(max(normH2.value, 0.0))
 
     # Vertical field split: T^a = g^{ab} <e_t, f_b>; eta = e_t - T.
     tcomp = (fu[model.t_index], fv[model.t_index])
@@ -402,40 +511,40 @@ def evaluate_chart(spec: SurfaceSpec, u: float, v: float, order: int = 4) -> Geo
 
     K = gauss_curvature_brioschi(g)
 
-    g_val = np.array([[g[0][0].value, g[0][1].value], [g[0][1].value, g[1][1].value]])
-    ginv_val = np.array(
-        [[ginv[0][0].value, ginv[0][1].value], [ginv[0][1].value, ginv[1][1].value]]
-    )
-    gamma_val = np.array(
-        [[[gamma[k][i][j].value for j in range(2)] for i in range(2)] for k in range(2)]
-    )
-    fu_val = np.array([c.value for c in fu])
-    fv_val = np.array([c.value for c in fv])
-    H_val = np.array([c.value for c in H])
-    alpha_val = np.array(
-        [[[alpha_flat[a][b][i].value for i in range(dim)] for b in range(2)] for a in range(2)]
-    )
-    T_val = np.array([c.value for c in T_up])
-    eta_val = np.array([c.value for c in eta])
+    g_val = _values(g, batched)
+    ginv_val = _values(ginv, batched)
+    H_val = _values(H, batched)
+    alpha_val = _values(alpha_flat, batched)
+    normH = np.sqrt(np.maximum(normH2.value, 0.0))
+    normT = np.sqrt(np.maximum(normT2.value, 0.0))
 
-    xi = _normal_frame_values(model, f_val, fu_val, fv_val, ginv_val, H_val, normH)
+    # The frame works on a leading point axis; one point is a batch of one.
+    as_batch = (lambda x: x) if batched else (lambda x: np.asarray(x)[None])
+    xi = _normal_frames(model, as_batch(f_val), as_batch(_values(fu, batched)),
+                        as_batch(_values(fv, batched)), as_batch(ginv_val),
+                        as_batch(H_val), as_batch(normH))
     sig = np.asarray(model.signature)
-    h = np.array(
-        [[[float(np.dot(sig * alpha_val[a][b], x)) for b in range(2)] for a in range(2)]
-         for x in xi]
-    )
-    A = [ginv_val @ h[i] for i in range(len(xi))]
+    h = np.sum(as_batch(alpha_val)[:, None] * sig * xi[:, :, None, None, :], axis=-1)
+    A = np.matmul(as_batch(ginv_val)[:, None], h)
+    if not batched:
+        xi, h, A = list(xi[0]), h[0], list(A[0])
+        normH, normT = float(normH), float(normT)
 
-    return GeomPoint(
-        spec=spec, u=u, v=v, order=order,
+    gp = GeomPoint(
+        spec=spec, u=ua if batched else u, v=va if batched else v, order=order,
         f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg, gamma=gamma,
         alpha_flat=alpha_flat, H=H, normH2=normH2, normH=normH,
         T_up=T_up, T_flat=T_flat, eta=eta, normT2=normT2, K=K,
         xi=xi, h=h, A=A,
-        g_val=g_val, ginv_val=ginv_val, gamma_val=gamma_val,
-        K_val=K.value, normT=math.sqrt(max(normT2.value, 0.0)),
-        T_val=T_val, eta_val=eta_val, H_val=H_val, alpha_val=alpha_val,
+        g_val=g_val, ginv_val=ginv_val, gamma_val=_values(gamma, batched),
+        K_val=K.value, normT=normT,
+        T_val=_values(T_up, batched), eta_val=_values(eta, batched), H_val=H_val,
+        alpha_val=alpha_val,
     )
+    for f_ in fields(gp):
+        if f_.name not in ("spec", "_frame_jets", "_t_field"):
+            _freeze(getattr(gp, f_.name))
+    return gp
 
 
 def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
@@ -495,18 +604,8 @@ def normal_connection_derivative(
 
 def _normal_part(gp: GeomPoint, w_val: np.ndarray) -> np.ndarray:
     """Project a flat vector at gp onto the surface-normal space (values)."""
-    model = gp.spec.ambient
-    sig = np.asarray(model.signature)
     f_val = np.array([c.value for c in gp.f])
-    w = w_val.astype(float).copy()
-    if model.kappa != 0:
-        inner = float(np.dot(sig[:-1] * w[:-1], f_val[:-1]))
-        w[:-1] -= model.kappa * inner * f_val[:-1]
-    fu_val, fv_val = gp.tangent_vals
-    coeff = gp.ginv_val @ np.array(
-        [float(np.dot(sig * w, fu_val)), float(np.dot(sig * w, fv_val))]
-    )
-    return w - coeff[0] * fu_val - coeff[1] * fv_val
+    return _normal_part_values(gp.spec.ambient, f_val, *gp.tangent_vals, gp.ginv_val, w_val)
 
 
 def endo_eigenvalues(m: np.ndarray) -> tuple[float, float]:
@@ -528,9 +627,24 @@ def aux_det_sum(gp: GeomPoint) -> float:
 
 
 def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
-    """Interior sample grid, excluding a margin fraction near the chart edge."""
-    (u0, u1), (v0, v1) = spec.domain
-    du, dv = u1 - u0, v1 - v0
-    us = [u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)]
-    vs = [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)]
-    return [(u, v) for u in us for v in vs]
+    """Interior sample grid, excluding a margin fraction near the chart edge.
+
+    The grid is registered on the spec: the first ``spec.geom`` at any of its
+    points evaluates the whole grid at once.  Registering another grid drops
+    the previous one.
+    """
+    key = (nu, nv, margin)
+    if spec._grid is None or spec._grid.key != key:
+        (u0, u1), (v0, v1) = spec.domain
+        du, dv = u1 - u0, v1 - v0
+        us = [u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)]
+        vs = [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)]
+        points = [(u, v) for u in us for v in vs]
+        spec._grid = _Grid(key, points, {p: k for k, p in enumerate(points)})
+    return list(spec._grid.points)
+
+
+def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02) -> GeomPoint:
+    """Batched geometry of the grid, point k being ``grid_points(...)[k]``."""
+    grid_points(spec, nu, nv, margin)
+    return spec._grid_batch()

@@ -23,6 +23,7 @@ from .geometry import (
     SurfaceSpec,
     _normal_part,
     aux_det_sum,
+    grid_geometry,
     grid_points,
     normal_frame_jets,
     shape_operator,
@@ -95,7 +96,9 @@ def grid_report(spec: SurfaceSpec, identity_id: str, fn, nu: int, nv: int,
     """Sweep a pointwise evaluator over the grid (ordered fold).
 
     Returns None when every point was skipped (the identity does not apply
-    anywhere on this chart); partial skips become report warnings.
+    anywhere on this chart); partial skips become report warnings.  A
+    non-finite pointwise value becomes the row's ``max_abs`` (the first NaN
+    wins) and fails the row.
     """
     pts = grid_points(spec, nu, nv, margin)
     max_abs = -1.0
@@ -112,7 +115,7 @@ def grid_report(spec: SurfaceSpec, identity_id: str, fn, nu: int, nv: int,
             continue
         evaluated += 1
         total += val
-        if val > max_abs:
+        if val > max_abs or (math.isnan(val) and not math.isnan(max_abs)):
             max_abs = val
             argmax = (u, v)
     warnings = [
@@ -376,15 +379,10 @@ def mu_estimate(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
 def classify_minimality(spec: SurfaceSpec, grid: tuple[int, int],
                         margin: float) -> tuple[bool, list[str]]:
     """Decide the pipeline branch from |H| over the grid; band points warn."""
-    nu, nv = grid
+    h = grid_geometry(spec, grid[0], grid[1], margin).normH
     warnings: list[str] = []
-    max_h = 0.0
-    band = 0
-    for (u, v) in grid_points(spec, nu, nv, margin):
-        h = spec.geom(u, v).normH
-        max_h = max(max_h, h)
-        if MINIMAL_TOL < h < MINIMAL_WARN_BAND:
-            band += 1
+    max_h = float(np.fmax.reduce(h, initial=0.0))  # a NaN never becomes the maximum
+    band = int(np.count_nonzero((MINIMAL_TOL < h) & (h < MINIMAL_WARN_BAND)))
     if band:
         warnings.append(
             f"|H| inside the conditioning band ({MINIMAL_TOL}, {MINIMAL_WARN_BAND}) "

@@ -11,6 +11,14 @@ Order 4 is a hard cap: the deepest consumer needs a Laplacian of a quantity
 built from second derivatives of the immersion, which uses exactly four
 derivative levels.  Coefficients are stored densely in degree-major order,
 so truncation to order m just zeroes the tail of the coefficient vector.
+
+The coefficient array may carry one leading batch axis, shape ``(N, 15)``:
+the jet then holds the Taylor data of N points and every operation acts on
+all of them at once (the vector mode of Taylor propagation).  A single point
+keeps a plain ``(15,)`` array and the scalar kernels, which are the fastest
+for it.  A batch is stored coefficient-major (``c.T`` is C-contiguous), so
+``c.T[k]`` is coefficient k of every point as one contiguous row, and the
+same expression is a plain float for a single point.
 """
 
 from __future__ import annotations
@@ -46,6 +54,14 @@ def _mul_table(m: int):
 
 
 _MUL_TABLES = [_mul_table(m) for m in range(MAX_ORDER + 1)]
+# The same tables grouped by output coefficient, each group in table order, so
+# a batched product sums every coefficient in the same order as the scalar one.
+_MUL_GROUPS = [
+    [(k, ia[iout == k], ib[iout == k]) for k in range(_NCOEF[m])]
+    for m, (ia, ib, iout) in enumerate(_MUL_TABLES)
+]
+# Bound once: the attribute lookup is a measurable share of a scalar product.
+_bincount = np.bincount
 
 # d/du and d/dv as (out_index, src_index, factor) scatter tables.
 _DU_OUT = np.asarray([_IDX[(i - 1, j)] for (i, j) in MONOMIALS if i >= 1], dtype=np.intp)
@@ -67,8 +83,41 @@ def _check_order(order: int) -> None:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
 
 
+def first_where(mask):
+    """Index of the first point where a per-point condition holds, else None.
+
+    ``mask`` is a boolean scalar (one point; the index is ``()``) or a boolean
+    array over a batch.  Callers use it to name the first offending point of
+    a batch in an error message.
+    """
+    if mask.ndim == 0:
+        return () if mask else None
+    if not mask.any():
+        return None
+    return int(np.argmax(mask))
+
+
+def _zeros(n: int | None) -> np.ndarray:
+    """Zero coefficients of one point (n is None) or of a batch of n points."""
+    return np.zeros(NCOEF) if n is None else np.zeros((NCOEF, n)).T
+
+
+def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Truncated product over a batch: one einsum per output coefficient."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    at = np.broadcast_to(a, shape).T
+    bt = np.broadcast_to(b, shape).T
+    out = np.zeros((NCOEF, shape[0]))
+    for k, ia, ib in _MUL_GROUPS[m]:
+        np.einsum("in,in->n", at[ia], bt[ib], out=out[k])
+    return out.T
+
+
 class Jet2:
-    """Bivariate truncated Taylor polynomial at a point, order <= 4."""
+    """Bivariate truncated Taylor polynomial at a point, order <= 4.
+
+    With a batched coefficient array the accessors return one value per point.
+    """
 
     __slots__ = ("c", "order")
 
@@ -79,90 +128,92 @@ class Jet2:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(x: float, order: int = MAX_ORDER) -> "Jet2":
+    def constant(x, order: int = MAX_ORDER) -> "Jet2":
+        """Constant jet; an array ``x`` gives one constant per point."""
         _check_order(order)
-        c = np.zeros(NCOEF)
-        c[0] = x
+        if isinstance(x, np.ndarray):
+            c = _zeros(len(x))
+            c.T[0] = x
+        else:
+            c = np.zeros(NCOEF)
+            c[0] = x
         return Jet2(c, order)
 
     @staticmethod
-    def variable(which: str, value: float, order: int = MAX_ORDER) -> "Jet2":
-        """Jet of the coordinate function u or v at the point."""
-        _check_order(order)
+    def variable(which: str, value, order: int = MAX_ORDER) -> "Jet2":
+        """Jet of the coordinate function u or v at the point (or points)."""
         if which not in ("u", "v"):
             raise ValueError(f"variable must be 'u' or 'v', got {which!r}")
-        c = np.zeros(NCOEF)
-        c[0] = value
+        jet = Jet2.constant(value, order)
         if order >= 1:
-            c[_IDX[(1, 0)] if which == "u" else _IDX[(0, 1)]] = 1.0
-        return Jet2(c, order)
+            jet.c.T[_IDX[(1, 0)] if which == "u" else _IDX[(0, 1)]] = 1.0
+        return jet
 
     # -- accessors ----------------------------------------------------------
 
     @property
     def value(self) -> float:
-        return self.c[0]
+        return self.c.T[0]
 
     @property
     def du(self) -> float:
-        return self.c[1]
+        return self.c.T[1]
 
     @property
     def dv(self) -> float:
-        return self.c[2]
+        return self.c.T[2]
 
     @property
     def duu(self) -> float:
-        return 2.0 * self.c[3]
+        return 2.0 * self.c.T[3]
 
     @property
     def duv(self) -> float:
-        return self.c[4]
+        return self.c.T[4]
 
     @property
     def dvv(self) -> float:
-        return 2.0 * self.c[5]
+        return 2.0 * self.c.T[5]
 
     def deriv(self, i: int, j: int) -> float:
         """Partial derivative d^{i+j} / du^i dv^j at the point."""
         if i + j > self.order:
             raise ValueError(f"derivative ({i},{j}) exceeds jet order {self.order}")
-        return self.c[_IDX[(i, j)]] * math.factorial(i) * math.factorial(j)
+        return self.c.T[_IDX[(i, j)]] * math.factorial(i) * math.factorial(j)
 
     def coeff(self, i: int, j: int) -> float:
-        return self.c[_IDX[(i, j)]]
+        return self.c.T[_IDX[(i, j)]]
 
     def coeffs(self) -> dict[tuple[int, int], float]:
         """Triangular coefficient map, (order+1)(order+2)/2 entries."""
-        return {m: self.c[k] for k, m in enumerate(MONOMIALS) if k < _NCOEF[self.order]}
+        return {m: self.c.T[k] for k, m in enumerate(MONOMIALS) if k < _NCOEF[self.order]}
 
     def truncate(self, order: int) -> "Jet2":
         _check_order(order)
         if order >= self.order:
-            return Jet2(self.c.copy(), order if order <= self.order else self.order)
-        c = self.c.copy()
-        c[_NCOEF[order]:] = 0.0
+            return Jet2(self.c.copy("K"), order if order <= self.order else self.order)
+        c = self.c.copy("K")
+        c[..., _NCOEF[order]:] = 0.0
         return Jet2(c, order)
 
     def __repr__(self) -> str:
-        return f"Jet2(order={self.order}, value={self.c[0]!r})"
+        return f"Jet2(order={self.order}, value={self.value!r})"
 
     # -- derivative jets ----------------------------------------------------
 
-    def d_u(self) -> "Jet2":
-        """Jet of the u-partial, one order lower."""
-        c = np.zeros(NCOEF)
-        c[_DU_OUT] = self.c[_DU_SRC] * _DU_FACT
+    def _derivative(self, out_idx, src_idx, fact) -> "Jet2":
+        c = _zeros(len(self.c) if self.c.ndim > 1 else None)
+        c[..., out_idx] = self.c[..., src_idx] * fact
         m = max(self.order - 1, 0)
-        c[_NCOEF[m]:] = 0.0
+        c[..., _NCOEF[m]:] = 0.0
         return Jet2(c, m)
 
+    def d_u(self) -> "Jet2":
+        """Jet of the u-partial, one order lower."""
+        return self._derivative(_DU_OUT, _DU_SRC, _DU_FACT)
+
     def d_v(self) -> "Jet2":
-        c = np.zeros(NCOEF)
-        c[_DV_OUT] = self.c[_DV_SRC] * _DV_FACT
-        m = max(self.order - 1, 0)
-        c[_NCOEF[m]:] = 0.0
-        return Jet2(c, m)
+        return self._derivative(_DV_OUT, _DV_SRC, _DV_FACT)
 
     def d(self, direction: int) -> "Jet2":
         return self.d_u() if direction == 0 else self.d_v()
@@ -174,10 +225,10 @@ class Jet2:
             m = min(self.order, other.order)
             c = self.c + other.c
             if m < MAX_ORDER:
-                c[_NCOEF[m]:] = 0.0
+                c[..., _NCOEF[m]:] = 0.0
             return Jet2(c, m)
-        c = self.c.copy()
-        c[0] += other
+        c = self.c.copy("K")
+        c.T[0] += other
         return Jet2(c, self.order)
 
     __radd__ = __add__
@@ -187,15 +238,15 @@ class Jet2:
             m = min(self.order, other.order)
             c = self.c - other.c
             if m < MAX_ORDER:
-                c[_NCOEF[m]:] = 0.0
+                c[..., _NCOEF[m]:] = 0.0
             return Jet2(c, m)
-        c = self.c.copy()
-        c[0] -= other
+        c = self.c.copy("K")
+        c.T[0] -= other
         return Jet2(c, self.order)
 
     def __rsub__(self, other):
         c = -self.c
-        c[0] += other
+        c.T[0] += other
         return Jet2(c, self.order)
 
     def __neg__(self):
@@ -203,10 +254,12 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            m = min(self.order, other.order)
-            ia, ib, iout = _MUL_TABLES[m]
-            c = np.bincount(iout, self.c[ia] * other.c[ib], minlength=NCOEF)
-            return Jet2(c, m)
+            a, b = self.c, other.c
+            m = self.order if self.order <= other.order else other.order
+            if a.ndim == 1 == b.ndim:
+                ia, ib, iout = _MUL_TABLES[m]
+                return Jet2(_bincount(iout, a[ia] * b[ib], NCOEF), m)
+            return Jet2(_batch_product(a, b, m), m)
         return Jet2(self.c * other, self.order)
 
     __rmul__ = __mul__
@@ -234,63 +287,74 @@ class Jet2:
         return out
 
 
+def _check_domain(bad, a0, what: str) -> None:
+    """Raise JetDomainError naming the first constant term where ``bad`` holds."""
+    idx = first_where(bad)
+    if idx is not None:
+        raise JetDomainError(f"{what} jet with constant term {a0[idx]!r}")
+
+
+def _lib(a: Jet2):
+    """math for one point (fastest on scalars), numpy for a batch."""
+    return np if a.c.ndim > 1 else math
+
+
 def _reciprocal(b: Jet2) -> Jet2:
-    b0 = b.c[0]
-    if abs(b0) <= DOMAIN_TOL:
-        raise JetDomainError(f"division by jet with constant term {b0!r}")
+    b0 = b.value
+    _check_domain(abs(b0) <= DOMAIN_TOL, b0, "division by")
     coeffs = [(-1.0) ** k / b0 ** (k + 1) for k in range(b.order + 1)]
     return _compose(b, coeffs)
 
 
-def _compose(a: Jet2, coeffs: list[float]) -> Jet2:
+def _compose(a: Jet2, coeffs: list) -> Jet2:
     """Horner evaluation of sum_k coeffs[k] * (a - a0)^k."""
-    w = Jet2(a.c.copy(), a.order)
-    w.c[0] = 0.0
+    w = Jet2(a.c.copy("K"), a.order)
+    w.c.T[0] = 0.0
     out = Jet2.constant(coeffs[-1], a.order)
     for k in range(len(coeffs) - 2, -1, -1):
-        out = out * w + coeffs[k]
+        out = out * w
+        out.c.T[0] += coeffs[k]  # the product is a fresh array
     return out
 
 
 # -- elementary functions ----------------------------------------------------
 
 def sin(a: Jet2) -> Jet2:
-    a0 = a.c[0]
-    table = (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0))
+    a0, lib = a.value, _lib(a)
+    s, c = lib.sin(a0), lib.cos(a0)
+    table = (s, c, -s, -c)
     return _compose(a, [table[k % 4] / math.factorial(k) for k in range(a.order + 1)])
 
 
 def cos(a: Jet2) -> Jet2:
-    a0 = a.c[0]
-    table = (math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0))
+    a0, lib = a.value, _lib(a)
+    s, c = lib.sin(a0), lib.cos(a0)
+    table = (c, -s, -c, s)
     return _compose(a, [table[k % 4] / math.factorial(k) for k in range(a.order + 1)])
 
 
 def exp(a: Jet2) -> Jet2:
-    e0 = math.exp(a.c[0])
+    e0 = _lib(a).exp(a.value)
     return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
 
 
 def log(a: Jet2) -> Jet2:
-    a0 = a.c[0]
-    if a0 <= DOMAIN_TOL:
-        raise JetDomainError(f"log of jet with constant term {a0!r}")
-    coeffs = [math.log(a0)]
+    a0 = a.value
+    _check_domain(a0 <= DOMAIN_TOL, a0, "log of")
+    coeffs = [_lib(a).log(a0)]
     coeffs += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, a.order + 1)]
     return _compose(a, coeffs)
 
 
 def sqrt(a: Jet2) -> Jet2:
-    a0 = a.c[0]
-    if a0 <= DOMAIN_TOL:
-        raise JetDomainError(f"sqrt of jet with constant term {a0!r}")
+    a0 = a.value
+    _check_domain(a0 <= DOMAIN_TOL, a0, "sqrt of")
     return powf(a, 0.5)
 
 
 def powf(a: Jet2, p: float) -> Jet2:
-    a0 = a.c[0]
-    if a0 <= DOMAIN_TOL:
-        raise JetDomainError(f"pow of jet with constant term {a0!r}")
+    a0 = a.value
+    _check_domain(a0 <= DOMAIN_TOL, a0, "pow of")
     coeffs, binom = [], 1.0
     for k in range(a.order + 1):
         coeffs.append(binom * a0 ** (p - k))

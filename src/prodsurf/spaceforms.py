@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import Jet2, first_where
 
 CONSTRAINT_TOL = 1e-10
 
@@ -74,7 +74,10 @@ def space_inner(model: AmbientModel, x, y):
 
 
 def constraint_residual(model: AmbientModel, p) -> float:
-    """<p_M, p_M> - 1/kappa, zero exactly on the model; kappa must be nonzero."""
+    """<p_M, p_M> - 1/kappa, zero exactly on the model; kappa must be nonzero.
+
+    Coordinates may be arrays over a batch of points (one residual per point).
+    """
     if model.kappa == 0:
         raise ValueError("flat model has no membership constraint")
     if len(p) != model.flat_dim:
@@ -88,15 +91,17 @@ def project_to_product_tangent(model: AmbientModel, p, w):
     Strips the component along the space-form position normal: on the block,
     w - kappa <w, p_M> p_M; the line component passes through.  Accepts float
     vectors (validated against the constraint) or jet vectors (validated at
-    the constant term).
+    the constant term); entries may be batched, one value per point, and an
+    error then reports the first point off the model.
     """
     if model.kappa == 0:
         return list(w)
     inner = space_inner(model, w, p)
     pos_val = [c.value if isinstance(c, Jet2) else c for c in p]
-    res = constraint_residual(model, pos_val)
-    if abs(res) > CONSTRAINT_TOL:
-        raise ConstraintError(f"point off the model by {res!r}")
+    res = np.asarray(constraint_residual(model, pos_val))
+    bad = first_where(abs(res) > CONSTRAINT_TOL)
+    if bad is not None:
+        raise ConstraintError(f"point off the model by {res[bad]!r}")
     k = model.kappa
     out = [w[i] - (k * inner) * p[i] for i in range(model.flat_dim - 1)]
     out.append(w[model.t_index])

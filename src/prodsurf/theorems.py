@@ -17,7 +17,7 @@ import numpy as np
 
 from . import codazzi, identities
 from .codazzi import CodazziField
-from .geometry import MINIMAL_TOL, SurfaceSpec, aux_det_sum, grid_points
+from .geometry import MINIMAL_TOL, SurfaceSpec, aux_det_sum, grid_geometry, grid_points
 from .identities import DEFAULT_GRID, DEFAULT_MARGIN
 
 CONCLUSION_TOL = 1e-8
@@ -94,14 +94,9 @@ class _GridData:
 
 
 def _collect(spec: SurfaceSpec, grid, margin) -> _GridData:
-    pts = grid_points(spec, grid[0], grid[1], margin)
-    k_vals, h_vals, t_vals = [], [], []
-    for (u, v) in pts:
-        gp = spec.geom(u, v)
-        k_vals.append(gp.K_val)
-        h_vals.append(gp.normH)
-        t_vals.append(gp.normT)
-    return _GridData(pts, np.array(k_vals), np.array(h_vals), np.array(t_vals))
+    batch = grid_geometry(spec, grid[0], grid[1], margin)
+    return _GridData(grid_points(spec, grid[0], grid[1], margin),
+                     batch.K_val, batch.normH, batch.normT)
 
 
 def check_codazzi_dichotomy(spec: SurfaceSpec, op_field: CodazziField | None = None,

@@ -124,6 +124,20 @@ class TestVerifyCommand:
         code = run(["verify", *surface_args, "--grid", "7x7", "--output", str(out)])
         assert code == expected_code
 
+    @pytest.mark.parametrize("flag,item", [
+        ("--param", "kappa=nan"),
+        ("--param", "kappa=inf"),
+        ("--param", "r=-inf"),
+        ("--tol", "pmc=nan"),
+        ("--tol", "pmc=inf"),
+    ])
+    def test_non_finite_values_rejected(self, flag, item, capsys):
+        args = ["verify", "--surface", "circle_cylinder", "--param", "kappa=1",
+                "--param", f"r={PI4}", "--grid", "5x5", flag, item]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert flag in err and item in err and "finite" in err
+
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         from prodsurf import identities
         from prodsurf.geometry import DegenerateMetricError

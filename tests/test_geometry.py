@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from prodsurf import jets
+from prodsurf import catalog, cli, geometry, jets
+from prodsurf.cli import main as cli_main
 from prodsurf.geometry import (
     DegenerateMetricError,
     MinimalSurfaceError,
     NotNormalError,
     aux_det_sum,
     endo_eigenvalues,
+    evaluate_chart,
     gauss_curvature_brioschi,
     grad_norm_sq,
     grid_points,
@@ -18,6 +21,7 @@ from prodsurf.geometry import (
     shape_operator,
 )
 from prodsurf.jets import Jet2
+from prodsurf.spaceforms import make_ambient
 
 from conftest import get_surface
 from oracles import fd_laplace_beltrami
@@ -346,3 +350,123 @@ class TestGridPoints:
         us = [u for (u, _) in pts]
         assert min(us) == pytest.approx(u0 + 0.02 * (u1 - u0))
         assert max(us) == pytest.approx(u1 - 0.02 * (u1 - u0))
+
+
+BATCH_BRANCHES = [
+    ("circle_cylinder", {"kappa": -1.0, "r": 0.3}),
+    ("circle_cylinder", {"kappa": 0.0, "r": 0.7}),
+    ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4}),
+    ("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2}),
+    ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4, "warp": 0.3}),
+    ("slice", {"kappa": 1.0}),
+    ("slice", {"kappa": -1.0}),
+    ("slice", {"kappa": 0.0}),
+    ("cor32_flat_minimal", {"kappa": 1.0, "theta": 0.7}),
+    ("perturbed_control", {"kappa": 1.0, "r": math.pi / 4}),
+    ("perturbed_control", {"kappa": -1.0, "r": 0.4}),
+]
+
+
+def _arrays(x):
+    """Every coefficient or value array inside a GeomPoint field, in order."""
+    if isinstance(x, Jet2):
+        return [x.c]
+    if isinstance(x, list):
+        return [a for y in x for a in _arrays(y)]
+    return [np.asarray(x, dtype=float)]
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    original = geometry.evaluate_chart
+
+    def counting(spec, u, v, order=4):
+        calls.append(np.size(u))
+        return original(spec, u, v, order)
+
+    monkeypatch.setattr(geometry, "evaluate_chart", counting)
+    return calls
+
+
+class TestBatchedGeometry:
+    @pytest.mark.parametrize("sid,params", BATCH_BRANCHES)
+    def test_grid_matches_single_point_evaluation(self, sid, params):
+        spec = catalog.instantiate(sid, params)
+        names = [f.name for f in dataclasses.fields(geometry.GeomPoint)
+                 if f.name not in ("spec", "_frame_jets", "_t_field")]
+        for (u, v) in grid_points(spec, 9, 9):
+            grid_gp = spec.geom(u, v)
+            one = evaluate_chart(spec, u, v)
+            # same frame choices: H seeding, dropped axes and signs
+            assert len(grid_gp.xi) == len(one.xi) == spec.ambient.n - 1
+            for name in names:
+                got, want = _arrays(getattr(grid_gp, name)), _arrays(getattr(one, name))
+                assert len(got) == len(want), name
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape, name
+                    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+                    assert np.abs(a - b).max(initial=0.0) <= 1e-13 * scale, (name, u, v)
+
+    def test_batch_is_one_call_above_the_old_cache_bound(self, monkeypatch):
+        spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})
+        calls = _count_evaluations(monkeypatch)
+        pts = grid_points(spec, 51, 51)
+        assert len(pts) == 2601
+        for _ in range(2):
+            for (u, v) in pts:
+                spec.geom(u, v)
+        assert calls == [2601]
+
+    @pytest.mark.parametrize("quantity,want", [("K", 0.0), ("normT", 1.0)])
+    def test_dense_field_is_one_evaluation(self, quantity, want, monkeypatch, tmp_path):
+        calls = _count_evaluations(monkeypatch)
+        out = tmp_path / "field.csv"
+        assert cli_main(["field", "--surface", "circle_cylinder", "--param", "kappa=1",
+                         "--param", "r=0.7", "--param", "warp=0.3",
+                         "--quantity", quantity, "--grid", "51x51",
+                         "--output", str(out)]) == 0
+        assert calls == [2601]
+        values = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
+        assert len(values) == 2601
+        assert max(abs(x - want) for x in values) <= 1e-9
+
+    @staticmethod
+    def _pinched_plane(pinch):
+        # planar map with Jacobian determinant (u - u*)^2 + (v - v*)^2: an
+        # immersion everywhere except at the single point pinch = (u*, v*)
+        uk, vk = pinch
+
+        def chart(uj, vj):
+            du, dv = uj - uk, vj - vk
+            return [du * du * du / 3.0 + du * dv * dv, vj, Jet2.constant(0.0, uj.order)]
+
+        return geometry.SurfaceSpec("pinched_plane", {}, ((-1.0, 1.0), (-1.0, 1.0)),
+                                    make_ambient(0.0, 2), chart)
+
+    def test_degenerate_grid_point_is_named(self, monkeypatch, capsys):
+        spec = self._pinched_plane((0.0, 0.0))
+        pinch = grid_points(spec, 9, 9)[40]
+        spec = self._pinched_plane(pinch)
+        with pytest.raises(DegenerateMetricError, match=f"at \\({pinch[0]}, {pinch[1]}\\)"):
+            spec.geom(*grid_points(spec, 9, 9)[3])
+        assert evaluate_chart(spec, *grid_points(spec, 9, 9)[3]).normT == 0.0
+
+        monkeypatch.setattr(cli, "instantiate", lambda sid, params: self._pinched_plane(pinch))
+        assert cli_main(["field", "--surface", "slice", "--param", "kappa=0",
+                         "--quantity", "K", "--grid", "9x9"]) == 3
+        err = capsys.readouterr().err
+        assert "det g" in err and f"({pinch[0]}, {pinch[1]})" in err
+
+    def test_batch_arrays_are_read_only(self):
+        spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2})
+        gp = spec.geom(*grid_points(spec, 5, 5)[12])
+        with pytest.raises(ValueError):
+            gp.K.c[0] = 1.0
+        with pytest.raises(ValueError):
+            gp.alpha_flat[0][1][2].c[3] = 1.0
+        with pytest.raises(ValueError):
+            gp.g_val[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            gp.xi[1][0] = 0.0
+        # arithmetic on the views is unaffected
+        assert (gp.K * 2.0).value == pytest.approx(2.0 * gp.K_val)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from prodsurf import identities
-from prodsurf.geometry import MinimalSurfaceError, normal_frame_jets
+from prodsurf.geometry import MinimalSurfaceError, grid_points, normal_frame_jets
 from prodsurf.identities import (
     ResidualReport,
     ambient_codazzi_residual,
@@ -252,6 +252,32 @@ class TestGridReport:
             raise identities.IdentitySkip("not applicable here")
 
         assert grid_report(spec, "x", always_skip, 5, 5, 0.02, 1.0) is None
+
+    def test_all_nan_residual_fails(self):
+        spec = get_surface("slice", kappa=1.0)
+        report = grid_report(spec, "x", lambda u, v: math.nan, 5, 5, 0.02, 1.0)
+        assert math.isnan(report.max_abs)
+        assert not report.passed
+
+    def test_one_nan_residual_fails_and_is_located(self):
+        spec = get_surface("slice", kappa=1.0)
+        bad = grid_points(spec, 5, 5, 0.02)[7]
+        later = grid_points(spec, 5, 5, 0.02)[20]
+
+        def residual(u, v):
+            return math.nan if (u, v) == bad else (5.0 if (u, v) == later else 1e-12)
+
+        report = grid_report(spec, "x", residual, 5, 5, 0.02, 1.0)
+        assert math.isnan(report.max_abs)
+        assert report.argmax == bad
+        assert not report.passed
+        assert not report.to_dict()["passed"]
+
+    def test_infinite_residual_fails(self):
+        spec = get_surface("slice", kappa=1.0)
+        report = grid_report(spec, "x", lambda u, v: -math.inf, 5, 5, 0.02, 1.0)
+        assert report.max_abs == math.inf
+        assert not report.passed
 
 
 class TestClassification:
