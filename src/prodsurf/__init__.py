@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .jets import Jet2, JetDomainError, jet_arith, jet_elementary, jet_variable
+from .jets import Jet2, JetDomainError
 from .spaceforms import (
     AmbientModel,
     ConstraintError,
@@ -33,7 +33,6 @@ from .codazzi import (
     metric_change,
     pmc_operator,
     s_norm_det_identity,
-    simons_residuals,
 )
 from .identities import (
     ResidualReport,

@@ -233,17 +233,6 @@ def grad_tensor_norm_sq(spec: SurfaceSpec, u, v, field: CodazziField):
     return per_point(full, one)
 
 
-def simons_residuals(spec: SurfaceSpec, u, v, field: CodazziField,
-                     floor: float = S_NORM_FLOOR):
-    """Residuals of the quadratic and logarithmic Simons-type identities.
-
-    r_sq  = | 1/2 Lap|S|^2 - |nabla S|^2 - 2 K |S|^2 |   (global)
-    r_log = | Lap ln|S| - 2 K |                           (needs |S| > floor)
-    """
-    return (simons_quadratic_residual(spec, u, v, field),
-            simons_log_residual(spec, u, v, field, floor))
-
-
 def _norm_floor(s2: Jet2, floor: float):
     """Where |S| is below the floor, that jet made safe there, and the error for a point."""
     low = s2.value <= floor * floor
@@ -353,7 +342,14 @@ def metric_change(spec: SurfaceSpec, u, v, field: CodazziField):
     gp = spec.geom(u, v)
     safe, det, singular, error = _nonsingular(field, u, v)
     gs = new_metric_jets(spec, u, v, safe)
-    ktilde = gauss_curvature_brioschi(gs).value
+    # Brioschi divides by det^2, and det <S., S.> = det(S)^2 det g is tiny
+    # where S is nearly singular: scale each point's metric to a determinant
+    # in [1/2, 2) and scale back, K(c g) = K(g) / c for a constant c.  A power
+    # of two for c keeps both scalings exact.
+    _, exponent = np.frexp(np.linalg.det(matrix_values(gs)))
+    c = np.ldexp(1.0, -(exponent // 2))
+    unit = [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs]
+    ktilde = gauss_curvature_brioschi(unit).value * c
     residual = np.abs(ktilde * det - gp.K_val)
     if one:
         residual = per_point(residual, one, singular, error)

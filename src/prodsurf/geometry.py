@@ -23,7 +23,6 @@ offending point.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -86,7 +85,7 @@ class SurfaceSpec:
     minimal: bool = False
     _grid: _Grid | None = field(default=None, repr=False)
 
-    def geom(self, u, v, order: int = 4) -> "GeomPoint":
+    def geom(self, u, v) -> "GeomPoint":
         """Geometry at (u, v): one point for floats, a batch for equal-length arrays.
 
         The coordinate arrays of the grid registered by :func:`grid_points`
@@ -94,17 +93,14 @@ class SurfaceSpec:
         other point or batch is evaluated on the spot.
         """
         grid = self._grid
-        if (grid is None or order != 4 or np.ndim(u) != 1
+        if (grid is None or np.ndim(u) != 1
                 or not (np.array_equal(u, grid.u) and np.array_equal(v, grid.v))):
-            return evaluate_chart(self, u, v, order)
+            return evaluate_chart(self, u, v)
         if grid.batch is None:
             # The batch refers to a copy of this spec without the grid: no
             # reference cycle, so it is freed as soon as the spec is.
             grid.batch = evaluate_chart(dataclasses.replace(self, _grid=None), grid.u, grid.v)
         return grid.batch
-
-    def clear_cache(self) -> None:
-        self._grid = None
 
 
 @dataclass
@@ -125,7 +121,6 @@ class GeomPoint:
     spec: SurfaceSpec
     u: float
     v: float
-    order: int
     f: list[Jet2]
     fu: list[Jet2]
     fv: list[Jet2]
@@ -294,8 +289,9 @@ def grad_norm_sq(phi: Jet2, ginv_val: np.ndarray):
 def _sign_flips(unit: np.ndarray) -> np.ndarray:
     """Where a unit vector's first component above 1e-9 in size is negative.
 
-    The sign convention of every auxiliary normal, for the float and the jet
-    frame alike; components are the last axis.
+    The sign convention of every auxiliary normal of :func:`_normal_frames`,
+    whose vectors :func:`normal_frame_jets` extends; components are the last
+    axis.
     """
     big = np.abs(unit) > 1e-9
     lead = np.take_along_axis(unit, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
@@ -374,49 +370,22 @@ def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
 
 
 def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
-    """Jet-valued normal frame (same construction as the pointwise frame).
+    """Jet-valued normal frame: each vector of the float frame ``gp.xi``, held
+    constant in the flat space and projected onto the normal space.
 
-    The candidate selection is decided by constant terms, so locally the
-    frame is a smooth field and its jets are honest derivatives.  On a batch
-    every choice (H seeding, dropped axes, signs) is a per-point mask, so
-    each point gets the frame it would get on its own.  Used only where an
-    explicit normal field is needed; covariant normal derivatives elsewhere
-    go through projections, never through frame differences.
+    The projection is a smooth normal field through the frame vector, so its
+    jets give honest derivatives, and the frame's values and sign rules come
+    from :func:`_normal_frames` alone.  Any smooth normal extension serves the
+    Codazzi equation: (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) is tensorial in
+    xi.  Used only where an explicit normal field is needed; covariant normal
+    derivatives elsewhere go through projections, never through frame
+    differences.
     """
     model = gp.spec.ambient
-    dim = model.flat_dim
-    need = model.n - 1
-    # A slot a point has not filled yet holds zeros, which Gram-Schmidt skips exactly.
-    frame = [[Jet2.constant(0.0, gp.order)] * dim for _ in range(need)]
-    # H seeding needs |H| well clear of zero for the jet square root.
-    seeded = gp.normH2.value > 1e-12
-    if seeded.any():
-        inv = 1.0 / jets.sqrt(jets.where(seeded, gp.normH2, 1.0))
-        frame[0] = [jets.where(seeded, c * inv, 0.0) for c in gp.H]
-    count = seeded.astype(np.intp)
-    for axis in range(dim):
-        open_ = count < need
-        if not open_.any():
-            break
-        w = _normal_part_jets(model, gp.f, gp.fu, gp.fv, gp.ginv,
-                              [Jet2.constant(float(i == axis), gp.order) for i in range(dim)])
-        for xi in frame[:count.max()]:
-            c = flat_inner(model, w, xi)
-            w = [w[i] - c * xi[i] for i in range(dim)]
-        nrm2 = flat_inner(model, w, w)
-        take = open_ & ~(nrm2.value < FRAME_DROP_TOL ** 2)
-        inv = 1.0 / jets.sqrt(jets.where(take, nrm2, 1.0))
-        unit = [c * inv for c in w]
-        flip = _sign_flips(_stack([c.value for c in unit]))
-        unit = [jets.where(flip, -c, c) for c in unit]
-        for j in range(need):
-            here = take & (count == j)
-            frame[j] = [jets.where(here, unit[i], frame[j][i]) for i in range(dim)]
-        count = count + take
-    bad = first_where(count != need)
-    if bad is not None:
-        raise FrameError(f"normal frame incomplete: {count[bad]} of {need}")
-    return frame
+    comps = np.asarray(gp.xi).T  # comps[i][j]: component i of vector j, per point
+    return [_normal_part_jets(model, gp.f, gp.fu, gp.fv, gp.ginv,
+                              [Jet2.constant(c[j]) for c in comps])
+            for j in range(model.n - 1)]
 
 
 def _values(x, batched: bool) -> np.ndarray:
@@ -438,16 +407,13 @@ def _freeze(x) -> None:
             _freeze(y)
 
 
-def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray,
-                   order: int = 4) -> GeomPoint:
+def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray) -> GeomPoint:
     """Evaluate all pointwise geometry of the chart at (u, v).
 
     With equal-length 1-D arrays ``u`` and ``v`` the whole set of points is
     evaluated in one batched pass and the result is a batched GeomPoint; an
     error names the first offending point.
     """
-    if order < 3:
-        raise ValueError("chart evaluation needs jet order >= 3 for intrinsic curvature")
     batched = np.ndim(u) > 0
     ua, va = np.array(u, dtype=float), np.array(v, dtype=float)
     if ua.shape != va.shape or ua.ndim > 1:
@@ -461,8 +427,8 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     model = spec.ambient
     dim = model.flat_dim
 
-    uj = Jet2.variable("u", ua if batched else ua[()], order)
-    vj = Jet2.variable("v", va if batched else va[()], order)
+    uj = Jet2.variable("u", ua if batched else ua[()])
+    vj = Jet2.variable("v", va if batched else va[()])
     f = spec.chart(uj, vj)
     if batched:  # a constant coordinate comes back as a single-point jet
         f = [c if c.c.ndim > 1 else Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
@@ -535,7 +501,7 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
         normH, normT = float(normH), float(normT)
 
     gp = GeomPoint(
-        spec=spec, u=ua if batched else u, v=va if batched else v, order=order,
+        spec=spec, u=ua if batched else u, v=va if batched else v,
         f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg, gamma=gamma,
         alpha_flat=alpha_flat, H=H, normH2=normH2, normH=normH,
         T_up=T_up, T_flat=T_flat, eta=eta, normT2=normT2, K=K,
@@ -611,14 +577,6 @@ def _tangential_parts(gp: GeomPoint, w: np.ndarray):
 def _normal_part(gp: GeomPoint, w_val: np.ndarray) -> np.ndarray:
     """Project flat vectors at gp onto the surface-normal space (values)."""
     return _normal_part_values(gp.spec.ambient, gp.f_val, *gp.tangent_vals, gp.ginv_val, w_val)
-
-
-def endo_eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a 2x2 endomorphism that is self-adjoint for some metric."""
-    tr = float(m[0, 0] + m[1, 1])
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return ((tr - disc) / 2.0, (tr + disc) / 2.0)
 
 
 def aux_det_sum(gp: GeomPoint):

@@ -383,29 +383,3 @@ def powf(a: Jet2, p: float) -> Jet2:
         coeffs.append(binom * a0 ** (p - k))
         binom *= (p - k) / (k + 1)
     return _compose(a, coeffs)
-
-
-_ELEMENTARY = {"sin": sin, "cos": cos, "exp": exp, "ln": log, "sqrt": sqrt}
-
-
-# -- spec-shaped entry points -------------------------------------------------
-
-def jet_variable(which: str, value: float, order: int) -> Jet2:
-    return Jet2.variable(which, value, order)
-
-
-def jet_arith(a: Jet2, b: Jet2, op: str) -> Jet2:
-    ops = {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op](b)
-
-
-def jet_elementary(fn: str, a: Jet2, exponent: float | None = None) -> Jet2:
-    if fn == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return powf(a, exponent)
-    if fn not in _ELEMENTARY:
-        raise ValueError(f"unknown elementary function {fn!r}")
-    return _ELEMENTARY[fn](a)

@@ -117,10 +117,3 @@ def project_to_product_tangent(model: AmbientModel, p, w):
     out = [w[i] - (k * inner) * p[i] for i in range(model.flat_dim - 1)]
     out.append(w[model.t_index])
     return out
-
-
-def vertical_axis(model: AmbientModel) -> np.ndarray:
-    """Unit flat vector generating the line factor."""
-    e = np.zeros(model.flat_dim)
-    e[model.t_index] = 1.0
-    return e

@@ -92,40 +92,35 @@ def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
 
 
 def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float:
-    """Fundamental-equation residual with the A_xi matrix differenced.
+    """Fundamental-equation residual with A_xi and its normal field differenced.
 
-    The normal field is the jet frame's member re-evaluated at the probe
-    points; normal-connection corrections and Christoffels stay at center.
+    The normal field is the centre's frame vector ``gp.xi[frame_index]``
+    projected onto the normal space at each probe point.  Both the A_xi matrix
+    and that field are differenced by central differences; Christoffels and
+    the normal part of the field's derivative are taken at the centre.  No
+    jet enters.
     """
-    import numpy as np
-
-    from prodsurf.codazzi import matrix_values
-    from prodsurf.geometry import _normal_part, normal_frame_jets, shape_operator
-    from prodsurf.spaceforms import flat_inner
+    from prodsurf.geometry import _normal_part, shape_operator
 
     gp = spec.geom(u, v)
     model = spec.ambient
     sig = np.asarray(model.signature)
     gam = gp.gamma_val
+    xi_val = np.asarray(gp.xi[frame_index])
 
-    def a_xi_val(uu: float, vv: float) -> np.ndarray:
+    def probe(uu: float, vv: float) -> tuple[np.ndarray, np.ndarray]:
         g = spec.geom(uu, vv)
-        xi = normal_frame_jets(g)[frame_index]
-        m = [[flat_inner(model, g.alpha_flat[a][b], xi) for b in range(2)]
-             for a in range(2)]
-        a_xi = [[g.ginv[a][0] * m[0][b] + g.ginv[a][1] * m[1][b] for b in range(2)]
-                for a in range(2)]
-        return matrix_values(a_xi)
+        xi = _normal_part(g, xi_val)
+        return shape_operator(g, xi), xi
 
-    xi = normal_frame_jets(gp)[frame_index]
-    xi_val = np.array([c.value for c in xi])
-    m0 = a_xi_val(u, v)
-    d_u = (a_xi_val(u + h, v) - a_xi_val(u - h, v)) / (2.0 * h)
-    d_v = (a_xi_val(u, v + h) - a_xi_val(u, v - h)) / (2.0 * h)
-    nperp = (
-        _normal_part(gp, np.array([c.du for c in xi])),
-        _normal_part(gp, np.array([c.dv for c in xi])),
-    )
+    def diff(x_plus, x_minus) -> tuple[np.ndarray, np.ndarray]:
+        (a_p, xi_p), (a_m, xi_m) = probe(*x_plus), probe(*x_minus)
+        return (a_p - a_m) / (2.0 * h), (xi_p - xi_m) / (2.0 * h)
+
+    m0 = shape_operator(gp, xi_val)
+    d_u, dxi_u = diff((u + h, v), (u - h, v))
+    d_v, dxi_v = diff((u, v + h), (u, v - h))
+    nperp = (_normal_part(gp, dxi_u), _normal_part(gp, dxi_v))
 
     def cov(deriv: np.ndarray, xdir: int, ycol: int) -> np.ndarray:
         out = np.zeros(2)

@@ -14,6 +14,7 @@ from prodsurf import catalog, codazzi, identities, jets, theorems
 from prodsurf.codazzi import NormFloorError, SingularOperatorError
 from prodsurf.geometry import (
     MINIMAL_TOL,
+    MINIMAL_WARN_BAND,
     SurfaceSpec,
     evaluate_chart,
     grid_arrays,
@@ -40,13 +41,13 @@ def _one_point_geometry(spec):
     seen = {}
     geom = spec.geom
 
-    def memo(u, v, order=4):
+    def memo(u, v):
         if np.ndim(u) == 1 and len(u) == 1:
             key = (float(u[0]), float(v[0]))
             if key not in seen:
-                seen[key] = geom(u, v, order)
+                seen[key] = geom(u, v)
             return seen[key]
-        return geom(u, v, order)
+        return geom(u, v)
 
     spec.geom = memo
 
@@ -107,18 +108,18 @@ def test_batch_equals_one_point_calls(sid, params):
 
 
 def test_mixed_frame_choices_match_one_point_calls():
-    # a tilted graph with |H| about 3e-6 |u| / 1.1: unseeded on the column
-    # u = 0, seeded by the float frame only inside the conditioning band, and
-    # by both frames beyond it
+    # a tilted graph with |H| about 3e-6 |u| / 1.1: the frame is unseeded on
+    # the column u = 0 and seeded with H/|H| elsewhere, with |H| inside the
+    # conditioning band on the columns next to it and above the band beyond
     def chart(u, v):
         return [u, v, 1e-6 * u * u * u + 0.3 * u + 0.2 * v]
 
     spec = SurfaceSpec("graph", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2), chart)
     u, v = grid_arrays(spec, 9, 9)
     gp = grid_geometry(spec, 9, 9)
-    float_seeded = gp.normH > MINIMAL_TOL
-    jet_seeded = gp.normH2.value > 1e-12
-    assert jet_seeded.any() and (float_seeded & ~jet_seeded).any() and (~float_seeded).any()
+    seeded = gp.normH > MINIMAL_TOL
+    banded = gp.normH <= MINIMAL_WARN_BAND
+    assert (seeded & ~banded).any() and (seeded & banded).any() and (~seeded).any()
     frame = normal_frame_jets(gp)
     rows = {
         "ambient_codazzi": identities.ambient_codazzi_residual,

@@ -63,6 +63,16 @@ class TestVerifyCommand:
         assert by_id["ambient_codazzi"]["passed"]
         assert by_id["gauss_equation"]["passed"]
 
+    def test_nearly_singular_operator_keeps_metric_change(self, tmp_path):
+        # det S is about -2.5e-5 here, so the changed metric <S., S.> has
+        # det about 6e-8, whose square the Brioschi formula divides by
+        out = tmp_path / "report.json"
+        code = run(["verify", "--surface", "circle_cylinder", "--param", "kappa=-1",
+                    "--param", "r=3", "--grid", "9x9", "--output", str(out)])
+        assert code == 0
+        by_id = {r["identity_id"]: r for r in json.loads(out.read_text())["results"]}
+        assert by_id["metric_change"]["passed"]
+
     def test_minimal_surface_switches_suite(self, tmp_path):
         out = tmp_path / "report.json"
         code = run(["verify", "--surface", "slice", "--param", "kappa=-1",

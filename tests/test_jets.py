@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsurf import jets
-from prodsurf.jets import Jet2, JetDomainError, jet_arith, jet_elementary, jet_variable
+from prodsurf.jets import Jet2, JetDomainError
 
 
 def coeff_array(j: Jet2) -> np.ndarray:
@@ -15,44 +15,44 @@ def coeff_array(j: Jet2) -> np.ndarray:
 
 class TestVariable:
     def test_u_coordinate(self):
-        j = jet_variable("u", 0.5, 2)
+        j = Jet2.variable("u", 0.5, 2)
         assert j.value == 0.5
         assert j.coeff(1, 0) == 1.0
         assert all(j.coeff(i, k) == 0.0 for (i, k) in [(0, 1), (2, 0), (1, 1), (0, 2)])
 
     def test_v_coordinate(self):
-        j = jet_variable("v", 0.0, 4)
+        j = Jet2.variable("v", 0.0, 4)
         assert j.value == 0.0
         assert j.coeff(0, 1) == 1.0
         assert np.count_nonzero(j.c) == 1
 
     def test_order_zero_is_constant(self):
-        j = jet_variable("u", 2.0, 0)
+        j = Jet2.variable("u", 2.0, 0)
         assert j.value == 2.0
         assert np.count_nonzero(j.c) == 1
 
     @pytest.mark.parametrize("order", [-1, 5])
     def test_order_out_of_range(self, order):
         with pytest.raises(ValueError):
-            jet_variable("u", 0.0, order)
+            Jet2.variable("u", 0.0, order)
 
     def test_coefficient_count(self):
         for order in range(5):
-            j = jet_variable("u", 1.0, order)
+            j = Jet2.variable("u", 1.0, order)
             assert len(j.coeffs()) == (order + 1) * (order + 2) // 2
 
 
 class TestArithmetic:
     def test_square_of_coordinate(self):
-        u = jet_variable("u", 3.0, 2)
-        sq = jet_arith(u, u, "mul")
+        u = Jet2.variable("u", 3.0, 2)
+        sq = u * u
         assert sq.coeff(0, 0) == 9.0
         assert sq.coeff(1, 0) == 6.0
         assert sq.coeff(2, 0) == 1.0
 
     def test_geometric_series(self):
-        u = jet_variable("u", 0.0, 3)
-        inv = jet_arith(Jet2.constant(1.0, 3), 1.0 + u, "div")
+        u = Jet2.variable("u", 0.0, 3)
+        inv = Jet2.constant(1.0, 3) / (1.0 + u)
         expected = [1.0, -1.0, 1.0, -1.0]
         got = [inv.coeff(k, 0) for k in range(4)]
         assert got == pytest.approx(expected, abs=1e-15)
@@ -60,50 +60,45 @@ class TestArithmetic:
     def test_product_matches_double_angle_table(self):
         # oracle: (sin 2u)/2 has k-th derivative 2^{k-1} sin(2u + k pi/2)
         u0 = 0.7
-        u = jet_variable("u", u0, 4)
+        u = Jet2.variable("u", u0, 4)
         prod = jets.sin(u) * jets.cos(u)
         for k in range(5):
             expected = 2.0 ** (k - 1) * math.sin(2 * u0 + k * math.pi / 2) / math.factorial(k)
             assert prod.coeff(k, 0) == pytest.approx(expected, abs=1e-13)
 
     def test_cross_order_truncation(self):
-        a = jet_variable("u", 1.0, 4)
-        b = jet_variable("u", 1.0, 2)
+        a = Jet2.variable("u", 1.0, 4)
+        b = Jet2.variable("u", 1.0, 2)
         assert (a * b).order == 2
         assert (a + b).order == 2
         assert (a - b).order == 2
         assert (a / b).order == 2
 
     def test_division_by_zero_constant_raises(self):
-        u = jet_variable("u", 0.0, 3)
+        u = Jet2.variable("u", 0.0, 3)
         with pytest.raises(JetDomainError):
-            jet_arith(Jet2.constant(1.0, 3), u, "div")
+            Jet2.constant(1.0, 3) / u
 
     def test_integer_powers(self):
-        u = jet_variable("u", 2.0, 3)
+        u = Jet2.variable("u", 2.0, 3)
         assert np.allclose((u ** 3).c, (u * u * u).c)
         assert np.allclose((u ** -2).c, (1.0 / (u * u)).c)
-
-    def test_unknown_op_rejected(self):
-        u = jet_variable("u", 1.0, 2)
-        with pytest.raises(ValueError):
-            jet_arith(u, u, "mod")
 
 
 class TestElementary:
     def test_sin_maclaurin(self):
-        s = jet_elementary("sin", jet_variable("u", 0.0, 4))
+        s = jets.sin(Jet2.variable("u", 0.0, 4))
         expected = [0.0, 1.0, 0.0, -1.0 / 6.0, 0.0]
         got = [s.coeff(k, 0) for k in range(5)]
         assert got == pytest.approx(expected, abs=1e-16)
 
     def test_sqrt_of_constant(self):
-        r = jet_elementary("sqrt", Jet2.constant(4.0, 3))
+        r = jets.sqrt(Jet2.constant(4.0, 3))
         assert r.value == pytest.approx(2.0)
         assert np.count_nonzero(r.c) == 1
 
     def test_exp_of_sum(self):
-        e = jets.exp(jet_variable("u", 0.0, 2) + jet_variable("v", 0.0, 2))
+        e = jets.exp(Jet2.variable("u", 0.0, 2) + Jet2.variable("v", 0.0, 2))
         assert e.coeff(0, 0) == pytest.approx(1.0)
         assert e.coeff(1, 0) == pytest.approx(1.0)
         assert e.coeff(0, 1) == pytest.approx(1.0)
@@ -112,31 +107,25 @@ class TestElementary:
         assert e.coeff(0, 2) == pytest.approx(0.5)
 
     def test_log_reverts_exp(self):
-        u = jet_variable("u", 0.3, 4) + 0.5 * jet_variable("v", -0.2, 4)
+        u = Jet2.variable("u", 0.3, 4) + 0.5 * Jet2.variable("v", -0.2, 4)
         back = jets.log(jets.exp(u))
         assert np.allclose(back.c, u.c, atol=1e-14)
 
-    @pytest.mark.parametrize("fn", ["ln", "sqrt"])
+    @pytest.mark.parametrize("fn", [jets.log, jets.sqrt], ids=["ln", "sqrt"])
     def test_domain_boundary_raises(self, fn):
         with pytest.raises(JetDomainError):
-            jet_elementary(fn, Jet2.constant(0.0, 2))
+            fn(Jet2.constant(0.0, 2))
         with pytest.raises(JetDomainError):
-            jet_elementary(fn, Jet2.constant(-1.0, 2))
+            fn(Jet2.constant(-1.0, 2))
 
-    def test_pow_requires_exponent(self):
-        with pytest.raises(ValueError):
-            jet_elementary("pow", Jet2.constant(2.0, 2))
-        p = jet_elementary("pow", jet_variable("u", 2.0, 3), exponent=1.5)
+    def test_fractional_power(self):
+        p = jets.powf(Jet2.variable("u", 2.0, 3), 1.5)
         assert p.value == pytest.approx(2.0 ** 1.5)
-
-    def test_unknown_function_rejected(self):
-        with pytest.raises(ValueError):
-            jet_elementary("tanh", Jet2.constant(0.0, 2))
 
 
 def _poly_eval_jet(coeffs: np.ndarray, u0: float, v0: float) -> Jet2:
-    u = jet_variable("u", u0, 4)
-    v = jet_variable("v", v0, 4)
+    u = Jet2.variable("u", u0, 4)
+    v = Jet2.variable("v", v0, 4)
     acc = Jet2.constant(0.0, 4)
     for i in range(coeffs.shape[0]):
         for j in range(coeffs.shape[1]):
@@ -295,8 +284,8 @@ class TestCompositionIdentities:
 
 class TestAccessors:
     def test_second_derivative_scaling(self):
-        u = jet_variable("u", 1.0, 4)
-        v = jet_variable("v", 2.0, 4)
+        u = Jet2.variable("u", 1.0, 4)
+        v = Jet2.variable("v", 2.0, 4)
         f = u * u * v  # f = u^2 v
         assert f.duu == pytest.approx(2.0 * 2.0)   # d2/du2 = 2v
         assert f.duv == pytest.approx(2.0)         # d2/dudv = 2u
@@ -304,12 +293,12 @@ class TestAccessors:
         assert f.deriv(2, 1) == pytest.approx(2.0)
 
     def test_deriv_beyond_order_raises(self):
-        u = jet_variable("u", 1.0, 2)
+        u = Jet2.variable("u", 1.0, 2)
         with pytest.raises(ValueError):
             u.deriv(2, 1)
 
     def test_truncate(self):
-        u = jet_variable("u", 1.0, 4)
+        u = Jet2.variable("u", 1.0, 4)
         f = jets.exp(u)
         t = f.truncate(1)
         assert t.order == 1
