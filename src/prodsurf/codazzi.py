@@ -324,7 +324,7 @@ def _nonsingular(field: CodazziField, u: np.ndarray, v: np.ndarray):
              for a in range(2)]
 
     def error(k):
-        return SingularOperatorError(f"det S = {det[k]!r} at ({u[k]}, {v[k]})")
+        return SingularOperatorError(f"det S = {float(det[k])!r} at ({u[k]}, {v[k]})")
 
     return pinned(field, s), det, singular, error
 

@@ -439,7 +439,7 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
         bad = first_where(abs(res) > 1e-10)
         if bad is not None:
             raise ConstraintError(
-                f"chart point off the model by {res[bad]!r} at ({ua[bad]}, {va[bad]})")
+                f"chart point off the model by {float(res[bad])!r} at ({ua[bad]}, {va[bad]})")
 
     fu = [c.d_u() for c in f]
     fv = [c.d_v() for c in f]
@@ -448,7 +448,8 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
     bad = first_where(_too_degenerate(detg.value))
     if bad is not None:
-        raise DegenerateMetricError(f"det g = {detg.value[bad]!r} at ({ua[bad]}, {va[bad]})")
+        raise DegenerateMetricError(
+            f"det g = {float(detg.value[bad])!r} at ({ua[bad]}, {va[bad]})")
     inv_det = 1.0 / detg
     off = -g01 * inv_det
     ginv = [[g[1][1] * inv_det, off], [off, g[0][0] * inv_det]]
@@ -559,7 +560,7 @@ def normal_connection_derivative(
         bad = first_where(tangential)
         if bad is not None:
             raise NotNormalError(f"field not normal at ({float(np.asarray(u)[bad])}, "
-                                 f"{float(np.asarray(v)[bad])}): component {comp[bad]!r}")
+                                 f"{float(np.asarray(v)[bad])}): component {float(comp[bad])!r}")
     dw = _stack([c.du if direction == "u" else c.dv for c in w])
     return _normal_part(gp, dw)
 

@@ -112,7 +112,7 @@ def project_to_product_tangent(model: AmbientModel, p, w):
     res = np.asarray(constraint_residual(model, pos_val))
     bad = first_where(abs(res) > CONSTRAINT_TOL)
     if bad is not None:
-        raise ConstraintError(f"point off the model by {res[bad]!r}")
+        raise ConstraintError(f"point off the model by {float(res[bad])!r}")
     k = model.kappa
     out = [w[i] - (k * inner) * p[i] for i in range(model.flat_dim - 1)]
     out.append(w[model.t_index])

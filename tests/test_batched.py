@@ -206,3 +206,15 @@ def test_batch_of_one_product_matches_the_scalar_kernel():
         wide = Jet2(np.stack([a, b, a]), order) * Jet2(np.stack([b, a, b]), order)
         assert np.array_equal(one.c[0], scalar.c)
         assert np.array_equal(wide.c[0], scalar.c)
+
+
+@pytest.mark.parametrize("n", [289, 4225])
+def test_every_point_of_a_batch_product_matches_its_one_point_product(n):
+    # one summation order: the slot kernel and bincount give the same bits
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n, jets.NCOEF))
+    for order in range(jets.MAX_ORDER + 1):
+        batch = (Jet2(a.T.copy().T, order) * Jet2(b.T.copy().T, order)).c
+        for k in range(n):
+            one = Jet2(a[k].copy(), order) * Jet2(b[k].copy(), order)
+            assert np.array_equal(batch[k], one.c), (order, k)

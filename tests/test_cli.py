@@ -73,6 +73,14 @@ class TestVerifyCommand:
         by_id = {r["identity_id"]: r for r in json.loads(out.read_text())["results"]}
         assert by_id["metric_change"]["passed"]
 
+    def test_degenerate_metric_names_plain_floats(self, capsys):
+        # the kappa=1, r=0.5 cylinder scaled by 1/1000: det g falls below 1e-6
+        assert run(["verify", "--surface", "circle_cylinder", "--param", "kappa=1e6",
+                    "--param", "r=5e-4", "--grid", "9x9"]) == 3
+        err = capsys.readouterr().err
+        assert "det g = 2.2984884706593017e-07 at (0.12566370614359174, -0.96)" in err
+        assert "np.float64(" not in err
+
     def test_minimal_surface_switches_suite(self, tmp_path):
         out = tmp_path / "report.json"
         code = run(["verify", "--surface", "slice", "--param", "kappa=-1",

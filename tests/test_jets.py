@@ -303,3 +303,70 @@ class TestAccessors:
         t = f.truncate(1)
         assert t.order == 1
         assert np.count_nonzero(t.c) == 2
+
+
+def _reference_products(a_rows, b_rows, m):
+    """Per point: each output sums left to right from 0.0 in table order."""
+    table = list(zip(*(t.tolist() for t in jets._mul_table(m))))
+    rows = []
+    for a, b in zip(a_rows, b_rows):
+        out = [0.0] * jets.NCOEF
+        for i, j, k in table:
+            out[k] += a[i] * b[j]
+        rows.append(out)
+    return np.array(rows)
+
+
+def _coefficient_major(x):
+    return np.ascontiguousarray(x.T).T
+
+
+class TestBatchProductKernel:
+    @pytest.mark.parametrize("n", [2, 17, 289, 4225])
+    @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+    def test_bit_identical_to_the_reference(self, order, n):
+        rng = np.random.default_rng(1000 * order + n)
+        a = rng.standard_normal((n, jets.NCOEF)) * 10.0 ** rng.integers(-3, 4, (n, jets.NCOEF))
+        b = rng.standard_normal((n, jets.NCOEF))
+        a[rng.random(a.shape) < 0.1] = -0.0  # a first term of -0.0 still sums from 0.0
+        want = _reference_products(a.tolist(), b.tolist(), order)
+        for layout in (_coefficient_major, np.ascontiguousarray):
+            got = (Jet2(layout(a), order) * Jet2(layout(b), order)).c
+            assert got.shape == (n, jets.NCOEF) and got.T.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        col = a[0]
+        cols = [col.tolist()] * n
+        col_b = _reference_products(cols, b.tolist(), order)
+        b_col = _reference_products(b.tolist(), cols, order)
+        for one in (col, col[None]):
+            assert np.array_equal((Jet2(one.copy(), order) * Jet2(_coefficient_major(b), order)).c,
+                                  col_b)
+            assert np.array_equal((Jet2(_coefficient_major(b), order) * Jet2(one.copy(), order)).c,
+                                  b_col)
+
+    @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+    @pytest.mark.parametrize("k", [0, 4, 12])
+    def test_inf_reaches_only_its_dense_product_outputs(self, order, k):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0.5, 2.0, (17, jets.NCOEF))
+        b = rng.uniform(0.5, 2.0, (17, jets.NCOEF))
+        a[5, k] = np.inf
+        got = (Jet2(_coefficient_major(a), order) * Jet2(_coefficient_major(b), order)).c
+        i1, j1 = jets.MONOMIALS[k]
+        reached = {jets.MONOMIALS.index((i1 + i2, j1 + j2)) for (i2, j2) in jets.MONOMIALS
+                   if i1 + j1 + i2 + j2 <= order}
+        assert {int(x) for x in np.flatnonzero(np.isinf(got[5]))} == reached
+        assert not np.isnan(got).any()
+        assert np.isfinite(np.delete(got, 5, axis=0)).all()
+
+
+class TestDomainErrorMessages:
+    def test_batched_error_names_the_first_bad_constant_term(self):
+        a = Jet2.constant(np.array([1.0, 0.25, -2.5, -3.0]))
+        with pytest.raises(JetDomainError) as info:
+            jets.sqrt(a)
+        assert str(info.value) == "sqrt of jet with constant term -2.5"
+        with pytest.raises(JetDomainError) as info:
+            1.0 / Jet2.constant(np.array([1.0, 0.0, 2.0]))
+        assert str(info.value) == "division by jet with constant term 0.0"
