@@ -198,9 +198,9 @@ def cmd_field(args) -> int:
             else:
                 values = codazzi.det_jet(s).value
     rows = ["u,v,value"]
-    for (u_k, v_k), value, kept in zip(pts, values, keep):
+    for (u_k, v_k), value, kept in zip(pts, values.tolist(), keep.tolist()):
         if kept:
-            rows.append(f"{u_k:.17g},{v_k:.17g},{value:.17g}")
+            rows.append("%.17g,%.17g,%.17g" % (u_k, v_k, value))
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 

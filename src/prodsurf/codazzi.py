@@ -367,8 +367,8 @@ def inverse_codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
     u, v, one = points(u, v)
     safe, _, singular, error = _nonsingular(field, u, v)
     s = safe.matrix_at(u, v)
-    det = det_jet(s)
-    p = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
+    r = 1.0 / det_jet(s)
+    p = [[s[1][1] * r, -s[0][1] * r], [-s[1][0] * r, s[0][0] * r]]
     gs = new_metric_jets(spec, u, v, safe)
     gam = christoffels(gs)
     res = np.empty((len(u), 2))

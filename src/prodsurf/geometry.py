@@ -11,6 +11,11 @@ The intrinsic curvature is computed purely from the metric so that the
 structure equations checked elsewhere (Gauss equation, curvature formula)
 are genuine cross-checks rather than tautologies.
 
+A chart point is evaluated in stages (:class:`GeomPoint`): the chart jets and
+metric, with every check on the chart, at once, and each other group of
+quantities on the first read of one of its names, so a caller pays only for
+what it reads.
+
 A sample grid is evaluated in one batched pass: every jet carries one row
 per grid point and the per-point choices of the normal frame become masks.
 :meth:`SurfaceSpec.geom` returns that batch for the grid's coordinate arrays
@@ -105,7 +110,21 @@ class SurfaceSpec:
 
 @dataclass
 class GeomPoint:
-    """All pointwise geometry of a chart at (u, v).
+    """Pointwise geometry of a chart at (u, v), computed in stages.
+
+    :func:`evaluate_chart` computes the chart jets and the metric, the fields
+    below, at once.  Every other name of :data:`GEOMETRY_NAMES` belongs to one
+    lazy stage, which runs the first time any of its names is read and at most
+    once per GeomPoint:
+
+    - Christoffels: ``gamma``, ``gamma_val``;
+    - second fundamental form: ``alpha_flat``, ``alpha_val``, ``H``,
+      ``H_val``, ``normH2``, ``normH``;
+    - vertical split: ``T_up``, ``T_flat``, ``eta``, ``normT2``, ``normT``,
+      ``T_val``, ``eta_val``;
+    - Brioschi curvature: ``K``, ``K_val``;
+    - normal frame: ``xi``, ``h``, ``A``.  A :class:`FrameError` surfaces on
+      the first read of one of these.
 
     Jets keep the orders implied by differentiating an order-4 immersion:
     metric entries order 3, Christoffels and second-fundamental-form data
@@ -127,28 +146,18 @@ class GeomPoint:
     g: list[list[Jet2]]
     ginv: list[list[Jet2]]
     detg: Jet2
-    gamma: list[list[list[Jet2]]]
-    alpha_flat: list[list[list[Jet2]]]
-    H: list[Jet2]
-    normH2: Jet2
-    normH: float
-    T_up: list[Jet2]
-    T_flat: list[Jet2]
-    eta: list[Jet2]
-    normT2: Jet2
-    K: Jet2
-    xi: list[np.ndarray]
-    h: np.ndarray
-    A: list[np.ndarray]
     g_val: np.ndarray
     ginv_val: np.ndarray
-    gamma_val: np.ndarray
-    K_val: float
-    normT: float
-    T_val: np.ndarray
-    eta_val: np.ndarray
-    H_val: np.ndarray
-    alpha_val: np.ndarray
+
+    def __getattr__(self, name):
+        # Reached only for a name not set yet: run the stage that computes it.
+        if name not in _STAGE_OF:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        stage, names = _STAGE_OF[name]
+        values = list(stage(self))
+        _freeze(values)
+        self.__dict__.update(zip(names, values))
+        return self.__dict__[name]
 
     @property
     def f_val(self) -> np.ndarray:
@@ -205,7 +214,8 @@ def christoffels(g: list[list[Jet2]], ginv: list[list[Jet2]] | None = None):
 def invert_metric_jets(g: list[list[Jet2]]):
     det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
     first_bad(det.value <= 1e-12, "det g =", det.value, DegenerateMetricError)
-    return [[g[1][1] / det, -g[0][1] / det], [-g[0][1] / det, g[0][0] / det]]
+    r = 1.0 / det
+    return [[g[1][1] * r, -g[0][1] * r], [-g[0][1] * r, g[0][0] * r]]
 
 
 def _det3(m):
@@ -408,7 +418,8 @@ def _freeze(x) -> None:
 
 
 def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray) -> GeomPoint:
-    """Evaluate all pointwise geometry of the chart at (u, v).
+    """Evaluate the chart jets and metric at (u, v); the rest of the geometry
+    is computed in stages on first read (see :class:`GeomPoint`).
 
     With equal-length 1-D arrays ``u`` and ``v`` the whole set of points is
     evaluated in one batched pass and the result is a batched GeomPoint; an
@@ -425,7 +436,6 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     if bad is not None:
         raise ValueError(f"({ua[bad]}, {va[bad]}) outside chart domain {spec.domain}")
     model = spec.ambient
-    dim = model.flat_dim
 
     uj = Jet2.variable("u", ua if batched else ua[()])
     vj = Jet2.variable("v", va if batched else va[()])
@@ -433,9 +443,8 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     if batched:  # a constant coordinate comes back as a single-point jet
         f = [c if c.c.ndim > 1 else Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
              for c in f]
-    f_val = _values(f, batched)
     if model.kappa != 0:
-        res = constraint_residual(model, f_val.T)
+        res = constraint_residual(model, _values(f, batched).T)
         bad = first_where(abs(res) > 1e-10)
         if bad is not None:
             raise ConstraintError(
@@ -453,69 +462,88 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     inv_det = 1.0 / detg
     off = -g01 * inv_det
     ginv = [[g[1][1] * inv_det, off], [off, g[0][0] * inv_det]]
-    gamma = christoffels(g, ginv)
 
-    # Second fundamental form: the surface-normal part of the projected second
-    # derivatives.  Each derivative list is dropped once it is projected.
-    alpha_flat = [[None, None], [None, None]]
-    for a, b, first in ((0, 0, fu), (0, 1, fu), (1, 1, fv)):
-        alpha_flat[a][b] = alpha_flat[b][a] = _normal_part_jets(
-            model, f, fu, fv, ginv, [c.d(b) for c in first])
-
-    H = [
-        0.5
-        * (
-            ginv[0][0] * alpha_flat[0][0][i]
-            + 2.0 * ginv[0][1] * alpha_flat[0][1][i]
-            + ginv[1][1] * alpha_flat[1][1][i]
-        )
-        for i in range(dim)
-    ]
-    normH2 = flat_inner(model, H, H)
-
-    # Vertical field split: T^a = g^{ab} <e_t, f_b>; eta = e_t - T.
-    tcomp = (fu[model.t_index], fv[model.t_index])
-    T_up = [ginv[a][0] * tcomp[0] + ginv[a][1] * tcomp[1] for a in range(2)]
-    T_flat = [T_up[0] * fu[i] + T_up[1] * fv[i] for i in range(dim)]
-    eta = [-T_flat[i] if i != model.t_index else 1.0 - T_flat[i] for i in range(dim)]
-    normT2 = flat_inner(model, T_flat, T_flat)
-
-    K = gauss_curvature_brioschi(g)
-
-    g_val = _values(g, batched)
-    ginv_val = _values(ginv, batched)
-    H_val = _values(H, batched)
-    alpha_val = _values(alpha_flat, batched)
-    normH = np.sqrt(np.maximum(normH2.value, 0.0))
-    normT = np.sqrt(np.maximum(normT2.value, 0.0))
-
-    # The frame works on a leading point axis; one point is a batch of one.
-    as_batch = (lambda x: x) if batched else (lambda x: np.asarray(x)[None])
-    xi = _normal_frames(model, as_batch(f_val), as_batch(_values(fu, batched)),
-                        as_batch(_values(fv, batched)), as_batch(ginv_val),
-                        as_batch(H_val), as_batch(normH))
-    sig = np.asarray(model.signature)
-    h = np.sum(as_batch(alpha_val)[:, None] * sig * xi[:, :, None, None, :], axis=-1)
-    A = np.matmul(as_batch(ginv_val)[:, None], h)
-    if not batched:
-        xi, h, A = list(xi[0]), h[0], list(A[0])
-        normH, normT = float(normH), float(normT)
-
-    gp = GeomPoint(
-        spec=spec, u=ua if batched else u, v=va if batched else v,
-        f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg, gamma=gamma,
-        alpha_flat=alpha_flat, H=H, normH2=normH2, normH=normH,
-        T_up=T_up, T_flat=T_flat, eta=eta, normT2=normT2, K=K,
-        xi=xi, h=h, A=A,
-        g_val=g_val, ginv_val=ginv_val, gamma_val=_values(gamma, batched),
-        K_val=K.value, normT=normT,
-        T_val=_values(T_up, batched), eta_val=_values(eta, batched), H_val=H_val,
-        alpha_val=alpha_val,
-    )
+    gp = GeomPoint(spec=spec, u=ua if batched else u, v=va if batched else v,
+                   f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg,
+                   g_val=_values(g, batched), ginv_val=_values(ginv, batched))
     for f_ in fields(gp):
         if f_.name != "spec":
             _freeze(getattr(gp, f_.name))
     return gp
+
+
+def _batched(gp: GeomPoint) -> bool:
+    return np.ndim(gp.u) > 0
+
+
+# Each lazy stage of a GeomPoint returns the values of its names, in order.
+
+def _christoffel_stage(gp: GeomPoint):
+    gamma = christoffels(gp.g, gp.ginv)
+    return gamma, _values(gamma, _batched(gp))
+
+
+def _second_form_stage(gp: GeomPoint):
+    """The surface-normal part of the projected second derivatives, and H.
+
+    Each derivative list is dropped once it is projected.
+    """
+    model, f, fu, fv, ginv = gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv
+    alpha_flat = [[None, None], [None, None]]
+    for a, b, first in ((0, 0, fu), (0, 1, fu), (1, 1, fv)):
+        alpha_flat[a][b] = alpha_flat[b][a] = _normal_part_jets(
+            model, f, fu, fv, ginv, [c.d(b) for c in first])
+    H = [0.5 * (ginv[0][0] * alpha_flat[0][0][i] + 2.0 * ginv[0][1] * alpha_flat[0][1][i]
+                + ginv[1][1] * alpha_flat[1][1][i]) for i in range(model.flat_dim)]
+    normH2 = flat_inner(model, H, H)
+    normH = np.sqrt(np.maximum(normH2.value, 0.0))
+    batched = _batched(gp)
+    return (alpha_flat, _values(alpha_flat, batched), H, _values(H, batched), normH2,
+            normH if batched else float(normH))
+
+
+def _vertical_stage(gp: GeomPoint):
+    """Vertical field split: T^a = g^{ab} <e_t, f_b>; eta = e_t - T."""
+    model, fu, fv, ginv = gp.spec.ambient, gp.fu, gp.fv, gp.ginv
+    tcomp = (fu[model.t_index], fv[model.t_index])
+    T_up = [ginv[a][0] * tcomp[0] + ginv[a][1] * tcomp[1] for a in range(2)]
+    T_flat = [T_up[0] * fu[i] + T_up[1] * fv[i] for i in range(model.flat_dim)]
+    eta = [-T_flat[i] if i != model.t_index else 1.0 - T_flat[i] for i in range(model.flat_dim)]
+    normT2 = flat_inner(model, T_flat, T_flat)
+    normT = np.sqrt(np.maximum(normT2.value, 0.0))
+    batched = _batched(gp)
+    return (T_up, T_flat, eta, normT2, normT if batched else float(normT),
+            _values(T_up, batched), _values(eta, batched))
+
+
+def _curvature_stage(gp: GeomPoint):
+    K = gauss_curvature_brioschi(gp.g)
+    return K, K.value
+
+
+def _frame_stage(gp: GeomPoint):
+    """Normal frame xi, and per frame vector h_i = <alpha, xi_i> and A_i = g^{-1} h_i."""
+    model, batched = gp.spec.ambient, _batched(gp)
+    # The frame works on a leading point axis; one point is a batch of one.
+    as_batch = (lambda x: x) if batched else (lambda x: np.asarray(x)[None])
+    xi = _normal_frames(model, *(as_batch(x) for x in (gp.f_val, *gp.tangent_vals, gp.ginv_val,
+                                                       gp.H_val, gp.normH)))
+    sig = np.asarray(model.signature)
+    h = np.sum(as_batch(gp.alpha_val)[:, None] * sig * xi[:, :, None, None, :], axis=-1)
+    A = np.matmul(as_batch(gp.ginv_val)[:, None], h)
+    return (xi, h, A) if batched else (list(xi[0]), h[0], list(A[0]))
+
+
+_STAGES = (
+    (_christoffel_stage, ("gamma", "gamma_val")),
+    (_second_form_stage, ("alpha_flat", "alpha_val", "H", "H_val", "normH2", "normH")),
+    (_vertical_stage, ("T_up", "T_flat", "eta", "normT2", "normT", "T_val", "eta_val")),
+    (_curvature_stage, ("K", "K_val")),
+    (_frame_stage, ("xi", "h", "A")),
+)
+_STAGE_OF = {name: (stage, names) for stage, names in _STAGES for name in names}
+# Every geometry name of a GeomPoint: the coordinates, the eager stage, then the lazy stages.
+GEOMETRY_NAMES = tuple(f.name for f in fields(GeomPoint) if f.name != "spec") + tuple(_STAGE_OF)
 
 
 def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 from types import SimpleNamespace
@@ -395,6 +394,20 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named geometry functions, by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(geometry, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(geometry, name, counting)
+    return counts
+
+
 def _point(batch, k):
     """Point k of a batched GeomPoint field by field, as a one-point evaluation lays it out."""
     def take(x):
@@ -404,9 +417,7 @@ def _point(batch, k):
             return [take(y) for y in x]
         return x[k]
 
-    names = [f.name for f in dataclasses.fields(geometry.GeomPoint)
-             if f.name != "spec"]
-    values = {name: take(getattr(batch, name)) for name in names}
+    values = {name: take(getattr(batch, name)) for name in geometry.GEOMETRY_NAMES}
     values.update(xi=list(batch.xi[k]), A=list(batch.A[k]))
     return values
 
@@ -415,8 +426,7 @@ class TestBatchedGeometry:
     @pytest.mark.parametrize("sid,params", BATCH_BRANCHES)
     def test_grid_matches_single_point_evaluation(self, sid, params):
         spec = catalog.instantiate(sid, params)
-        names = [f.name for f in dataclasses.fields(geometry.GeomPoint)
-                 if f.name != "spec"]
+        names = geometry.GEOMETRY_NAMES
         batch = grid_geometry(spec, 9, 9)
         for k, (u, v) in enumerate(grid_points(spec, 9, 9)):
             grid_gp = SimpleNamespace(**_point(batch, k))
@@ -449,6 +459,24 @@ class TestBatchedGeometry:
                          "--param", "r=0.6", "--param", "pad=2", "--grid", "9x9",
                          "--output", os.devnull]) == 0
         assert calls == [81]
+
+    def test_verify_builds_one_normal_frame_per_grid(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "_normal_frames")
+        assert cli_main(["verify", "--surface", "circle_cylinder", "--param", "kappa=1",
+                         "--param", "r=0.6", "--param", "pad=2", "--grid", "9x9",
+                         "--output", os.devnull]) == 0
+        assert counts == {"_normal_frames": 1}
+
+    @pytest.mark.parametrize("quantity,unread", [
+        ("K", ("_normal_part_jets", "_normal_frames", "christoffels")),
+        ("normT", ("_normal_part_jets", "_normal_frames", "gauss_curvature_brioschi")),
+    ])
+    def test_field_runs_only_the_stage_it_reads(self, quantity, unread, monkeypatch):
+        counts = _count_calls(monkeypatch, *unread)
+        assert cli_main(["field", "--surface", "circle_cylinder", "--param", "kappa=1",
+                         "--param", "r=0.6", "--param", "pad=2", "--quantity", quantity,
+                         "--grid", "9x9", "--output", os.devnull]) == 0
+        assert counts == dict.fromkeys(unread, 0)
 
     @pytest.mark.parametrize("quantity,want", [("K", 0.0), ("normT", 1.0)])
     def test_dense_field_is_one_evaluation(self, quantity, want, monkeypatch, tmp_path):
@@ -485,10 +513,11 @@ class TestBatchedGeometry:
         assert evaluate_chart(spec, *grid_points(spec, 9, 9)[3]).normT == 0.0
 
         monkeypatch.setattr(cli, "instantiate", lambda sid, params: self._pinched_plane(pinch))
-        assert cli_main(["field", "--surface", "slice", "--param", "kappa=0",
-                         "--quantity", "K", "--grid", "9x9"]) == 3
-        err = capsys.readouterr().err
-        assert "det g" in err and f"({pinch[0]}, {pinch[1]})" in err
+        for quantity in ("K", "normT"):  # the metric check is eager, whatever is read
+            assert cli_main(["field", "--surface", "slice", "--param", "kappa=0",
+                             "--quantity", quantity, "--grid", "9x9"]) == 3
+            err = capsys.readouterr().err
+            assert "det g" in err and f"({pinch[0]}, {pinch[1]})" in err
 
     def test_nearly_degenerate_metric_is_named(self, monkeypatch, capsys):
         # det g = 2.5e-7 at one grid point: above the immersion floor of 1e-12,
@@ -522,5 +551,9 @@ class TestBatchedGeometry:
             gp.g_val[0, 0] = 2.0
         with pytest.raises(ValueError):
             gp.xi[1][0] = 0.0
+        with pytest.raises(ValueError):  # a staged name read first here
+            gp.eta[0].c[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            gp.T_val[0, 0] = 1.0
         # arithmetic on the views is unaffected
         assert (gp.K * 2.0).value == pytest.approx(2.0 * gp.K_val)
