@@ -262,11 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building the tree costs about ten times a parse, and
+# a parse leaves the parser unchanged (each repeatable flag starts a new list).
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.verbose:

@@ -226,6 +226,16 @@ def _det3(m):
     )
 
 
+def _det3_zero_corner(m):
+    """``_det3`` of a matrix whose corner ``m[0][0]`` is zero (and is not read).
+
+    The corner's term, 0.0 times its minor, is +0.0 in every coefficient where
+    the minor is finite, so the sum starts from 0.0, coefficientwise, instead.
+    """
+    y = m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+    return Jet2(0.0 - y.c, y.order) + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+
+
 def _too_degenerate(det):
     """Where det g is too small for the Brioschi formula, which divides by det g squared."""
     return (det <= 0.0) | (det * det <= jets.DOMAIN_TOL)
@@ -254,11 +264,11 @@ def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
         [0.5 * Gv, F, G],
     ]
     m2 = [
-        [Jet2.constant(0.0, E.order), 0.5 * Ev, 0.5 * Gu],
+        [None, 0.5 * Ev, 0.5 * Gu],
         [0.5 * Ev, E, F],
         [0.5 * Gu, F, G],
     ]
-    return (_det3(m1) - _det3(m2)) / (det * det)
+    return (_det3(m1) - _det3_zero_corner(m2)) / (det * det)
 
 
 def laplace_beltrami(phi: Jet2, g: list[list[Jet2]]) -> float:

@@ -22,9 +22,11 @@ is a plain float for a single point, which keeps a plain ``(15,)`` array.
 A product has one summation order: each coefficient sums its terms left to
 right from 0.0, in multiplication-table order, so a point gets the same bits
 alone as inside a batch of any size.  A batch runs the slot kernel
-(:func:`_slot_table`); a product of one point runs ``np.bincount``, which
-sums in the same order and is only kept because it is about ten times faster
-on one point.
+(:func:`_slot_table`), which gathers consecutive slots together while a
+gathered operand stays within ``_GATHER_BYTES``: at order 4, 289 points take
+two gathers per operand instead of nine, and 4225 points still take one per
+slot.  A product of one point runs ``np.bincount``, which sums in the same
+order and is only kept because it is about ten times faster on one point.
 """
 
 from __future__ import annotations
@@ -68,19 +70,62 @@ def _slot_table(m: int):
     Slot s holds the s-th term of every output with more than s terms.  With
     the outputs sorted by term count, most first, those outputs are a prefix
     (widths 15, 14, 12, 10, 7, 5, 3, 3, 1 at order 4).  Returns that output
-    order and the slots as ``(width, ia, ib)``, also with a and b swapped.
+    order, the slots' operand rows concatenated in slot order, and the widths.
     """
     ia, ib, iout = _MUL_TABLES[m]
     terms = [np.flatnonzero(iout == k) for k in range(_NCOEF[m])]
     order = sorted(range(_NCOEF[m]), key=lambda k: -len(terms[k]))
-    slots = []
+    rows, widths = [], []
     for s in range(len(terms[order[0]])):
-        rows = [terms[k][s] for k in order if len(terms[k]) > s]
-        slots.append((len(rows), ia[rows], ib[rows]))
-    return np.asarray(order, dtype=np.intp), slots, [(w, j, i) for w, i, j in slots]
+        slot = [terms[k][s] for k in order if len(terms[k]) > s]
+        rows += slot
+        widths.append(len(slot))
+    return np.asarray(order, dtype=np.intp), ia[rows], ib[rows], widths
 
 
-_SLOT_TABLES = [_slot_table(m) for m in range(MAX_ORDER + 1)]
+def _gather_groups(m: int):
+    """Every way the order-m slots are gathered, and which one each row cap takes.
+
+    A row cap packs consecutive slots into one gather while their rows fit
+    under it; a slot wider than the cap is a gather of its own.  A group is
+    ``(ia, ib, adds)``: its operand rows and, per slot, the slice of the
+    gathered product that adds into the accumulator prefix of width w (the
+    first group leaves out slot 0, which becomes the accumulator).  Returns the
+    output order, ``pick`` (row cap -> grouping, the last entry for every cap
+    above it) and the distinct groupings, each also with a and b swapped.
+    """
+    order, ia, ib, widths = _slot_table(m)
+    starts = np.cumsum([0] + widths).tolist()
+    keys, pick = {}, []
+    for cap in range(starts[-1] + 1):
+        bounds, rows = [0], 0
+        for s, w in enumerate(widths):
+            if s > bounds[-1] and rows + w > cap:
+                bounds.append(s)
+                rows = 0
+            rows += w
+        pick.append(keys.setdefault(tuple(bounds), len(keys)))
+    groupings = []
+    for bounds in keys:
+        groups = []
+        for s0, s1 in zip(bounds, bounds[1:] + (len(widths),)):
+            lo, hi = starts[s0], starts[s1]
+            adds = [(slice(starts[s] - lo, starts[s + 1] - lo), widths[s])
+                    for s in range(s0 if groups else 1, s1)]
+            groups.append((ia[lo:hi], ib[lo:hi], adds))
+        groupings.append((groups, [(j, i, adds) for i, j, adds in groups]))
+    return order, pick, groupings
+
+
+_SLOT_TABLES = [_gather_groups(m) for m in range(MAX_ORDER + 1)]
+# Bytes of one gathered operand, (rows, N) floats: consecutive slots share a
+# gather up to this size.  Fewer, larger gathers cut the NumPy calls of a
+# product of a few hundred points, but a fresh temporary above 128 KiB is
+# handed back to the OS and faulted in again on the next product.  A sweep of
+# 32-256 KiB over 169-4225 points (2-vCPU machine) found 128 KiB the largest
+# budget with no size slower than one slot per gather: 192 KiB ran 3x slower
+# at 729 points, 256 KiB at 468-1089.
+_GATHER_BYTES = 128 * 1024
 # Bound once: the attribute lookup is a measurable share of a scalar product.
 _bincount = np.bincount
 
@@ -129,20 +174,24 @@ def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     Each coefficient sums its terms left to right from 0.0 in table order, as
     ``np.bincount`` does (``+= 0.0`` turns a first term of -0.0 into 0.0).
     """
-    order, slots, swapped = _SLOT_TABLES[m]
+    order, pick, groupings = _SLOT_TABLES[m]
     at = a.T if a.ndim > 1 else a[:, None]
     bt = b.T if b.ndim > 1 else b[:, None]
-    if at.shape[1] == 1:  # gather the batch first, so that it is scaled in place
-        at, bt, slots = bt, at, swapped
-    (_, ia, ib), *rest = slots
-    acc = at[ia]
-    acc *= bt[ib]
-    acc += 0.0
-    for w, ia, ib in rest:
+    swap = at.shape[1] == 1
+    if swap:  # gather the batch first, so that it is scaled in place
+        at, bt = bt, at
+    n = at.shape[1]
+    groups = groupings[pick[min(_GATHER_BYTES // (8 * n), len(pick) - 1)]][swap]
+    acc = None
+    for ia, ib, adds in groups:
         x = at[ia]
         x *= bt[ib]
-        acc[:w] += x
-    out = np.zeros((NCOEF, acc.shape[1]))
+        if acc is None:
+            acc = x[:len(order)]
+            acc += 0.0
+        for rows, w in adds:
+            acc[:w] += x[rows]
+    out = np.zeros((NCOEF, n))
     out[order] = acc
     return out.T
 

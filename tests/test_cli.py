@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prodsurf
 from prodsurf.cli import main
 
 PI4 = repr(math.pi / 4)
@@ -113,6 +117,26 @@ class TestVerifyCommand:
                         "--param", "kappa=-1", "--param", "r=0.3",
                         "--grid", "7x7", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_successive_calls_match_fresh_processes(self, capsys):
+        """The one parser starts every repeatable flag empty on each call."""
+        calls = [
+            ["verify", "--surface", "circle_cylinder", "--param", "kappa=1",
+             "--param", f"r={PI4}", "--param", "warp=0.2", "--grid", "7x7",
+             "--format", "csv", "--tol", "pmc=1e-40"],
+            ["verify", "--surface", "circle_cylinder", "--param", "kappa=-1",
+             "--param", "r=0.5", "--grid", "7x7", "--format", "csv"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = run(argv)
+            in_process.append((code, capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prodsurf.__file__)))
+        fresh = [subprocess.run([sys.executable, "-m", "prodsurf.cli", *argv],
+                                capture_output=True, text=True, env=env, check=False)
+                 for argv in calls]
+        assert in_process == [(p.returncode, p.stdout) for p in fresh]
+        assert [code for code, _ in in_process] == [1, 0]
 
     @pytest.mark.parametrize("args", [
         ["verify", "--surface", "nope", "--param", "kappa=1"],

@@ -144,6 +144,38 @@ class TestBrioschi:
         with pytest.raises(DegenerateMetricError):
             gauss_curvature_brioschi(g)
 
+    @pytest.mark.parametrize("n", [17, 65])
+    @pytest.mark.parametrize("catalog_id,params", [
+        ("slice", {"kappa": 0.0}),
+        ("slice", {"kappa": -1.0}),
+        ("vertical_geodesic_cylinder", {"kappa": 1.0}),
+        ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4}),
+        ("circle_cylinder", {"kappa": 1.0, "r": 0.7, "pad": 2.0, "warp": 0.3}),
+        ("circle_cylinder", {"kappa": -1.0, "r": 4.8}),
+        ("circle_cylinder", {"kappa": 0.0, "r": 0.5}),
+        ("cor32_flat_minimal", {"kappa": 1.0, "theta": 0.7}),
+        ("perturbed_control", {"kappa": -1.0, "r": 0.8}),
+        (None, {}),
+    ])
+    def test_zero_corner_determinant_matches_the_full_expansion(self, catalog_id, params, n):
+        """The second Brioschi determinant no longer multiplies its zero corner through."""
+        if catalog_id is None:  # random jets, with -0.0 entries
+            rng = np.random.default_rng(n)
+            c = rng.standard_normal((3, n * n, jets.NCOEF))
+            c[rng.random(c.shape) < 0.2] = -0.0
+            E, F, G = (Jet2(np.ascontiguousarray(x.T).T, 4) for x in c)
+        else:
+            g = grid_geometry(get_surface(catalog_id, **params), n, n).g
+            E, F, G = g[0][0], g[0][1], g[1][1]
+        Ev, Gu = E.d_v(), G.d_u()
+        m2 = [[Jet2.constant(0.0, E.order), 0.5 * Ev, 0.5 * Gu],
+              [0.5 * Ev, E, F],
+              [0.5 * Gu, F, G]]
+        want = geometry._det3(m2).c
+        got = geometry._det3_zero_corner(m2).c
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestShapeOperator:
     def test_slice_all_zero(self):

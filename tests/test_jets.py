@@ -305,16 +305,27 @@ class TestAccessors:
         assert np.count_nonzero(t.c) == 2
 
 
-def _reference_products(a_rows, b_rows, m):
-    """Per point: each output sums left to right from 0.0 in table order."""
-    table = list(zip(*(t.tolist() for t in jets._mul_table(m))))
-    rows = []
-    for a, b in zip(a_rows, b_rows):
-        out = [0.0] * jets.NCOEF
-        for i, j, k in table:
-            out[k] += a[i] * b[j]
-        rows.append(out)
-    return np.array(rows)
+def _reference_products(a, b, m):
+    """Per point: each output sums left to right from 0.0 in table order.
+
+    One term per step, taken for every point at once.
+    """
+    out = np.zeros((len(a), jets.NCOEF))
+    for i, j, k in zip(*jets._mul_table(m)):
+        out[:, k] += a[:, i] * b[:, j]
+    return out
+
+
+def _grouping_edges():
+    """(order, N) either side of every batch size where the slot grouping changes."""
+    cases = set()
+    for m in range(jets.MAX_ORDER + 1):
+        pick = jets._SLOT_TABLES[m][1]
+        for cap in range(1, len(pick)):
+            if pick[cap] != pick[cap - 1]:
+                n = jets._GATHER_BYTES // (8 * cap)  # the most points whose row cap is >= cap
+                cases |= {(m, n), (m, n + 1)}
+    return sorted(cases)
 
 
 def _coefficient_major(x):
@@ -322,23 +333,24 @@ def _coefficient_major(x):
 
 
 class TestBatchProductKernel:
-    @pytest.mark.parametrize("n", [2, 17, 289, 4225])
-    @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+    @pytest.mark.parametrize("order,n", [
+        (m, n) for m in range(jets.MAX_ORDER + 1) for n in (2, 17, 289, 4225)
+    ] + _grouping_edges())
     def test_bit_identical_to_the_reference(self, order, n):
         rng = np.random.default_rng(1000 * order + n)
         a = rng.standard_normal((n, jets.NCOEF)) * 10.0 ** rng.integers(-3, 4, (n, jets.NCOEF))
         b = rng.standard_normal((n, jets.NCOEF))
         a[rng.random(a.shape) < 0.1] = -0.0  # a first term of -0.0 still sums from 0.0
-        want = _reference_products(a.tolist(), b.tolist(), order)
+        want = _reference_products(a, b, order)
         for layout in (_coefficient_major, np.ascontiguousarray):
             got = (Jet2(layout(a), order) * Jet2(layout(b), order)).c
             assert got.shape == (n, jets.NCOEF) and got.T.flags.c_contiguous
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         col = a[0]
-        cols = [col.tolist()] * n
-        col_b = _reference_products(cols, b.tolist(), order)
-        b_col = _reference_products(b.tolist(), cols, order)
+        cols = np.broadcast_to(col, a.shape)
+        col_b = _reference_products(cols, b, order)
+        b_col = _reference_products(b, cols, order)
         for one in (col, col[None]):
             assert np.array_equal((Jet2(one.copy(), order) * Jet2(_coefficient_major(b), order)).c,
                                   col_b)
