@@ -20,7 +20,6 @@ from .geometry import (
     evaluate_chart,
     gauss_curvature_brioschi,
     grad_norm_sq,
-    laplace_beltrami,
     normal_connection_derivative,
     shape_operator,
 )

@@ -209,8 +209,10 @@ def cmd_hypothesis(args) -> int:
     params = _parse_params(args.param)
     grid = _parse_grid(args.grid)
     margin = _check_margin(args.margin)
+    eps = _finite("--eps", str(args.eps), str(args.eps))
+    c = _finite("--c", str(args.c), str(args.c))
     spec = instantiate(args.surface, params)
-    verdict = theorems.run_checker(args.theorem, spec, grid, args.eps, args.c, margin)
+    verdict = theorems.run_checker(args.theorem, spec, grid, eps, c, margin)
     _emit(_report_json(spec, grid, margin, [], [verdict]), args.output)
     return 0 if verdict.status != theorems.STATUS_COUNTEREXAMPLE else 1
 

@@ -67,8 +67,9 @@ class NormFloorError(ArithmeticError):
 class CodazziField:
     """A candidate Codazzi operator as a field of chart-basis matrices.
 
-    ``matrix_at(u, v)`` gives the 2x2 jet matrix at a point, or over a batch
-    of points with one row per point in every entry.
+    ``matrix_at(u, v)`` gives the 2x2 jet matrix over the points of the
+    coordinate arrays ``u``, ``v``, with one row per point in every entry,
+    also where the field is constant.
     """
 
     kind: str
@@ -98,7 +99,7 @@ def per_point(values: np.ndarray, one: bool, skipped=None, error=None):
 
 def pmc_operator_jets(gp: GeomPoint, kappa: float | None = None) -> list[list[Jet2]]:
     """Chart-basis matrix (jet entries) of the PMC operator at a point or batch."""
-    first_bad(np.asarray(gp.normH) <= MINIMAL_TOL,
+    first_bad(gp.normH <= MINIMAL_TOL,
               "PMC operator undefined at minimal point: |H| =", gp.normH, MinimalSurfaceError)
     if kappa is None:
         kappa = gp.spec.ambient.kappa
@@ -171,13 +172,6 @@ def pinned(field: CodazziField, s: list[list[Jet2]]) -> CodazziField:
     return CodazziField(field.kind, field.spec, lambda *_: s)
 
 
-def _operator(field: CodazziField, u: np.ndarray, v: np.ndarray) -> list[list[Jet2]]:
-    """The field's matrix at a batch; a single-point entry is repeated over it."""
-    n = len(u)
-    return [[x if x.c.ndim > 1 else Jet2(np.broadcast_to(x.c, (n, jets.NCOEF)), x.order)
-             for x in row] for row in field.matrix_at(u, v)]
-
-
 def norm_sq_jet(s: list[list[Jet2]]) -> Jet2:
     """|S|^2 = trace(S S) for a g-self-adjoint endomorphism (basis-free)."""
     return s[0][0] * s[0][0] + 2.0 * (s[0][1] * s[1][0]) + s[1][1] * s[1][1]
@@ -195,7 +189,7 @@ def codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
     """
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
-    s = _operator(field, u, v)
+    s = field.matrix_at(u, v)
     if min(s[a][b].order for a in range(2) for b in range(2)) < 1:
         raise ValueError("operator entries must carry jets of order >= 1")
     gam = gp.gamma_val
@@ -217,7 +211,7 @@ def grad_tensor_norm_sq(spec: SurfaceSpec, u, v, field: CodazziField):
     """
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
-    s = _operator(field, u, v)
+    s = field.matrix_at(u, v)
     s_val = matrix_values(s)
     gam = gp.gamma_val
     nabla = np.empty((len(u), 2, 2, 2))
@@ -248,7 +242,7 @@ def simons_log_residual(spec, u, v, field, floor=S_NORM_FLOOR):
     """Residual of Lap ln|S| = 2 K, defined away from zeros of |S|."""
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
-    low, s2, error = _norm_floor(norm_sq_jet(_operator(field, u, v)), floor)
+    low, s2, error = _norm_floor(norm_sq_jet(field.matrix_at(u, v)), floor)
     log_s = 0.5 * jets.log(s2)
     return per_point(np.abs(laplace_at(log_s, gp) - 2.0 * gp.K_val), one, low, error)
 
@@ -257,7 +251,7 @@ def simons_quadratic_residual(spec, u, v, field):
     """The globally valid Simons residual alone (no floor requirement)."""
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
-    s2 = norm_sq_jet(_operator(field, u, v))
+    s2 = norm_sq_jet(field.matrix_at(u, v))
     lap = laplace_at(s2, gp)
     grad_full = grad_tensor_norm_sq(spec, u, v, field)
     return per_point(np.abs(0.5 * lap - grad_full - 2.0 * gp.K_val * s2.value), one)
@@ -267,7 +261,7 @@ def simons_reduced_residual(spec, u, v, field, floor=S_NORM_FLOOR):
     """Residual of |S| Lap|S| - 2 K |S|^2 = |grad |S||^2, away from zeros of |S|."""
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
-    low, s2, error = _norm_floor(norm_sq_jet(_operator(field, u, v)), floor)
+    low, s2, error = _norm_floor(norm_sq_jet(field.matrix_at(u, v)), floor)
     s_norm = jets.sqrt(s2)
     lap = laplace_at(s_norm, gp)
     grad = grad_norm_sq(s_norm, gp.ginv_val)
@@ -295,7 +289,7 @@ def s_norm_det_identity(s_val: np.ndarray, g_val: np.ndarray):
 
 
 def new_metric_jets(spec: SurfaceSpec, u, v, field: CodazziField) -> list[list[Jet2]]:
-    """Entries of the changed metric <S . , S .> as jets (batched for arrays)."""
+    """Entries of the changed metric <S . , S .> as batched jets (a batch of one for floats)."""
     gp = spec.geom(u, v)
     s = field.matrix_at(u, v)
     out = [[None, None], [None, None]]
@@ -316,7 +310,7 @@ def _nonsingular(field: CodazziField, u: np.ndarray, v: np.ndarray):
 
     Returns that field, det S, the singular mask and the error for a point.
     """
-    s = _operator(field, u, v)
+    s = field.matrix_at(u, v)
     det = det_jet(s).value
     singular = np.abs(det) <= SINGULAR_TOL
     if singular.any():
@@ -336,7 +330,8 @@ def metric_change(spec: SurfaceSpec, u, v, field: CodazziField):
     intrinsic (Brioschi) path used for the original metric, so the law
     Ktilde = K / det S is a genuine cross-check.  The residual is stated
     multiplicatively, |Ktilde det S - K|, to stay meaningful for small det S.
-    On a batch, Ktilde and the residual are masked where S is singular.
+    On a batch, Ktilde and the residual are masked where S is singular; the
+    jets of the changed metric always hold a batch, of one for a float point.
     """
     u, v, one = points(u, v)
     gp = spec.geom(u, v)
@@ -351,10 +346,7 @@ def metric_change(spec: SurfaceSpec, u, v, field: CodazziField):
     unit = [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs]
     ktilde = gauss_curvature_brioschi(unit).value * c
     residual = np.abs(ktilde * det - gp.K_val)
-    if one:
-        residual = per_point(residual, one, singular, error)
-        return [[Jet2(x.c[0], x.order) for x in row] for row in gs], float(ktilde[0]), residual
-    return gs, np.ma.masked_array(ktilde, singular), per_point(residual, one, singular)
+    return gs, per_point(ktilde, one, singular, error), per_point(residual, one, singular, error)
 
 
 def inverse_codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
@@ -385,5 +377,5 @@ def inverse_codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
 
 def trace_residual(spec: SurfaceSpec, u, v, field: CodazziField):
     u, v, one = points(u, v)
-    s = _operator(field, u, v)
+    s = field.matrix_at(u, v)
     return per_point(np.abs(s[0][0].value + s[1][1].value), one)

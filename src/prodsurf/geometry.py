@@ -16,13 +16,12 @@ metric, with every check on the chart, at once, and each other group of
 quantities on the first read of one of its names, so a caller pays only for
 what it reads.
 
-A sample grid is evaluated in one batched pass: every jet carries one row
-per grid point and the per-point choices of the normal frame become masks.
-:meth:`SurfaceSpec.geom` returns that batch for the grid's coordinate arrays
-(:func:`grid_arrays`) and evaluates any other point or batch on the spot.
-The helpers that take a GeomPoint work on one point or on a batch alike:
-value arrays carry the point axis first, and an error names the first
-offending point.
+Points are always evaluated as a batch: every jet carries one row per point
+and the per-point choices of the normal frame become masks; a single point
+is a batch of one.  :meth:`SurfaceSpec.geom` returns one batch per sample
+grid for the grid's coordinate arrays (:func:`grid_arrays`) and evaluates
+any other point or batch on the spot.  Value arrays carry the point axis
+first, and an error names the first offending point.
 """
 
 from __future__ import annotations
@@ -91,15 +90,14 @@ class SurfaceSpec:
     _grid: _Grid | None = field(default=None, repr=False)
 
     def geom(self, u, v) -> "GeomPoint":
-        """Geometry at (u, v): one point for floats, a batch for equal-length arrays.
+        """Geometry at the points (u, v): equal-length arrays, or floats for a batch of one.
 
         The coordinate arrays of the grid registered by :func:`grid_points`
         give that grid's batched evaluation, made once, on first use.  Any
         other point or batch is evaluated on the spot.
         """
         grid = self._grid
-        if (grid is None or np.ndim(u) != 1
-                or not (np.array_equal(u, grid.u) and np.array_equal(v, grid.v))):
+        if grid is None or not (np.array_equal(u, grid.u) and np.array_equal(v, grid.v)):
             return evaluate_chart(self, u, v)
         if grid.batch is None:
             # The batch refers to a copy of this spec without the grid: no
@@ -110,7 +108,7 @@ class SurfaceSpec:
 
 @dataclass
 class GeomPoint:
-    """Pointwise geometry of a chart at (u, v), computed in stages.
+    """Pointwise geometry of a chart at a batch of points (u, v), computed in stages.
 
     :func:`evaluate_chart` computes the chart jets and the metric, the fields
     below, at once.  Every other name of :data:`GEOMETRY_NAMES` belongs to one
@@ -130,16 +128,16 @@ class GeomPoint:
     metric entries order 3, Christoffels and second-fundamental-form data
     order 2, intrinsic curvature order 1.
 
-    A batched GeomPoint (from :func:`evaluate_chart` on arrays) holds N points:
-    its jets are batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are
-    arrays of length N, the other arrays gain a leading axis of length N, and
+    A GeomPoint holds N points, N = 1 for a float point: its jets are
+    batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
+    length N, the other value arrays carry a leading axis of length N, and
     ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  Every
     coefficient and value array is read-only.
     """
 
     spec: SurfaceSpec
-    u: float
-    v: float
+    u: np.ndarray
+    v: np.ndarray
     f: list[Jet2]
     fu: list[Jet2]
     fv: list[Jet2]
@@ -168,12 +166,12 @@ class GeomPoint:
         return (_stack([c.value for c in self.fu]), _stack([c.value for c in self.fv]))
 
     def chart_norm(self, w):
-        """g-norm of a chart-components vector (one per point of a batch)."""
+        """g-norm of chart-components vectors, one per point."""
         return np.sqrt(np.maximum(quad_form(np.asarray(w, dtype=float), self.g_val), 0.0))
 
 
 def _stack(values) -> np.ndarray:
-    """Components as the last axis: a vector, or one vector per point of a batch."""
+    """Components as the last axis: one vector per point."""
     return np.stack(values, axis=-1)
 
 
@@ -271,14 +269,9 @@ def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
     return (_det3(m1) - _det3_zero_corner(m2)) / (det * det)
 
 
-def laplace_beltrami(phi: Jet2, g: list[list[Jet2]]) -> float:
-    """Laplace-Beltrami of a scalar jet: g^{ab} (d_a d_b phi - Gamma^k_ab d_k phi)."""
-    ginv = invert_metric_jets(g)
-    return laplace_beltrami_values(phi, _values(ginv, False), _values(christoffels(g, ginv), False))
-
-
 def laplace_beltrami_values(phi: Jet2, ginv_val: np.ndarray, gamma_val: np.ndarray):
-    """Laplacian from precomputed inverse-metric and Christoffel values.
+    """Laplace-Beltrami of a scalar jet, g^{ab} (d_a d_b phi - Gamma^k_ab d_k phi),
+    from precomputed inverse-metric and Christoffel values.
 
     The values may carry a leading point axis, matching a batched jet.
     """
@@ -323,7 +316,7 @@ def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
     """Normal part of flat vectors inside the product tangent space (values).
 
     Strips the space-form radial component, then the surface tangent part.
-    Every argument is one point's array or a batch with a leading point axis.
+    Every argument carries a leading point axis.
     """
     sig = np.asarray(model.signature)
     w = np.array(w, dtype=float)
@@ -402,19 +395,18 @@ def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
     differences.
     """
     model = gp.spec.ambient
-    comps = np.asarray(gp.xi).T  # comps[i][j]: component i of vector j, per point
+    comps = gp.xi.T  # comps[i][j]: component i of vector j, per point
     return [_normal_part_jets(model, gp.f, gp.fu, gp.fv, gp.ginv,
                               [Jet2.constant(c[j]) for c in comps])
             for j in range(model.n - 1)]
 
 
-def _values(x, batched: bool) -> np.ndarray:
-    """Constant terms of a nested list of jets; a batch's point axis comes first."""
+def _values(x) -> np.ndarray:
+    """Constant terms of a nested list of batched jets, the point axis first."""
     def strip(y):
         return y.value if isinstance(y, Jet2) else [strip(z) for z in y]
 
-    arr = np.array(strip(x))
-    return np.ascontiguousarray(np.moveaxis(arr, -1, 0)) if batched else arr
+    return np.ascontiguousarray(np.moveaxis(np.array(strip(x)), -1, 0))
 
 
 def _freeze(x) -> None:
@@ -431,12 +423,11 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     """Evaluate the chart jets and metric at (u, v); the rest of the geometry
     is computed in stages on first read (see :class:`GeomPoint`).
 
-    With equal-length 1-D arrays ``u`` and ``v`` the whole set of points is
-    evaluated in one batched pass and the result is a batched GeomPoint; an
-    error names the first offending point.
+    Equal-length 1-D arrays ``u`` and ``v`` are evaluated in one batched
+    pass, and floats as a batch of one; an error names the first offending
+    point.
     """
-    batched = np.ndim(u) > 0
-    ua, va = np.array(u, dtype=float), np.array(v, dtype=float)
+    ua, va = np.array(u, dtype=float, ndmin=1), np.array(v, dtype=float, ndmin=1)
     if ua.shape != va.shape or ua.ndim > 1:
         raise ValueError("u and v must be floats or equal-length 1-D arrays")
     (u0, u1), (v0, v1) = spec.domain
@@ -447,14 +438,11 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
         raise ValueError(f"({ua[bad]}, {va[bad]}) outside chart domain {spec.domain}")
     model = spec.ambient
 
-    uj = Jet2.variable("u", ua if batched else ua[()])
-    vj = Jet2.variable("v", va if batched else va[()])
-    f = spec.chart(uj, vj)
-    if batched:  # a constant coordinate comes back as a single-point jet
-        f = [c if c.c.ndim > 1 else Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
-             for c in f]
+    # A constant coordinate comes back as a single-point jet: repeat it over the batch.
+    f = [Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
+         for c in spec.chart(Jet2.variable("u", ua), Jet2.variable("v", va))]
     if model.kappa != 0:
-        res = constraint_residual(model, _values(f, batched).T)
+        res = constraint_residual(model, _values(f).T)
         bad = first_where(abs(res) > 1e-10)
         if bad is not None:
             raise ConstraintError(
@@ -473,24 +461,19 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     off = -g01 * inv_det
     ginv = [[g[1][1] * inv_det, off], [off, g[0][0] * inv_det]]
 
-    gp = GeomPoint(spec=spec, u=ua if batched else u, v=va if batched else v,
-                   f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg,
-                   g_val=_values(g, batched), ginv_val=_values(ginv, batched))
+    gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg,
+                   g_val=_values(g), ginv_val=_values(ginv))
     for f_ in fields(gp):
         if f_.name != "spec":
             _freeze(getattr(gp, f_.name))
     return gp
 
 
-def _batched(gp: GeomPoint) -> bool:
-    return np.ndim(gp.u) > 0
-
-
 # Each lazy stage of a GeomPoint returns the values of its names, in order.
 
 def _christoffel_stage(gp: GeomPoint):
     gamma = christoffels(gp.g, gp.ginv)
-    return gamma, _values(gamma, _batched(gp))
+    return gamma, _values(gamma)
 
 
 def _second_form_stage(gp: GeomPoint):
@@ -506,10 +489,8 @@ def _second_form_stage(gp: GeomPoint):
     H = [0.5 * (ginv[0][0] * alpha_flat[0][0][i] + 2.0 * ginv[0][1] * alpha_flat[0][1][i]
                 + ginv[1][1] * alpha_flat[1][1][i]) for i in range(model.flat_dim)]
     normH2 = flat_inner(model, H, H)
-    normH = np.sqrt(np.maximum(normH2.value, 0.0))
-    batched = _batched(gp)
-    return (alpha_flat, _values(alpha_flat, batched), H, _values(H, batched), normH2,
-            normH if batched else float(normH))
+    return (alpha_flat, _values(alpha_flat), H, _values(H), normH2,
+            np.sqrt(np.maximum(normH2.value, 0.0)))
 
 
 def _vertical_stage(gp: GeomPoint):
@@ -520,10 +501,8 @@ def _vertical_stage(gp: GeomPoint):
     T_flat = [T_up[0] * fu[i] + T_up[1] * fv[i] for i in range(model.flat_dim)]
     eta = [-T_flat[i] if i != model.t_index else 1.0 - T_flat[i] for i in range(model.flat_dim)]
     normT2 = flat_inner(model, T_flat, T_flat)
-    normT = np.sqrt(np.maximum(normT2.value, 0.0))
-    batched = _batched(gp)
-    return (T_up, T_flat, eta, normT2, normT if batched else float(normT),
-            _values(T_up, batched), _values(eta, batched))
+    return (T_up, T_flat, eta, normT2, np.sqrt(np.maximum(normT2.value, 0.0)),
+            _values(T_up), _values(eta))
 
 
 def _curvature_stage(gp: GeomPoint):
@@ -533,15 +512,11 @@ def _curvature_stage(gp: GeomPoint):
 
 def _frame_stage(gp: GeomPoint):
     """Normal frame xi, and per frame vector h_i = <alpha, xi_i> and A_i = g^{-1} h_i."""
-    model, batched = gp.spec.ambient, _batched(gp)
-    # The frame works on a leading point axis; one point is a batch of one.
-    as_batch = (lambda x: x) if batched else (lambda x: np.asarray(x)[None])
-    xi = _normal_frames(model, *(as_batch(x) for x in (gp.f_val, *gp.tangent_vals, gp.ginv_val,
-                                                       gp.H_val, gp.normH)))
+    model = gp.spec.ambient
+    xi = _normal_frames(model, gp.f_val, *gp.tangent_vals, gp.ginv_val, gp.H_val, gp.normH)
     sig = np.asarray(model.signature)
-    h = np.sum(as_batch(gp.alpha_val)[:, None] * sig * xi[:, :, None, None, :], axis=-1)
-    A = np.matmul(as_batch(gp.ginv_val)[:, None], h)
-    return (xi, h, A) if batched else (list(xi[0]), h[0], list(A[0]))
+    h = np.sum(gp.alpha_val[:, None] * sig * xi[:, :, None, None, :], axis=-1)
+    return xi, h, np.matmul(gp.ginv_val[:, None], h)
 
 
 _STAGES = (
@@ -559,8 +534,9 @@ GEOMETRY_NAMES = tuple(f.name for f in fields(GeomPoint) if f.name != "spec") + 
 def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
     """Matrix of A_xi in the chart basis: g^{-1} [ <alpha(d_a, d_b), xi> ].
 
-    xi must be normal to the surface inside the product tangent space; on a
-    batch it holds one vector per point and the result one matrix per point.
+    xi must be normal to the surface inside the product tangent space: one
+    vector per point, or one vector for every point; the result holds one
+    matrix per point.
     """
     model = gp.spec.ambient
     xi = np.asarray(xi, dtype=float)
@@ -597,8 +573,8 @@ def normal_connection_derivative(
     for comp, tangential in _tangential_parts(gp, _stack([c.value for c in w])):
         bad = first_where(tangential)
         if bad is not None:
-            raise NotNormalError(f"field not normal at ({float(np.asarray(u)[bad])}, "
-                                 f"{float(np.asarray(v)[bad])}): component {float(comp[bad])!r}")
+            raise NotNormalError(f"field not normal at ({float(gp.u[bad])}, "
+                                 f"{float(gp.v[bad])}): component {float(comp[bad])!r}")
     dw = _stack([c.du if direction == "u" else c.dv for c in w])
     return _normal_part(gp, dw)
 
@@ -623,13 +599,12 @@ def aux_det_sum(gp: GeomPoint):
 
     Requires non-minimal points, where the first frame vector is H/|H|.
     """
-    first_bad(np.asarray(gp.normH) <= MINIMAL_TOL, "|H| below threshold:", gp.normH,
-              MinimalSurfaceError)
-    dets = np.linalg.det(np.asarray(gp.A)[..., 1:, :, :])
-    total = np.zeros(np.shape(gp.normH))
+    first_bad(gp.normH <= MINIMAL_TOL, "|H| below threshold:", gp.normH, MinimalSurfaceError)
+    dets = np.linalg.det(gp.A[:, 1:])
+    total = np.zeros(len(gp.normH))
     for i in range(dets.shape[-1]):
-        total = total + dets[..., i]
-    return total[()]
+        total = total + dets[:, i]
+    return total
 
 
 def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):

@@ -16,17 +16,20 @@ The coefficient array may carry one leading batch axis, shape ``(N, 15)``:
 the jet then holds the Taylor data of N points and every operation acts on
 all of them at once (the vector mode of Taylor propagation).  A batch is
 stored coefficient-major (``c.T`` is C-contiguous), so ``c.T[k]`` is
-coefficient k of every point as one contiguous row, and the same expression
-is a plain float for a single point, which keeps a plain ``(15,)`` array.
+coefficient k of every point as one contiguous row.  A jet built from a
+float keeps a plain ``(15,)`` array, and every operation treats it as a
+column against a batch; all jets run the same NumPy code.
 
 A product has one summation order: each coefficient sums its terms left to
-right from 0.0, in multiplication-table order, so a point gets the same bits
-alone as inside a batch of any size.  A batch runs the slot kernel
+right from 0.0, in multiplication-table order.  It runs the slot kernel
 (:func:`_slot_table`), which gathers consecutive slots together while a
 gathered operand stays within ``_GATHER_BYTES``: at order 4, 289 points take
 two gathers per operand instead of nine, and 4225 points still take one per
-slot.  A product of one point runs ``np.bincount``, which sums in the same
-order and is only kept because it is about ten times faster on one point.
+slot.  A product, ``sin``, ``cos`` or ``exp`` of a point therefore gives the
+bits of that point's row in any batch.  ``log``, ``sqrt``, ``powf`` and
+reciprocals do too for a batch of one, but not always for a float-built jet:
+they raise the constant term to a power, and NumPy's scalar power can differ
+from its array power in the last bit.
 """
 
 from __future__ import annotations
@@ -126,8 +129,6 @@ _SLOT_TABLES = [_gather_groups(m) for m in range(MAX_ORDER + 1)]
 # budget with no size slower than one slot per gather: 192 KiB ran 3x slower
 # at 729 points, 256 KiB at 468-1089.
 _GATHER_BYTES = 128 * 1024
-# Bound once: the attribute lookup is a measurable share of a scalar product.
-_bincount = np.bincount
 
 # d/du and d/dv as (out_index, src_index, factor) scatter tables.
 _DU_OUT = np.asarray([_IDX[(i - 1, j)] for (i, j) in MONOMIALS if i >= 1], dtype=np.intp)
@@ -152,31 +153,23 @@ def _check_order(order: int) -> None:
 def first_where(mask):
     """Index of the first point where a per-point condition holds, else None.
 
-    ``mask`` is a boolean scalar (one point; the index is ``()``) or a boolean
-    array over a batch.  Callers use it to name the first offending point of
-    a batch in an error message.
+    ``mask`` is a boolean array over a batch, or a boolean scalar for a
+    float-built jet, whose index is ``()``.  Callers use it to name the first
+    offending point of a batch in an error message.
     """
-    if mask.ndim == 0:
-        return () if mask else None
-    if not mask.any():
-        return None
-    return int(np.argmax(mask))
-
-
-def _zeros(n: int | None) -> np.ndarray:
-    """Zero coefficients of one point (n is None) or of a batch of n points."""
-    return np.zeros(NCOEF) if n is None else np.zeros((NCOEF, n)).T
+    mask = np.asarray(mask)
+    return tuple(np.argwhere(mask)[0]) if mask.any() else None
 
 
 def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Truncated product over a batch; a one-point operand acts as a column.
+    """Truncated product; a ``(15,)`` operand acts as a column against a batch.
 
-    Each coefficient sums its terms left to right from 0.0 in table order, as
-    ``np.bincount`` does (``+= 0.0`` turns a first term of -0.0 into 0.0).
+    Each coefficient sums its terms left to right from 0.0 in table order
+    (``+= 0.0`` turns a first term of -0.0 into 0.0).  Two ``(15,)`` operands
+    give a ``(15,)`` result.
     """
     order, pick, groupings = _SLOT_TABLES[m]
-    at = a.T if a.ndim > 1 else a[:, None]
-    bt = b.T if b.ndim > 1 else b[:, None]
+    at, bt = a.reshape(-1, NCOEF).T, b.reshape(-1, NCOEF).T
     swap = at.shape[1] == 1
     if swap:  # gather the batch first, so that it is scaled in place
         at, bt = bt, at
@@ -193,13 +186,14 @@ def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
             acc[:w] += x[rows]
     out = np.zeros((NCOEF, n))
     out[order] = acc
-    return out.T
+    return out.T.reshape(np.broadcast(a, b).shape)
 
 
 class Jet2:
     """Bivariate truncated Taylor polynomial at a point, order <= 4.
 
-    With a batched coefficient array the accessors return one value per point.
+    The accessors return a NumPy float for a float-built jet and one value
+    per point, an array, for a batch.
     """
 
     __slots__ = ("c", "order")
@@ -214,12 +208,9 @@ class Jet2:
     def constant(x, order: int = MAX_ORDER) -> "Jet2":
         """Constant jet; an array ``x`` gives one constant per point."""
         _check_order(order)
-        if isinstance(x, np.ndarray):
-            c = _zeros(len(x))
-            c.T[0] = x
-        else:
-            c = np.zeros(NCOEF)
-            c[0] = x
+        x = np.asarray(x, dtype=float)
+        c = np.zeros((NCOEF,) + x.shape).T
+        c.T[0] = x
         return Jet2(c, order)
 
     @staticmethod
@@ -235,39 +226,39 @@ class Jet2:
     # -- accessors ----------------------------------------------------------
 
     @property
-    def value(self) -> float:
+    def value(self) -> float | np.ndarray:
         return self.c.T[0]
 
     @property
-    def du(self) -> float:
+    def du(self) -> float | np.ndarray:
         return self.c.T[1]
 
     @property
-    def dv(self) -> float:
+    def dv(self) -> float | np.ndarray:
         return self.c.T[2]
 
     @property
-    def duu(self) -> float:
+    def duu(self) -> float | np.ndarray:
         return 2.0 * self.c.T[3]
 
     @property
-    def duv(self) -> float:
+    def duv(self) -> float | np.ndarray:
         return self.c.T[4]
 
     @property
-    def dvv(self) -> float:
+    def dvv(self) -> float | np.ndarray:
         return 2.0 * self.c.T[5]
 
-    def deriv(self, i: int, j: int) -> float:
+    def deriv(self, i: int, j: int) -> float | np.ndarray:
         """Partial derivative d^{i+j} / du^i dv^j at the point."""
         if i + j > self.order:
             raise ValueError(f"derivative ({i},{j}) exceeds jet order {self.order}")
         return self.c.T[_IDX[(i, j)]] * math.factorial(i) * math.factorial(j)
 
-    def coeff(self, i: int, j: int) -> float:
+    def coeff(self, i: int, j: int) -> float | np.ndarray:
         return self.c.T[_IDX[(i, j)]]
 
-    def coeffs(self) -> dict[tuple[int, int], float]:
+    def coeffs(self) -> dict[tuple[int, int], float | np.ndarray]:
         """Triangular coefficient map, (order+1)(order+2)/2 entries."""
         return {m: self.c.T[k] for k, m in enumerate(MONOMIALS) if k < _NCOEF[self.order]}
 
@@ -285,7 +276,7 @@ class Jet2:
     # -- derivative jets ----------------------------------------------------
 
     def _derivative(self, out_idx, src_idx, fact) -> "Jet2":
-        c = _zeros(len(self.c) if self.c.ndim > 1 else None)
+        c = np.zeros(self.c.shape[::-1]).T
         c[..., out_idx] = self.c[..., src_idx] * fact
         m = max(self.order - 1, 0)
         c[..., _NCOEF[m]:] = 0.0
@@ -339,12 +330,6 @@ class Jet2:
         if isinstance(other, Jet2):
             a, b = self.c, other.c
             m = self.order if self.order <= other.order else other.order
-            if a.size == NCOEF == b.size:
-                # One point, also as a batch of one: the same summation order
-                # as the slot kernel, and about ten times faster on one point.
-                ia, ib, iout = _MUL_TABLES[m]
-                c = _bincount(iout, a.reshape(-1)[ia] * b.reshape(-1)[ib], NCOEF)
-                return Jet2(c if a.ndim == 1 == b.ndim else c[None], m)
             return Jet2(_batch_product(a, b, m), m)
         return Jet2(self.c * other, self.order)
 
@@ -376,16 +361,13 @@ class Jet2:
 def where(mask, a, b) -> Jet2:
     """Per-point choice between two jets: ``a`` where ``mask`` holds, else ``b``.
 
-    Either may be a number (a constant jet).  The result has the lower of the
-    two orders and stays coefficient-major.
+    ``mask`` holds one entry per point of a batch.  Either jet may be a number
+    (a constant jet), whose coefficients become a column against the batch.
+    The result has the lower of the two orders and stays coefficient-major.
     """
     a, b = (x if isinstance(x, Jet2) else Jet2.constant(x) for x in (a, b))
     m = min(a.order, b.order)
-    if a.c.ndim == 1 == b.c.ndim:
-        c = np.where(mask, a.c, b.c)
-    else:  # a single point's coefficients become a column against the batch
-        cols = [x.c.T if x.c.ndim > 1 else x.c[:, None] for x in (a, b)]
-        c = np.where(mask, *cols).T
+    c = np.where(mask, a.c.reshape(-1, NCOEF).T, b.c.reshape(-1, NCOEF).T).T
     if m < MAX_ORDER:
         c[..., _NCOEF[m]:] = 0.0
     return Jet2(c, m)
@@ -396,11 +378,6 @@ def _check_domain(bad, a0, what: str) -> None:
     idx = first_where(bad)
     if idx is not None:
         raise JetDomainError(f"{what} jet with constant term {float(a0[idx])!r}")
-
-
-def _lib(a: Jet2):
-    """math for one point (fastest on scalars), numpy for a batch."""
-    return np if a.c.ndim > 1 else math
 
 
 def _reciprocal(b: Jet2) -> Jet2:
@@ -424,28 +401,28 @@ def _compose(a: Jet2, coeffs: list) -> Jet2:
 # -- elementary functions ----------------------------------------------------
 
 def sin(a: Jet2) -> Jet2:
-    a0, lib = a.value, _lib(a)
-    s, c = lib.sin(a0), lib.cos(a0)
+    a0 = a.value
+    s, c = np.sin(a0), np.cos(a0)
     table = (s, c, -s, -c)
     return _compose(a, [table[k % 4] / math.factorial(k) for k in range(a.order + 1)])
 
 
 def cos(a: Jet2) -> Jet2:
-    a0, lib = a.value, _lib(a)
-    s, c = lib.sin(a0), lib.cos(a0)
+    a0 = a.value
+    s, c = np.sin(a0), np.cos(a0)
     table = (c, -s, -c, s)
     return _compose(a, [table[k % 4] / math.factorial(k) for k in range(a.order + 1)])
 
 
 def exp(a: Jet2) -> Jet2:
-    e0 = _lib(a).exp(a.value)
+    e0 = np.exp(a.value)
     return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
 
 
 def log(a: Jet2) -> Jet2:
     a0 = a.value
     _check_domain(a0 <= DOMAIN_TOL, a0, "log of")
-    coeffs = [_lib(a).log(a0)]
+    coeffs = [np.log(a0)]
     coeffs += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, a.order + 1)]
     return _compose(a, coeffs)
 

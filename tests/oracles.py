@@ -52,11 +52,12 @@ def fd_codazzi_residual(spec, u: float, v: float, field, h: float) -> float:
     the operator matrix is discretized.
     """
     gp = spec.geom(u, v)
-    gam = gp.gamma_val
+    gam = gp.gamma_val[0]
 
     def mat(uu: float, vv: float) -> np.ndarray:
         s = field.matrix_at(uu, vv)
-        return np.array([[s[0][0].value, s[0][1].value], [s[1][0].value, s[1][1].value]])
+        return np.array([[s[0][0].value[0], s[0][1].value[0]],
+                         [s[1][0].value[0], s[1][1].value[0]]])
 
     m0 = mat(u, v)
     d_u = (mat(u + h, v) - mat(u - h, v)) / (2.0 * h)
@@ -66,7 +67,7 @@ def fd_codazzi_residual(spec, u: float, v: float, field, h: float) -> float:
         cov_u = d_u[a, 1] + sum(gam[a][0][c] * m0[c, 1] for c in range(2))
         cov_v = d_v[a, 0] + sum(gam[a][1][c] * m0[c, 0] for c in range(2))
         res[a] = cov_u - cov_v
-    return gp.chart_norm(res)
+    return gp.chart_norm(res)[0]
 
 
 def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
@@ -76,11 +77,11 @@ def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
     derivative terms are discretized, so disagreement with the jet path is
     O(h^2) in the Christoffel third derivatives.
     """
-    gam0 = spec.geom(u, v).gamma_val
-    gam_up = spec.geom(u + h, v).gamma_val
-    gam_un = spec.geom(u - h, v).gamma_val
-    gam_vp = spec.geom(u, v + h).gamma_val
-    gam_vn = spec.geom(u, v - h).gamma_val
+    gam0 = spec.geom(u, v).gamma_val[0]
+    gam_up = spec.geom(u + h, v).gamma_val[0]
+    gam_un = spec.geom(u - h, v).gamma_val[0]
+    gam_vp = spec.geom(u, v + h).gamma_val[0]
+    gam_vn = spec.geom(u, v - h).gamma_val[0]
     out = np.zeros(2)
     for a in range(2):
         val = (gam_up[a][1][1] - gam_un[a][1][1]) / (2.0 * h)
@@ -94,7 +95,7 @@ def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
 def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float:
     """Fundamental-equation residual with A_xi and its normal field differenced.
 
-    The normal field is the centre's frame vector ``gp.xi[frame_index]``
+    The normal field is the centre's frame vector ``gp.xi[0, frame_index]``
     projected onto the normal space at each probe point.  Both the A_xi matrix
     and that field are differenced by central differences; Christoffels and
     the normal part of the field's derivative are taken at the centre.  No
@@ -105,22 +106,22 @@ def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float
     gp = spec.geom(u, v)
     model = spec.ambient
     sig = np.asarray(model.signature)
-    gam = gp.gamma_val
-    xi_val = np.asarray(gp.xi[frame_index])
+    gam = gp.gamma_val[0]
+    xi_val = gp.xi[0, frame_index]
 
     def probe(uu: float, vv: float) -> tuple[np.ndarray, np.ndarray]:
         g = spec.geom(uu, vv)
-        xi = _normal_part(g, xi_val)
-        return shape_operator(g, xi), xi
+        xi = _normal_part(g, xi_val[None])
+        return shape_operator(g, xi)[0], xi[0]
 
     def diff(x_plus, x_minus) -> tuple[np.ndarray, np.ndarray]:
         (a_p, xi_p), (a_m, xi_m) = probe(*x_plus), probe(*x_minus)
         return (a_p - a_m) / (2.0 * h), (xi_p - xi_m) / (2.0 * h)
 
-    m0 = shape_operator(gp, xi_val)
+    m0 = shape_operator(gp, xi_val)[0]
     d_u, dxi_u = diff((u + h, v), (u - h, v))
     d_v, dxi_v = diff((u, v + h), (u, v - h))
-    nperp = (_normal_part(gp, dxi_u), _normal_part(gp, dxi_v))
+    nperp = (_normal_part(gp, dxi_u[None]), _normal_part(gp, dxi_v[None]))
 
     def cov(deriv: np.ndarray, xdir: int, ycol: int) -> np.ndarray:
         out = np.zeros(2)
@@ -129,11 +130,11 @@ def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float
             val += sum(gam[a][xdir][c] * m0[c, ycol] for c in range(2))
             val -= sum(m0[a, c] * gam[c][xdir][ycol] for c in range(2))
             out[a] = val
-        return out - shape_operator(gp, nperp[xdir])[:, ycol]
+        return out - shape_operator(gp, nperp[xdir])[0, :, ycol]
 
     lhs = cov(d_u, 0, 1) - cov(d_v, 1, 0)
-    t_low = gp.g_val @ gp.T_val
-    rhs = model.kappa * float(np.dot(sig * xi_val, gp.eta_val)) * np.array(
+    t_low = gp.g_val[0] @ gp.T_val[0]
+    rhs = model.kappa * float(np.dot(sig * xi_val, gp.eta_val[0])) * np.array(
         [t_low[1], -t_low[0]]
     )
-    return gp.chart_norm(lhs - rhs)
+    return gp.chart_norm(lhs - rhs)[0]

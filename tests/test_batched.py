@@ -1,8 +1,9 @@
 """The array evaluators against their one-point calls, and their cost per grid.
 
 A one-point call runs the evaluator on a batch of one, so it cannot see the
-other points of a grid: agreement at every grid point pins the per-point
-masks (frame seeding, dropped axes, skipped points) of the batched path.
+other points of a grid: agreement at every grid point, bit for bit, pins the
+per-point masks (frame seeding, dropped axes, skipped points) of the batched
+path.
 """
 
 import math
@@ -16,7 +17,6 @@ from prodsurf.geometry import (
     MINIMAL_TOL,
     MINIMAL_WARN_BAND,
     SurfaceSpec,
-    evaluate_chart,
     grid_arrays,
     grid_geometry,
     normal_connection_derivative,
@@ -27,32 +27,40 @@ from prodsurf.spaceforms import make_ambient
 
 from test_geometry import BATCH_BRANCHES
 
-REL = 1e-13
 
-
-def _close(batch, one, what):
+def _same(batch, one, what):
+    """A batch row equals a one-point result bit for bit; NaNs match NaNs."""
     batch, one = np.asarray(batch, dtype=float), np.asarray(one, dtype=float)
-    scale = np.maximum(1.0, np.abs(one))
-    assert np.all(np.abs(batch - one) <= REL * scale), what
+    assert np.array_equal(batch, one.reshape(batch.shape), equal_nan=True), what
 
 
-def _one_point_geometry(spec):
-    """Evaluate each one-point batch once, however many evaluators read it."""
+def _one_point_memo(fn, freeze=False):
+    """``fn(u, v)`` evaluated once per single point, however many evaluators ask.
+
+    A float point and a coordinate array of length one share the entry: both
+    are evaluated as the same batch of one, which
+    ``test_geometry.py::TestBatchedGeometry`` compares with the grid's batch
+    bit for bit.  With ``freeze`` the jets of a matrix result are made
+    read-only, so a reader that wrote into a shared entry would fail.
+    """
     seen = {}
-    geom = spec.geom
 
     def memo(u, v):
-        if np.ndim(u) == 1 and len(u) == 1:
-            key = (float(u[0]), float(v[0]))
-            if key not in seen:
-                seen[key] = geom(u, v)
-            return seen[key]
-        return geom(u, v)
+        if np.size(u) != 1:
+            return fn(u, v)
+        key = (float(np.ravel(u)[0]), float(np.ravel(v)[0]))
+        if key not in seen:
+            seen[key] = fn(u, v)
+            for row in seen[key] if freeze else ():
+                for x in row:
+                    x.c.flags.writeable = False
+        return seen[key]
 
-    spec.geom = memo
+    return memo
 
 
 def _evaluators(spec, minimal):
+    """The rows, and the field they share, so that a test can memoize its operator."""
     field = codazzi.field_for(spec, "angle" if minimal else "pmc")
     rows = {
         "codazzi": lambda u, v: codazzi.codazzi_residual(spec, u, v, field),
@@ -81,7 +89,7 @@ def _evaluators(spec, minimal):
         "inverse_codazzi": (SingularOperatorError,
                             lambda u, v: codazzi.inverse_codazzi_residual(spec, u, v, field)),
     }
-    return rows, skipping
+    return field, rows, skipping
 
 
 @pytest.mark.parametrize("sid,params", BATCH_BRANCHES)
@@ -89,22 +97,24 @@ def test_batch_equals_one_point_calls(sid, params):
     spec = catalog.instantiate(sid, params)
     minimal, _ = identities.classify_minimality(spec, (9, 9), 0.02)
     u, v = grid_arrays(spec, 9, 9)
-    rows, skipping = _evaluators(spec, minimal)
+    field, rows, skipping = _evaluators(spec, minimal)
     batch = {name: fn(u, v) for name, fn in rows.items()}
     masked = {name: fn(u, v) for name, (_, fn) in skipping.items()}
     s_norm_det = codazzi.s_norm_det_identity(batch["operator"], grid_geometry(spec, 9, 9).g_val)
-    _one_point_geometry(spec)
+    # each point's geometry and operator are built once and read by every row
+    spec.geom = _one_point_memo(spec.geom)
+    field.matrix_at = _one_point_memo(field.matrix_at, freeze=True)
     for k in range(len(u)):
         for name, fn in rows.items():
-            _close(batch[name][k], fn(u[k], v[k]), (name, k))
-        _close(s_norm_det[k], codazzi.s_norm_det_identity(batch["operator"][k],
-                                                          spec.geom(u[k], v[k]).g_val), k)
+            _same(batch[name][k], fn(u[k], v[k]), (name, k))
+        _same(s_norm_det[k], codazzi.s_norm_det_identity(batch["operator"][k],
+                                                         spec.geom(u[k], v[k]).g_val), k)
         for name, (error, fn) in skipping.items():
             if np.ma.getmaskarray(masked[name])[k]:
                 with pytest.raises(error):
                     fn(u[k], v[k])
             else:
-                _close(masked[name].data[k], fn(u[k], v[k]), (name, k))
+                _same(masked[name].data[k], fn(u[k], v[k]), (name, k))
 
 
 def test_mixed_frame_choices_match_one_point_calls():
@@ -129,15 +139,16 @@ def test_mixed_frame_choices_match_one_point_calls():
         "t_field_alpha": lambda spec, u, v: identities.t_field_residuals(spec, u, v)[1],
     }
     batch = {name: fn(spec, u, v) for name, fn in rows.items()}
+    spec.geom = _one_point_memo(spec.geom)
     for k in range(len(u)):
-        one = evaluate_chart(spec, u[k], v[k])
-        _close(gp.xi[k], one.xi, ("xi", k))
+        one = spec.geom(u[k], v[k])
+        _same(gp.xi[k], one.xi, ("xi", k))
         for xi_batch, xi_one in zip(frame, normal_frame_jets(one)):
             for a, b in zip(xi_batch, xi_one):
                 order = min(a.order, b.order)
-                _close(a.truncate(order).c[k], b.truncate(order).c, ("frame", k))
+                _same(a.truncate(order).c[k], b.truncate(order).c, ("frame", k))
         for name, fn in rows.items():
-            _close(batch[name][k], fn(spec, u[k], v[k]), (name, k))
+            _same(batch[name][k], fn(spec, u[k], v[k]), (name, k))
 
 
 def test_skip_masks_are_live_on_the_branches():

@@ -135,7 +135,7 @@ class TestClosedFormInvariants:
         for (u, v) in grid_points(spec, 7, 7):
             gp = spec.geom(u, v)
             assert abs(gp.normT - 1.0) < 1e-10
-            assert math.sqrt(abs(float(np.dot(sig * gp.eta_val, gp.eta_val)))) < 1e-10
+            assert math.sqrt(abs(float(np.dot(sig * gp.eta_val[0], gp.eta_val[0])))) < 1e-10
             assert gp.normH < 1e-10
             assert abs(gp.K_val) < 1e-10
 

@@ -290,6 +290,17 @@ class TestFieldCommand:
 
 
 class TestHypothesisCommand:
+    @pytest.mark.parametrize("flag", ["--eps", "--c"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_thresholds_rejected(self, flag, value, capsys):
+        # -inf made normT_above_eps hold vacuously, and a non-finite margin is not JSON
+        code = run(["hypothesis", "--theorem", "cor", "--surface", "vertical_geodesic_cylinder",
+                    "--param", "kappa=-1", "--grid", "9x9", f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert flag in err and "finite" in err
+
     def test_flatness_checker_consistent(self, tmp_path):
         out = tmp_path / "verdict.json"
         code = run(["hypothesis", "--theorem", "3.1", "--surface", "circle_cylinder",

@@ -18,14 +18,13 @@ from prodsurf.geometry import (
     grid_arrays,
     grid_geometry,
     grid_points,
-    laplace_beltrami,
     normal_connection_derivative,
     shape_operator,
 )
 from prodsurf.jets import Jet2
 from prodsurf.spaceforms import make_ambient
 
-from conftest import get_surface
+from conftest import get_surface, laplace_beltrami
 from oracles import fd_laplace_beltrami
 
 
@@ -47,7 +46,7 @@ class TestEvaluateChart:
             gp = spec.geom(u0 + 0.4 * (u1 - u0), v0 + 0.6 * (v1 - v0))
             assert gp.normT == pytest.approx(0.0, abs=1e-12)
             eta_norm = math.sqrt(abs(float(
-                np.dot(np.asarray(spec.ambient.signature) * gp.eta_val, gp.eta_val))))
+                np.dot(np.asarray(spec.ambient.signature) * gp.eta_val[0], gp.eta_val[0]))))
             assert eta_norm == pytest.approx(1.0, abs=1e-12)
             assert np.abs(gp.alpha_val).max() < 1e-12
             assert gp.K_val == pytest.approx(kappa, abs=1e-10)
@@ -67,7 +66,7 @@ class TestEvaluateChart:
         assert gp.normH == pytest.approx(0.5, abs=1e-12)
         assert gp.K_val == pytest.approx(0.0, abs=1e-11)
         assert gp.normT == pytest.approx(1.0, abs=1e-12)
-        lo, hi = np.sort(np.linalg.eigvals(gp.A[0]))
+        lo, hi = np.sort(np.linalg.eigvals(gp.A[0, 0]))
         assert (lo, hi) == pytest.approx((0.0, 1.0), abs=1e-10)
 
     def test_domain_violation(self):
@@ -110,17 +109,17 @@ class TestSecondFundamentalFormOracle:
                 / (4.0 * h ** 2)
 
         f_val = chart_vals(u0, v0)
-        fu_val, fv_val = gp.tangent_vals
+        fu_val, fv_val = (t[0] for t in gp.tangent_vals)
         for a in range(2):
             for b in range(2):
                 w = fd_second(a, b).copy()
                 if model.kappa != 0:
                     inner = float(np.dot(sig[:-1] * w[:-1], f_val[:-1]))
                     w[:-1] -= model.kappa * inner * f_val[:-1]
-                coeff = gp.ginv_val @ np.array([
+                coeff = gp.ginv_val[0] @ np.array([
                     float(np.dot(sig * w, fu_val)), float(np.dot(sig * w, fv_val))])
                 w -= coeff[0] * fu_val + coeff[1] * fv_val
-                assert np.abs(w - gp.alpha_val[a][b]).max() < 1e-6
+                assert np.abs(w - gp.alpha_val[0, a, b]).max() < 1e-6
 
 
 class TestBrioschi:
@@ -181,19 +180,19 @@ class TestShapeOperator:
     def test_slice_all_zero(self):
         spec = get_surface("slice", kappa=1.0)
         gp = spec.geom(1.0, 0.5)
-        assert np.abs(shape_operator(gp, gp.xi[0])).max() < 1e-12
+        assert np.abs(shape_operator(gp, gp.xi[0, 0])).max() < 1e-12
 
     def test_circle_cylinder_eigenvalues(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
         gp = spec.geom(2.0, 0.1)
-        a = shape_operator(gp, gp.H_val / gp.normH)
+        a = shape_operator(gp, gp.H_val / gp.normH[:, None])[0]
         assert tuple(np.sort(np.linalg.eigvals(a))) == pytest.approx((0.0, 1.0), abs=1e-10)
 
     def test_linearity_in_normal(self):
         spec = get_surface("circle_cylinder", kappa=-1.0, r=0.3)
         gp = spec.geom(1.0, 0.0)
-        a1 = shape_operator(gp, gp.xi[0])
-        a2 = shape_operator(gp, 2.0 * gp.xi[0])
+        a1 = shape_operator(gp, gp.xi[0, 0])
+        a2 = shape_operator(gp, 2.0 * gp.xi[0, 0])
         assert np.allclose(a2, 2.0 * a1, atol=1e-12)
 
     def test_non_normal_rejected(self):
@@ -201,7 +200,7 @@ class TestShapeOperator:
         gp = spec.geom(2.0, 0.1)
         tangent = np.array([c.value for c in gp.fu])
         with pytest.raises(NotNormalError):
-            shape_operator(gp, gp.xi[0] + 0.5 * tangent)
+            shape_operator(gp, gp.xi[0, 0] + 0.5 * tangent)
 
 
 class TestNormalConnection:
@@ -325,31 +324,32 @@ class TestPointInvariants:
         sig = np.asarray(spec.ambient.signature)
         for (u, v) in _sample_points(spec):
             gp = spec.geom(u, v)
-            assert np.linalg.det(gp.g_val) > 1e-12
+            g_val, eta_val, normH = gp.g_val[0], gp.eta_val[0], gp.normH[0]
+            assert np.linalg.det(g_val) > 1e-12
             # unit vertical field splits orthogonally
-            eta2 = float(np.dot(sig * gp.eta_val, gp.eta_val))
-            assert gp.normT2.value + eta2 == pytest.approx(1.0, abs=1e-10)
+            eta2 = float(np.dot(sig * eta_val, eta_val))
+            assert gp.normT2.value[0] + eta2 == pytest.approx(1.0, abs=1e-10)
             # frame traces: 2|H| along the mean-curvature direction, 0 beyond
-            if gp.normH > 1e-8:
-                assert np.trace(gp.A[0]) == pytest.approx(2.0 * gp.normH, abs=1e-10)
-                for a in gp.A[1:]:
+            if normH > 1e-8:
+                assert np.trace(gp.A[0, 0]) == pytest.approx(2.0 * normH, abs=1e-10)
+                for a in gp.A[0, 1:]:
                     assert abs(np.trace(a)) < 1e-10
             # g-self-adjointness of every shape operator
-            for a in gp.A:
-                gs = gp.g_val @ a
+            for a in gp.A[0]:
+                gs = g_val @ a
                 assert abs(gs[0, 1] - gs[1, 0]) < 1e-10
             # trace A_eta = 2 <H, eta>
-            a_eta = shape_operator(gp, gp.eta_val)
-            h_eta = float(np.dot(sig * gp.H_val, gp.eta_val))
+            a_eta = shape_operator(gp, gp.eta_val)[0]
+            h_eta = float(np.dot(sig * gp.H_val[0], eta_val))
             assert np.trace(a_eta) == pytest.approx(2.0 * h_eta, abs=1e-10)
 
     def test_frame_count_matches_codimension(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2)
-        gp = spec.geom(1.0, 0.3)
-        assert len(gp.xi) == spec.ambient.n - 1 == 3
+        xi = spec.geom(1.0, 0.3).xi[0]
+        assert len(xi) == spec.ambient.n - 1 == 3
         sig = np.asarray(spec.ambient.signature)
-        for i, x in enumerate(gp.xi):
-            for j, y in enumerate(gp.xi):
+        for i, x in enumerate(xi):
+            for j, y in enumerate(xi):
                 expected = 1.0 if i == j else 0.0
                 assert float(np.dot(sig * x, y)) == pytest.approx(expected, abs=1e-12)
 
@@ -367,8 +367,8 @@ class TestFrameInvariance:
             if rng.random() < 0.5:
                 q = q @ np.diag([1.0, -1.0])
             mixed = [
-                q[0, 0] * gp.xi[1] + q[0, 1] * gp.xi[2],
-                q[1, 0] * gp.xi[1] + q[1, 1] * gp.xi[2],
+                q[0, 0] * gp.xi[0, 1] + q[0, 1] * gp.xi[0, 2],
+                q[1, 0] * gp.xi[0, 1] + q[1, 1] * gp.xi[0, 2],
             ]
             rotated = sum(np.linalg.det(shape_operator(gp, x)) for x in mixed)
             assert rotated == pytest.approx(base, abs=1e-10)
@@ -441,17 +441,15 @@ def _count_calls(monkeypatch, *names):
 
 
 def _point(batch, k):
-    """Point k of a batched GeomPoint field by field, as a one-point evaluation lays it out."""
+    """Point k of a batched GeomPoint field by field, as a batch of one."""
     def take(x):
         if isinstance(x, Jet2):
-            return Jet2(x.c[k], x.order)
+            return Jet2(x.c[k:k + 1], x.order)
         if isinstance(x, list):
             return [take(y) for y in x]
-        return x[k]
+        return x[k:k + 1]
 
-    values = {name: take(getattr(batch, name)) for name in geometry.GEOMETRY_NAMES}
-    values.update(xi=list(batch.xi[k]), A=list(batch.A[k]))
-    return values
+    return {name: take(getattr(batch, name)) for name in geometry.GEOMETRY_NAMES}
 
 
 class TestBatchedGeometry:
@@ -464,14 +462,13 @@ class TestBatchedGeometry:
             grid_gp = SimpleNamespace(**_point(batch, k))
             one = evaluate_chart(spec, u, v)
             # same frame choices: H seeding, dropped axes and signs
-            assert len(grid_gp.xi) == len(one.xi) == spec.ambient.n - 1
+            assert grid_gp.xi.shape[1] == one.xi.shape[1] == spec.ambient.n - 1
             for name in names:
                 got, want = _arrays(getattr(grid_gp, name)), _arrays(getattr(one, name))
                 assert len(got) == len(want), name
                 for a, b in zip(got, want):
                     assert a.shape == b.shape, name
-                    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-                    assert np.abs(a - b).max(initial=0.0) <= 1e-13 * scale, (name, u, v)
+                    assert np.array_equal(a, b, equal_nan=True), (name, u, v)
 
     def test_batch_is_one_call_above_the_old_cache_bound(self, monkeypatch):
         spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})

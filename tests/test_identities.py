@@ -77,7 +77,7 @@ class TestAmbientCodazzi:
         # covariant derivative must agree at O(h^2)
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
         u, v = _probe(spec)
-        nframe = len(spec.geom(u, v).xi)
+        nframe = spec.geom(u, v).xi.shape[1]
         for idx in range(nframe):
             err_h = fd_ambient_codazzi_residual(spec, u, v, idx, 1e-3)
             err_h2 = fd_ambient_codazzi_residual(spec, u, v, idx, 5e-4)
@@ -154,8 +154,8 @@ class TestTLaplacian:
         assert all(r.passed for r in reports.values())
         gp = spec.geom(0.9, 1.0)
         assert gp.normH == pytest.approx(0.5, abs=1e-12)
-        w = gp.A[0] @ gp.T_val
-        assert float(w @ gp.g_val @ w) > 1e-2
+        w = gp.A[0, 0] @ gp.T_val[0]
+        assert float(w @ gp.g_val[0] @ w) > 1e-2
 
     @pytest.mark.parametrize("params", [
         {"kappa": 1.0, "r": math.pi / 4}, {"kappa": -1.0, "r": 0.3},
@@ -189,7 +189,7 @@ class TestPmcReport:
         u0, _ = _probe(spec)
 
         def h_of_v(v: float) -> float:
-            return spec.geom(u0, v).normH
+            return spec.geom(u0, v).normH[0]
 
         slopes = [abs(fd1(h_of_v, v, 1e-5)) for v in (1.0, 2.0, 4.0)]
         assert max(slopes) > 1e-3
@@ -258,10 +258,10 @@ class TestGaussEquation:
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4, warp=0.3)
         u, v = _probe(spec)
         gp = spec.geom(u, v)
-        gam, gam_val = gp.gamma, gp.gamma_val
+        gam, gam_val = gp.gamma, gp.gamma_val[0]
         jet_r = []
         for a in range(2):
-            val = gam[a][1][1].du - gam[a][0][1].dv
+            val = gam[a][1][1].du[0] - gam[a][0][1].dv[0]
             val += sum(gam_val[a][0][e] * gam_val[e][1][1] for e in range(2))
             val -= sum(gam_val[a][1][e] * gam_val[e][0][1] for e in range(2))
             jet_r.append(val)

@@ -382,3 +382,42 @@ class TestDomainErrorMessages:
         with pytest.raises(JetDomainError) as info:
             1.0 / Jet2.constant(np.array([1.0, 0.0, 2.0]))
         assert str(info.value) == "division by jet with constant term 0.0"
+
+
+class TestFloatPointAgainstItsBatchRow:
+    """A float-built jet and a batch of one run the batch code, so they give
+    the bits of their point's row in a 289-point batch."""
+
+    N = 289
+
+    def _inputs(self, x, y):
+        """Two order-4 jets of (u, v) at the points; the second is positive."""
+        u, v = Jet2.variable("u", x), Jet2.variable("v", y)
+        return 0.5 * u * v + u - 0.25 * v * v, u * v + 0.5 * u + 0.25
+
+    def _points(self):
+        rng = np.random.default_rng(11)
+        return rng.uniform(0.1, 3.0, self.N), rng.uniform(0.1, 3.0, self.N)
+
+    @pytest.mark.parametrize("name", ["mul", "sin", "cos", "exp"])
+    def test_float_built_jet_matches_its_row(self, name):
+        fn = (lambda w, q: w * q) if name == "mul" else (lambda w, q: getattr(jets, name)(w))
+        x, y = self._points()
+        batch = fn(*self._inputs(x, y)).c
+        for k in range(self.N):
+            one = fn(*self._inputs(float(x[k]), float(y[k]))).c
+            assert one.shape == (jets.NCOEF,)
+            assert np.array_equal(one, batch[k]), (name, k)
+
+    @pytest.mark.parametrize("name", ["log", "sqrt", "powf", "reciprocal"])
+    def test_batch_of_one_matches_its_row(self, name):
+        # these raise the constant term to a power, where NumPy's scalar and
+        # array powers can differ in the last bit: a float-built jet may not
+        # match, a batch of one must
+        fn = {"log": jets.log, "sqrt": jets.sqrt, "powf": lambda q: jets.powf(q, 1.5),
+              "reciprocal": lambda q: 1.0 / q}[name]
+        x, y = self._points()
+        batch = fn(self._inputs(x, y)[1]).c
+        for k in range(self.N):
+            one = fn(self._inputs(x[k:k + 1], y[k:k + 1])[1]).c
+            assert np.array_equal(one[0], batch[k]), (name, k)

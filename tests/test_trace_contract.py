@@ -4,7 +4,9 @@
 module and name; a deleted or renamed function would break a traced run
 (``perfbench/run.py --trace 1``).  The tracer is loaded from its file and
 only read, except by the one traced operation below, which puts every
-original back.
+original back.  The jet micro-kernel of a traced run, ``perfbench/jetkernel.py``,
+reads float-built jets through the public accessors; it is loaded the same
+way and run once against its own oracles.
 """
 
 import importlib.util
@@ -15,17 +17,18 @@ import pytest
 
 from prodsurf import cli, codazzi, geometry, identities, jets
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("prodsurf_bench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"prodsurf_bench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("short,name", tracer.SPANNED + tracer.COUNTED)
@@ -54,3 +57,11 @@ def test_traced_verify_restores_the_package():
     assert t.counts["jets.mul"] > 0
     assert (identities.grid_report, geometry.normal_frame_jets, jets.Jet2.__mul__,
             geometry.SurfaceSpec.geom) == originals
+
+
+def test_jet_kernel_oracles_hold():
+    jetkernel = _load("jetkernel")
+    jetkernel.REPEATS = 1  # this copy's timings are not read; one loop each keeps the test cheap
+    metrics, errors = jetkernel.run(jets, 1)
+    assert errors == []
+    assert set(metrics) == {"jets.mul_us", "jets.compose_us"}
