@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .codazzi import (
     CodazziField,
-    SingularOperatorError,
     angle_operator,
     codazzi_residual,
     field_for,

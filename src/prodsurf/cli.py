@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or inapplicable checker), 1 failed identity or
 counterexample-candidate, 2 bad arguments / wrong surface class, 3 numerical
-errors (degenerate metric, constraint violation, singular operator).
+errors (degenerate metric, constraint violation).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .geometry import (
     DegenerateMetricError,
     FrameError,
     MinimalSurfaceError,
-    grid_arrays,
     grid_geometry,
     grid_points,
 )
@@ -34,7 +33,6 @@ NUMERICAL_ERRORS = (
     ConstraintError,
     JetDomainError,
     FrameError,
-    codazzi.SingularOperatorError,
     codazzi.OperatorShapeError,
 )
 USAGE_ERRORS = (CatalogError, GateError, MinimalSurfaceError, ValueError)
@@ -174,29 +172,29 @@ def cmd_field(args) -> int:
         raise ValueError(f"unknown quantity {quantity!r}; known: {', '.join(FIELD_QUANTITIES)}, "
                          f"{RESIDUAL_PREFIX}<identity_id>")
     pts = grid_points(spec, grid[0], grid[1], margin)
-    u, v = grid_arrays(spec, grid[0], grid[1], margin)
     keep = np.ones(len(pts), dtype=bool)
     if quantity.startswith(RESIDUAL_PREFIX):
         values, keep = identities.residual_field(
             spec, quantity[len(RESIDUAL_PREFIX):], grid, margin)
-    elif quantity in ("K", "normT"):
-        batch = grid_geometry(spec, grid[0], grid[1], margin)
-        values = batch.K_val if quantity == "K" else batch.normT
     else:
-        minimal, _ = identities.classify_minimality(spec, grid, margin)
-        if quantity == "mu_integrand":
-            if minimal:
-                raise MinimalSurfaceError("mu_integrand undefined on a minimal surface")
-            values = identities.mu_integrand(spec, u, v)
+        gp = grid_geometry(spec, grid[0], grid[1], margin)
+        if quantity in ("K", "normT"):
+            values = gp.K_val if quantity == "K" else gp.normT
         else:
-            if minimal and not args.tilde:
-                raise ValueError(f"{quantity} undefined on a minimal surface; "
-                                 "pass --tilde for the angle operator")
-            s = codazzi.field_for(spec, "angle" if args.tilde else "pmc").matrix_at(u, v)
-            if quantity == "normS":
-                values = np.sqrt(np.maximum(codazzi.norm_sq_jet(s).value, 0.0))
+            minimal, _ = identities.classify_minimality(gp)
+            if quantity == "mu_integrand":
+                if minimal:
+                    raise MinimalSurfaceError("mu_integrand undefined on a minimal surface")
+                values = identities.mu_integrand(gp)
             else:
-                values = codazzi.det_jet(s).value
+                if minimal and not args.tilde:
+                    raise ValueError(f"{quantity} undefined on a minimal surface; "
+                                     "pass --tilde for the angle operator")
+                s = codazzi.operator_jets(gp, "angle" if args.tilde else "pmc")
+                if quantity == "normS":
+                    values = np.sqrt(np.maximum(codazzi.norm_sq_jet(s).value, 0.0))
+                else:
+                    values = codazzi.det_jet(s).value
     rows = ["u,v,value"]
     for (u_k, v_k), value, kept in zip(pts, values.tolist(), keep.tolist()):
         if kept:

@@ -1,7 +1,7 @@
 """Traceless Codazzi operators and the identities they satisfy.
 
-Two operators are provided as fields of 2x2 chart-basis matrices with
-jet-valued entries:
+Two operators are provided as 2x2 chart-basis matrices with jet-valued
+entries:
 
 * the PMC operator ``2 A_H - kappa <T,.> T + (kappa |T|^2 / 2) Id - 2|H|^2 Id``
   attached to a non-minimal surface with parallel mean curvature, and
@@ -14,18 +14,16 @@ norm/determinant identity ``|S|^2 = -2 det S`` for traceless operators, and
 the metric-change construction (new metric ``<S., S.>`` whose curvature is
 ``K / det S``).
 
-Every residual takes chart coordinates: floats for one point, or
-equal-length arrays for a batch, typically a grid's (see
-:func:`prodsurf.geometry.grid_arrays`).  A batch reads the batched geometry
-and returns one residual per point; a one-point call runs the same code on a
-batch of one and returns a float.  Where an identity is undefined (``|S|``
-below the floor, singular ``S``) a batch returns a masked array with those
-points masked, and a single point raises.
+Every residual takes the batched geometry of its points, typically a grid's
+(:func:`prodsurf.geometry.grid_geometry`), and the operator's jet matrix
+built from it once (:func:`operator_jets`), and returns one residual per
+point; a single point is a batch of one.  Where an identity is undefined
+(``|S|`` below the floor, singular ``S``) the residual is a masked array with
+those points masked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,16 +49,8 @@ SINGULAR_TOL = 1e-8
 S_NORM_FLOOR = 1e-6
 
 
-class SingularOperatorError(ArithmeticError):
-    """Operator determinant too close to zero for the requested construction."""
-
-
 class OperatorShapeError(ValueError):
     """Operator fails a structural precondition (tracelessness, self-adjointness)."""
-
-
-class NormFloorError(ArithmeticError):
-    """Operator norm below the floor where a logarithmic identity is defined."""
 
 
 @dataclass
@@ -69,32 +59,14 @@ class CodazziField:
 
     ``matrix_at(u, v)`` gives the 2x2 jet matrix over the points of the
     coordinate arrays ``u``, ``v``, with one row per point in every entry,
-    also where the field is constant.
+    also where the field is constant.  The evaluators below take that matrix
+    itself; a field serves callers that query the operator at points of
+    their own choosing, such as a finite-difference oracle.
     """
 
     kind: str
     spec: SurfaceSpec
     matrix_at: Callable[[float, float], list[list[Jet2]]]
-
-
-def points(u, v) -> tuple[np.ndarray, np.ndarray, bool]:
-    """A call's coordinates as arrays, and whether it named a single point."""
-    one = np.ndim(u) == 0
-    return (np.atleast_1d(np.asarray(u, dtype=float)),
-            np.atleast_1d(np.asarray(v, dtype=float)), one)
-
-
-def per_point(values: np.ndarray, one: bool, skipped=None, error=None):
-    """Residuals of a call: a float for a one-point call, else the array.
-
-    Where ``skipped`` holds the identity is undefined: a batch masks those
-    points, and a single point raises ``error(0)``.
-    """
-    if one:
-        if skipped is not None and skipped[0]:
-            raise error(0)
-        return float(values[0])
-    return values if skipped is None else np.ma.masked_array(values, skipped)
 
 
 def pmc_operator_jets(gp: GeomPoint, kappa: float | None = None) -> list[list[Jet2]]:
@@ -147,29 +119,22 @@ def angle_operator(gp: GeomPoint) -> np.ndarray:
     return matrix_values(angle_operator_jets(gp))
 
 
+def operator_jets(gp: GeomPoint, kind: str) -> list[list[Jet2]]:
+    """The operator of ``kind``, 'pmc' or 'angle', over the points of ``gp``."""
+    if kind == "pmc":
+        return pmc_operator_jets(gp)
+    if kind == "angle":
+        return angle_operator_jets(gp)
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
 def field_for(spec: SurfaceSpec, kind: str) -> CodazziField:
     """Operator field over a chart; kind 'pmc' or 'angle'.
 
-    Each ``matrix_at`` call builds the operator from ``spec.geom(u, v)``, so a
-    grid's arrays build it once for the whole grid; :func:`pinned` keeps that
-    one build for the identities of a sweep.
+    Each ``matrix_at(u, v)`` call evaluates the chart at those points and
+    builds the operator there.
     """
-    if kind == "pmc":
-        build = pmc_operator_jets
-    elif kind == "angle":
-        build = angle_operator_jets
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return CodazziField(kind, spec, lambda u, v: build(spec.geom(u, v)))
-
-
-def pinned(field: CodazziField, s: list[list[Jet2]]) -> CodazziField:
-    """``field`` answering every ``matrix_at`` call with the matrices ``s``.
-
-    ``s`` is the field built once at the points of a sweep, which is then
-    the only set of points the result may be asked about.
-    """
-    return CodazziField(field.kind, field.spec, lambda *_: s)
+    return CodazziField(kind, spec, lambda u, v: operator_jets(spec.geom(u, v), kind))
 
 
 def norm_sq_jet(s: list[list[Jet2]]) -> Jet2:
@@ -181,27 +146,24 @@ def det_jet(s: list[list[Jet2]]) -> Jet2:
     return s[0][0] * s[1][1] - s[0][1] * s[1][0]
 
 
-def codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
+def codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
     """g-norm of the antisymmetrized covariant derivative of the operator.
 
     Coordinate fields commute, so the bracket term is absent:
     residual = | nabla_u (S d_v) - nabla_v (S d_u) |_g.
     """
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    s = field.matrix_at(u, v)
     if min(s[a][b].order for a in range(2) for b in range(2)) < 1:
         raise ValueError("operator entries must carry jets of order >= 1")
     gam = gp.gamma_val
-    res = np.empty((len(u), 2))
+    res = np.empty((len(gp.u), 2))
     for a in range(2):
         cov_u = s[a][1].du + (gam[:, a, 0, 0] * s[0][1].value + gam[:, a, 0, 1] * s[1][1].value)
         cov_v = s[a][0].dv + (gam[:, a, 1, 0] * s[0][0].value + gam[:, a, 1, 1] * s[1][0].value)
         res[:, a] = cov_u - cov_v
-    return per_point(gp.chart_norm(res), one)
+    return gp.chart_norm(res)
 
 
-def grad_tensor_norm_sq(spec: SurfaceSpec, u, v, field: CodazziField):
+def grad_tensor_norm_sq(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
     """Full covariant-gradient norm |nabla S|^2 of the operator.
 
     (nabla_a S)^b_c = d_a S^b_c + Gamma^b_{ae} S^e_c - Gamma^e_{ac} S^b_e,
@@ -209,12 +171,9 @@ def grad_tensor_norm_sq(spec: SurfaceSpec, u, v, field: CodazziField):
     on a surface this equals 2 |grad |S||^2 away from zeros of |S| (the Kato
     equality), but it is polynomial in the entries and therefore global.
     """
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    s = field.matrix_at(u, v)
     s_val = matrix_values(s)
     gam = gp.gamma_val
-    nabla = np.empty((len(u), 2, 2, 2))
+    nabla = np.empty((len(gp.u), 2, 2, 2))
     for a in range(2):
         for b in range(2):
             for c in range(2):
@@ -222,51 +181,38 @@ def grad_tensor_norm_sq(spec: SurfaceSpec, u, v, field: CodazziField):
                 val = val + (gam[:, b, a, 0] * s_val[:, 0, c] + gam[:, b, a, 1] * s_val[:, 1, c])
                 val = val - (gam[:, 0, a, c] * s_val[:, b, 0] + gam[:, 1, a, c] * s_val[:, b, 1])
                 nabla[:, a, b, c] = val
-    full = np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, gp.ginv_val, gp.g_val,
+    return np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, gp.ginv_val, gp.g_val,
                      gp.ginv_val)
-    return per_point(full, one)
 
 
-def _norm_floor(s2: Jet2, floor: float):
-    """Where |S| is below the floor, that jet made safe there, and the error for a point."""
+def _norm_floor(s2: Jet2, floor: float) -> tuple[np.ndarray, Jet2]:
+    """Where |S| is below the floor, and the jet of |S|^2 made safe there."""
     low = s2.value <= floor * floor
-
-    def error(k):
-        return NormFloorError(
-            f"|S| = {math.sqrt(max(s2.value[k], 0.0))!r} below floor {floor}")
-
-    return low, jets.where(low, 1.0, s2), error
+    return low, jets.where(low, 1.0, s2)
 
 
-def simons_log_residual(spec, u, v, field, floor=S_NORM_FLOOR):
+def simons_log_residual(gp: GeomPoint, s, floor=S_NORM_FLOOR) -> np.ma.MaskedArray:
     """Residual of Lap ln|S| = 2 K, defined away from zeros of |S|."""
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    low, s2, error = _norm_floor(norm_sq_jet(field.matrix_at(u, v)), floor)
+    low, s2 = _norm_floor(norm_sq_jet(s), floor)
     log_s = 0.5 * jets.log(s2)
-    return per_point(np.abs(laplace_at(log_s, gp) - 2.0 * gp.K_val), one, low, error)
+    return np.ma.masked_array(np.abs(laplace_at(log_s, gp) - 2.0 * gp.K_val), low)
 
 
-def simons_quadratic_residual(spec, u, v, field):
+def simons_quadratic_residual(gp: GeomPoint, s) -> np.ndarray:
     """The globally valid Simons residual alone (no floor requirement)."""
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    s2 = norm_sq_jet(field.matrix_at(u, v))
+    s2 = norm_sq_jet(s)
     lap = laplace_at(s2, gp)
-    grad_full = grad_tensor_norm_sq(spec, u, v, field)
-    return per_point(np.abs(0.5 * lap - grad_full - 2.0 * gp.K_val * s2.value), one)
+    grad_full = grad_tensor_norm_sq(gp, s)
+    return np.abs(0.5 * lap - grad_full - 2.0 * gp.K_val * s2.value)
 
 
-def simons_reduced_residual(spec, u, v, field, floor=S_NORM_FLOOR):
+def simons_reduced_residual(gp: GeomPoint, s, floor=S_NORM_FLOOR) -> np.ma.MaskedArray:
     """Residual of |S| Lap|S| - 2 K |S|^2 = |grad |S||^2, away from zeros of |S|."""
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    low, s2, error = _norm_floor(norm_sq_jet(field.matrix_at(u, v)), floor)
+    low, s2 = _norm_floor(norm_sq_jet(s), floor)
     s_norm = jets.sqrt(s2)
     lap = laplace_at(s_norm, gp)
     grad = grad_norm_sq(s_norm, gp.ginv_val)
-    res = np.abs(s_norm.value * lap - 2.0 * gp.K_val * s2.value - grad)
-    return per_point(res, one, low, error)
+    return np.ma.masked_array(np.abs(s_norm.value * lap - 2.0 * gp.K_val * s2.value - grad), low)
 
 
 def s_norm_det_identity(s_val: np.ndarray, g_val: np.ndarray):
@@ -288,10 +234,8 @@ def s_norm_det_identity(s_val: np.ndarray, g_val: np.ndarray):
     return np.abs(square + 2.0 * np.linalg.det(s_val))
 
 
-def new_metric_jets(spec: SurfaceSpec, u, v, field: CodazziField) -> list[list[Jet2]]:
-    """Entries of the changed metric <S . , S .> as batched jets (a batch of one for floats)."""
-    gp = spec.geom(u, v)
-    s = field.matrix_at(u, v)
+def new_metric_jets(gp: GeomPoint, s: list[list[Jet2]]) -> list[list[Jet2]]:
+    """Entries of the changed metric <S . , S .> as batched jets."""
     out = [[None, None], [None, None]]
     for a in range(2):
         for b in range(a, 2):
@@ -305,38 +249,28 @@ def new_metric_jets(spec: SurfaceSpec, u, v, field: CodazziField) -> list[list[J
     return out
 
 
-def _nonsingular(field: CodazziField, u: np.ndarray, v: np.ndarray):
-    """The operator over a batch with the identity at its singular points.
-
-    Returns that field, det S, the singular mask and the error for a point.
-    """
-    s = field.matrix_at(u, v)
+def _nonsingular(s: list[list[Jet2]]):
+    """The operator with the identity at its singular points, det S, and the singular mask."""
     det = det_jet(s).value
     singular = np.abs(det) <= SINGULAR_TOL
     if singular.any():
         s = [[jets.where(singular, 1.0 if a == b else 0.0, s[a][b]) for b in range(2)]
              for a in range(2)]
-
-    def error(k):
-        return SingularOperatorError(f"det S = {float(det[k])!r} at ({u[k]}, {v[k]})")
-
-    return pinned(field, s), det, singular, error
+    return s, det, singular
 
 
-def metric_change(spec: SurfaceSpec, u, v, field: CodazziField):
+def metric_change(gp: GeomPoint, s: list[list[Jet2]]):
     """Changed metric, its intrinsic curvature, and the curvature-law residual.
 
     The new curvature is computed from the changed metric through the same
     intrinsic (Brioschi) path used for the original metric, so the law
     Ktilde = K / det S is a genuine cross-check.  The residual is stated
     multiplicatively, |Ktilde det S - K|, to stay meaningful for small det S.
-    On a batch, Ktilde and the residual are masked where S is singular; the
-    jets of the changed metric always hold a batch, of one for a float point.
+    Ktilde and the residual are masked where S is singular, where the
+    changed metric is built from the identity instead.
     """
-    u, v, one = points(u, v)
-    gp = spec.geom(u, v)
-    safe, det, singular, error = _nonsingular(field, u, v)
-    gs = new_metric_jets(spec, u, v, safe)
+    safe, det, singular = _nonsingular(s)
+    gs = new_metric_jets(gp, safe)
     # Brioschi divides by det^2, and det <S., S.> = det(S)^2 det g is tiny
     # where S is nearly singular: scale each point's metric to a determinant
     # in [1/2, 2) and scale back, K(c g) = K(g) / c for a constant c.  A power
@@ -346,24 +280,22 @@ def metric_change(spec: SurfaceSpec, u, v, field: CodazziField):
     unit = [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs]
     ktilde = gauss_curvature_brioschi(unit).value * c
     residual = np.abs(ktilde * det - gp.K_val)
-    return gs, per_point(ktilde, one, singular, error), per_point(residual, one, singular, error)
+    return gs, np.ma.masked_array(ktilde, singular), np.ma.masked_array(residual, singular)
 
 
-def inverse_codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
+def inverse_codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ma.MaskedArray:
     """Codazzi residual of S^{-1} with respect to the changed metric.
 
     The connection of the changed metric is recomputed independently from its
     own Christoffel symbols (not through the S-conjugation formula), so this
     checks that S^{-1} really is Codazzi for the new geometry.
     """
-    u, v, one = points(u, v)
-    safe, _, singular, error = _nonsingular(field, u, v)
-    s = safe.matrix_at(u, v)
+    s, _, singular = _nonsingular(s)
     r = 1.0 / det_jet(s)
     p = [[s[1][1] * r, -s[0][1] * r], [-s[1][0] * r, s[0][0] * r]]
-    gs = new_metric_jets(spec, u, v, safe)
+    gs = new_metric_jets(gp, s)
     gam = christoffels(gs)
-    res = np.empty((len(u), 2))
+    res = np.empty((len(gp.u), 2))
     for a in range(2):
         cov_u = p[a][1].du + (gam[a][0][0].value * p[0][1].value
                               + gam[a][0][1].value * p[1][1].value)
@@ -372,10 +304,9 @@ def inverse_codazzi_residual(spec: SurfaceSpec, u, v, field: CodazziField):
         res[:, a] = cov_u - cov_v
     gs_val = matrix_values(gs)
     norm = np.sqrt(np.maximum(quad_form(res, gs_val), 0.0))
-    return per_point(norm, one, singular, error)
+    return np.ma.masked_array(norm, singular)
 
 
-def trace_residual(spec: SurfaceSpec, u, v, field: CodazziField):
-    u, v, one = points(u, v)
-    s = field.matrix_at(u, v)
-    return per_point(np.abs(s[0][0].value + s[1][1].value), one)
+def trace_residual(s: list[list[Jet2]]) -> np.ndarray:
+    """|trace S| per point; the trace needs no geometry."""
+    return np.abs(s[0][0].value + s[1][1].value)

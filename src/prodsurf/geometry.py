@@ -18,15 +18,13 @@ what it reads.
 
 Points are always evaluated as a batch: every jet carries one row per point
 and the per-point choices of the normal frame become masks; a single point
-is a batch of one.  :meth:`SurfaceSpec.geom` returns one batch per sample
-grid for the grid's coordinate arrays (:func:`grid_arrays`) and evaluates
-any other point or batch on the spot.  Value arrays carry the point axis
-first, and an error names the first offending point.
+is a batch of one.  A sample grid is one batch (:func:`grid_geometry`), which
+its caller passes to every evaluator that reads it.  Value arrays carry the
+point axis first, and an error names the first offending point.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -66,17 +64,6 @@ class FrameError(ArithmeticError):
 
 
 @dataclass
-class _Grid:
-    """A registered sample grid; its geometry is evaluated once, on first use."""
-
-    key: tuple[int, int, float]
-    points: list[tuple[float, float]]
-    u: np.ndarray
-    v: np.ndarray
-    batch: "GeomPoint | None" = None
-
-
-@dataclass
 class SurfaceSpec:
     """A chart domain plus an immersion formula into a product model."""
 
@@ -87,23 +74,10 @@ class SurfaceSpec:
     chart: Callable[[Jet2, Jet2], list[Jet2]]
     expected: dict[str, float] = field(default_factory=dict)
     minimal: bool = False
-    _grid: _Grid | None = field(default=None, repr=False)
 
     def geom(self, u, v) -> "GeomPoint":
-        """Geometry at the points (u, v): equal-length arrays, or floats for a batch of one.
-
-        The coordinate arrays of the grid registered by :func:`grid_points`
-        give that grid's batched evaluation, made once, on first use.  Any
-        other point or batch is evaluated on the spot.
-        """
-        grid = self._grid
-        if grid is None or not (np.array_equal(u, grid.u) and np.array_equal(v, grid.v)):
-            return evaluate_chart(self, u, v)
-        if grid.batch is None:
-            # The batch refers to a copy of this spec without the grid: no
-            # reference cycle, so it is freed as soon as the spec is.
-            grid.batch = evaluate_chart(dataclasses.replace(self, _grid=None), grid.u, grid.v)
-        return grid.batch
+        """Geometry at the points (u, v): :func:`evaluate_chart` of this spec."""
+        return evaluate_chart(self, u, v)
 
 
 @dataclass
@@ -316,10 +290,11 @@ def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
     """Normal part of flat vectors inside the product tangent space (values).
 
     Strips the space-form radial component, then the surface tangent part.
-    Every argument carries a leading point axis.
+    Every argument carries a leading point axis, except that ``w`` may be
+    one vector for every point.
     """
     sig = np.asarray(model.signature)
-    w = np.array(w, dtype=float)
+    w = np.array(np.broadcast_to(w, f_val.shape), dtype=float)
     if model.kappa != 0:
         inner = (sig[:-1] * w[..., :-1] * f_val[..., :-1]).sum(axis=-1)
         w[..., :-1] -= (model.kappa * inner)[..., None] * f_val[..., :-1]
@@ -364,8 +339,7 @@ def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
         open_ = count < need
         if not open_.any():
             break
-        w = _normal_part_values(model, f_val, fu_val, fv_val, ginv_val,
-                                np.broadcast_to(np.eye(dim)[axis], f_val.shape))
+        w = _normal_part_values(model, f_val, fu_val, fv_val, ginv_val, np.eye(dim)[axis])
         for j in range(need):
             inner = np.where(j < count, np.sum(sig * w * frame[:, j], axis=-1), 0.0)
             w = w - inner[:, None] * frame[:, j]
@@ -553,9 +527,7 @@ def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
 
 
 def normal_connection_derivative(
-    spec: SurfaceSpec,
-    u,
-    v,
+    gp: GeomPoint,
     normal_field: Callable[[GeomPoint], list[Jet2]],
     direction: str,
 ) -> np.ndarray:
@@ -563,12 +535,11 @@ def normal_connection_derivative(
 
     Computed as the surface-normal part (inside the product tangent space) of
     the projected flat derivative of the field; the field is supplied as a
-    jet-valued function of the chart point.  Arrays ``u``, ``v`` give one
-    flat vector per point.
+    jet-valued function of the chart point.  Gives one flat vector per point
+    of ``gp``.
     """
     if direction not in ("u", "v"):
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
-    gp = spec.geom(u, v)
     w = normal_field(gp)
     for comp, tangential in _tangential_parts(gp, _stack([c.value for c in w])):
         bad = first_where(tangential)
@@ -608,35 +579,25 @@ def aux_det_sum(gp: GeomPoint):
 
 
 def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
-    """Interior sample grid, excluding a margin fraction near the chart edge.
-
-    The grid is registered on the spec: its coordinate arrays
-    (:func:`grid_arrays`) give its geometry, evaluated once for the whole
-    grid.  Registering another grid drops the previous one.
-    """
-    key = (nu, nv, margin)
-    if spec._grid is None or spec._grid.key != key:
-        (u0, u1), (v0, v1) = spec.domain
-        du, dv = u1 - u0, v1 - v0
-        us = [u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)]
-        vs = [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)]
-        points = [(u, v) for u in us for v in vs]
-        u, v = np.array(points).T.copy()
-        _freeze([u, v])
-        spec._grid = _Grid(key, points, u, v)
-    return list(spec._grid.points)
+    """Interior sample grid, excluding a margin fraction near the chart edge."""
+    (u0, u1), (v0, v1) = spec.domain
+    du, dv = u1 - u0, v1 - v0
+    us = [u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)]
+    vs = [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)]
+    return [(u, v) for u in us for v in vs]
 
 
 def grid_arrays(spec: SurfaceSpec, nu: int, nv: int,
                 margin: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's u and v as read-only arrays, point k being ``grid_points(...)[k]``.
-
-    These are the arguments of every batched evaluator over the grid.
-    """
-    grid_points(spec, nu, nv, margin)
-    return spec._grid.u, spec._grid.v
+    """The grid's u and v arrays, point k being ``grid_points(...)[k]``."""
+    u, v = np.array(grid_points(spec, nu, nv, margin)).T
+    return u, v
 
 
 def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02) -> GeomPoint:
-    """Batched geometry of the grid, point k being ``grid_points(...)[k]``."""
-    return spec.geom(*grid_arrays(spec, nu, nv, margin))
+    """Batched geometry of the grid, point k being ``grid_points(...)[k]``.
+
+    Each entry point evaluates its grid once and passes the result to every
+    evaluator that reads it.
+    """
+    return evaluate_chart(spec, *grid_arrays(spec, nu, nv, margin))

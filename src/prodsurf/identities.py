@@ -1,9 +1,10 @@
 """Residual evaluators for the structure equations and curvature formulas.
 
-Every evaluator is an array function of the chart: given the coordinate
-arrays of a grid (:func:`prodsurf.geometry.grid_arrays`) it reads the grid's
-one batched geometry and returns one residual per point; floats give one
-point, evaluated as a batch of one.  :func:`grid_report` reduces a residual
+Every evaluator is an array function of the chart's batched geometry: it
+takes the :class:`~prodsurf.geometry.GeomPoint` of a grid, which each entry
+point (:func:`run_suite`, :func:`residual_field`) evaluates once with
+:func:`prodsurf.geometry.grid_geometry`, and returns one residual per point;
+a single point is a batch of one.  :func:`grid_report` reduces a residual
 array to a report row, folding left to right so reports are bitwise
 reproducible.  A residual depends only on its point, never on the sampling
 grid, which the tests exercise directly.
@@ -21,15 +22,14 @@ from . import codazzi
 from .geometry import (
     MINIMAL_TOL,
     MINIMAL_WARN_BAND,
+    GeomPoint,
     MinimalSurfaceError,
     SurfaceSpec,
     _normal_part,
     _stack,
     aux_det_sum,
     first_bad,
-    grid_arrays,
     grid_geometry,
-    grid_points,
     laplace_at,
     normal_connection_derivative,
     normal_frame_jets,
@@ -106,29 +106,28 @@ def _split(result) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return np.abs(np.asarray(np.ma.getdata(values), dtype=float)), skips
 
 
-def grid_report(spec: SurfaceSpec, identity_id: str, fn, nu: int, nv: int,
-                margin: float, tolerance: float) -> ResidualReport | None:
-    """Reduce an evaluator's residuals over the grid to a report row.
+def grid_report(gp: GeomPoint, identity_id: str, fn, nu: int, nv: int,
+                tolerance: float) -> ResidualReport | None:
+    """Reduce an evaluator's residuals over the grid ``gp`` to a report row.
 
-    ``fn(u, v)`` takes the grid's coordinate arrays and returns one residual
-    per point, or a pair (residuals, skips) where ``skips`` maps a reason to
-    the mask of the points where the identity does not apply.  Returns None
-    when every point was skipped (the identity does not apply anywhere on
-    this chart); partial skips become report warnings.  The row's maximum is
-    the first largest value, or the first NaN, which fails the row; the mean
-    folds the values left to right.
+    ``fn()`` returns one residual per point of ``gp``, or a pair (residuals,
+    skips) where ``skips`` maps a reason to the mask of the points where the
+    identity does not apply.  Returns None when every point was skipped (the
+    identity does not apply anywhere on this chart); partial skips become
+    report warnings.  The row's maximum is the first largest value, or the
+    first NaN, which fails the row; the mean folds the values left to right.
     """
-    pts = grid_points(spec, nu, nv, margin)
-    vals, skips = _split(fn(*grid_arrays(spec, nu, nv, margin)))
-    evaluated = np.ones(len(pts), dtype=bool)
+    vals, skips = _split(fn())
+    npts = len(gp.u)
+    evaluated = np.ones(npts, dtype=bool)
     warnings = []
     for reason, mask in sorted(skips.items()):
         if mask.any():
-            warnings.append(f"skipped at {int(np.count_nonzero(mask))} of {len(pts)} "
+            warnings.append(f"skipped at {int(np.count_nonzero(mask))} of {npts} "
                             f"points: {reason}")
         evaluated &= ~mask
     if not evaluated.any():
-        log.warning("%s skipped on %s: %s", identity_id, spec.catalog_id,
+        log.warning("%s skipped on %s: %s", identity_id, gp.spec.catalog_id,
                     "; ".join(warnings) or "no evaluable points")
         return None
     k = int(np.argmax(np.where(evaluated, vals, -1.0)))  # a NaN is found first
@@ -138,7 +137,7 @@ def grid_report(spec: SurfaceSpec, identity_id: str, fn, nu: int, nv: int,
         grid=(nu, nv),
         max_abs=max_abs,
         mean_abs=float(np.add.accumulate(vals[evaluated])[-1]) / int(evaluated.sum()),
-        argmax=pts[k],
+        argmax=(float(gp.u[k]), float(gp.v[k])),
         tolerance=tolerance,
         passed=max_abs <= tolerance,
         warnings=warnings,
@@ -147,7 +146,7 @@ def grid_report(spec: SurfaceSpec, identity_id: str, fn, nu: int, nv: int,
 
 # -- residual evaluators -------------------------------------------------------
 
-def ambient_codazzi_residual(spec: SurfaceSpec, u, v, normal_field=None):
+def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
     """Residual of the fundamental Codazzi equation of the product ambient.
 
     (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) = kappa <xi, eta> (X ^ Y) T
@@ -155,15 +154,13 @@ def ambient_codazzi_residual(spec: SurfaceSpec, u, v, normal_field=None):
     derivative of A carrying the normal-connection correction on xi.  With no
     field supplied, the maximum residual over the normal frame is returned.
     """
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
-    model = spec.ambient
+    model = gp.spec.ambient
     sig = np.asarray(model.signature)
     frame = normal_frame_jets(gp) if normal_field is None else [normal_field(gp)]
     gam = gp.gamma_val
     t_low = np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
     wedge = np.stack([t_low[:, 1], -t_low[:, 0]], axis=-1)
-    worst = np.zeros(len(u))
+    worst = np.zeros(len(gp.u))
     for xi in frame:
         m = [[flat_inner(model, gp.alpha_flat[a][b], xi) for b in range(2)]
              for a in range(2)]
@@ -175,7 +172,7 @@ def ambient_codazzi_residual(spec: SurfaceSpec, u, v, normal_field=None):
                  _normal_part(gp, _stack([c.dv for c in xi])))
 
         def cov(xdir: int, ycol: int) -> np.ndarray:
-            out = np.empty((len(u), 2))
+            out = np.empty((len(gp.u), 2))
             for a in range(2):
                 d = a_xi[a][ycol].du if xdir == 0 else a_xi[a][ycol].dv
                 d = d + (gam[:, a, xdir, 0] * a_val[:, 0, ycol]
@@ -188,24 +185,21 @@ def ambient_codazzi_residual(spec: SurfaceSpec, u, v, normal_field=None):
         lhs = cov(0, 1) - cov(1, 0)
         rhs = (model.kappa * vecdot(sig * xi_val, gp.eta_val))[:, None] * wedge
         worst = np.maximum(worst, gp.chart_norm(lhs - rhs))
-    return codazzi.per_point(worst, one)
+    return worst
 
 
-def curvature_formula_terms(spec: SurfaceSpec, u, v, field=None) -> dict:
+def curvature_formula_terms(gp: GeomPoint, s=None) -> dict:
     """All terms of the Gaussian-curvature formula for non-minimal PMC charts.
 
     K = kappa (1 - |T|^2) + |H|^2 - |S|^2/(8|H|^2) - kappa^2 |T|^4/(16|H|^2)
         - kappa <S T, T>/(4|H|^2) + sum_{i>1} det A_i
-    Each term is a float for one point and an array for a batch.  ``field``
-    is the PMC operator field, built here when not given.
+    Each term holds one value per point of ``gp``.  ``s`` is the PMC
+    operator's jet matrix over ``gp``, built here when not given.
     """
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
     first_bad(gp.normH <= MINIMAL_TOL, "curvature formula needs |H| > 0: |H| =",
               gp.normH, MinimalSurfaceError)
-    kappa = spec.ambient.kappa
-    field = field or codazzi.field_for(spec, "pmc")
-    s_val = codazzi.matrix_values(field.matrix_at(u, v))
+    kappa = gp.spec.ambient.kappa
+    s_val = codazzi.matrix_values(codazzi.pmc_operator_jets(gp) if s is None else s)
     h2 = gp.normH ** 2
     t2 = gp.normT2.value
     s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
@@ -221,23 +215,21 @@ def curvature_formula_terms(spec: SurfaceSpec, u, v, field=None) -> dict:
     terms["rhs"] = functools.reduce(np.add, terms.values())
     terms["K"] = gp.K_val
     terms["residual"] = np.abs(terms["K"] - terms["rhs"])
-    return {name: codazzi.per_point(value, one) for name, value in terms.items()}
+    return terms
 
 
-def curvature_formula_residual(spec: SurfaceSpec, u, v, field=None):
-    return curvature_formula_terms(spec, u, v, field)["residual"]
+def curvature_formula_residual(gp: GeomPoint, s=None) -> np.ndarray:
+    return curvature_formula_terms(gp, s)["residual"]
 
 
-def t_laplacian_residual(spec: SurfaceSpec, u, v):
+def t_laplacian_residual(gp: GeomPoint) -> np.ndarray:
     """Residual of the vertical-energy Laplacian identity for PMC charts.
 
     1/2 Lap |T|^2 = |A_eta|^2 + kappa |T|^2 (1 - |T|^2) - sum_i |A_i T|^2,
     the sum running over the whole normal frame, H/|H| included: for a
     hypersurface it is the single term |A T|^2.
     """
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
-    kappa = spec.ambient.kappa
+    kappa = gp.spec.ambient.kappa
     lhs = 0.5 * laplace_at(gp.normT2, gp)
     a_eta = shape_operator(gp, gp.eta_val)
     rhs = np.trace(np.matmul(a_eta, a_eta), axis1=-2, axis2=-1)
@@ -246,19 +238,17 @@ def t_laplacian_residual(spec: SurfaceSpec, u, v):
     for i in range(gp.A.shape[1]):
         w = np.matmul(gp.A[:, i], gp.T_val[..., None])[..., 0]
         rhs = rhs - quad_form(w, gp.g_val)
-    return codazzi.per_point(np.abs(lhs - rhs), one)
+    return np.abs(lhs - rhs)
 
 
-def gauss_equation_residual(spec: SurfaceSpec, u, v):
+def gauss_equation_residual(gp: GeomPoint) -> np.ndarray:
     """Residual of the Gauss equation with X = d_u and Y = W = d_v.
 
     Intrinsic R(d_u, d_v) d_v from the metric against
     kappa (X^Y - <Y,T> X^T + <X,T> Y^T) W + A_{alpha(Y,W)} X - A_{alpha(X,W)} Y.
     """
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
-    n = len(u)
-    kappa = spec.ambient.kappa
+    n = len(gp.u)
+    kappa = gp.spec.ambient.kappa
     gam = gp.gamma
     gam_val = gp.gamma_val
     # R^a_{b c d} with b = v (W), c = u (X), d = v (Y)
@@ -286,58 +276,54 @@ def gauss_equation_residual(spec: SurfaceSpec, u, v):
     rhs = kappa * ambient
     rhs = rhs + np.matmul(shape_operator(gp, gp.alpha_val[:, 1, 1]), x[..., None])[..., 0]
     rhs = rhs - np.matmul(shape_operator(gp, gp.alpha_val[:, 0, 1]), y[..., None])[..., 0]
-    return codazzi.per_point(gp.chart_norm(intrinsic - rhs), one)
+    return gp.chart_norm(intrinsic - rhs)
 
 
-def t_field_residuals(spec: SurfaceSpec, u, v):
+def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the vertical-field identities along both chart directions.
 
     grad: nabla_X T = A_eta X;  alpha: alpha(X, T) = - nabla^perp_X eta.
     """
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
     a_eta = shape_operator(gp, gp.eta_val)
     gam = gp.gamma_val
     t_val = gp.T_val
-    res_grad = np.zeros(len(u))
+    res_grad = np.zeros(len(gp.u))
     for a in range(2):
         grad_t = _stack([gp.T_up[b].du if a == 0 else gp.T_up[b].dv for b in range(2)])
         grad_t = grad_t + _stack([gam[:, b, a, 0] * t_val[:, 0] + gam[:, b, a, 1] * t_val[:, 1]
                                   for b in range(2)])
         res_grad = np.maximum(res_grad, gp.chart_norm(grad_t - a_eta[:, :, a]))
-    res_alpha = np.zeros(len(u))
-    sig = np.asarray(spec.ambient.signature)
+    res_alpha = np.zeros(len(gp.u))
+    sig = np.asarray(gp.spec.ambient.signature)
     for a, direction in enumerate("uv"):
         alpha_at = (t_val[:, 0, None] * gp.alpha_val[:, a, 0]
                     + t_val[:, 1, None] * gp.alpha_val[:, a, 1])
-        nperp = normal_connection_derivative(spec, u, v, lambda g: g.eta, direction)
+        nperp = normal_connection_derivative(gp, lambda g: g.eta, direction)
         diff = alpha_at + nperp
         res_alpha = np.maximum(res_alpha,
                                np.sqrt(np.maximum(vecdot(sig * diff, diff), 0.0)))
-    return codazzi.per_point(res_grad, one), codazzi.per_point(res_alpha, one)
+    return res_grad, res_alpha
 
 
-def _pmc_values(spec: SurfaceSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pmc_values(gp: GeomPoint) -> np.ndarray:
     """Norm of the normal-connection derivative of H, worst chart direction."""
-    sig = np.asarray(spec.ambient.signature)
-    worst = np.zeros(len(u))
+    sig = np.asarray(gp.spec.ambient.signature)
+    worst = np.zeros(len(gp.u))
     for direction in "uv":
-        d = normal_connection_derivative(spec, u, v, lambda g: g.H, direction)
+        d = normal_connection_derivative(gp, lambda g: g.H, direction)
         worst = np.maximum(worst, np.sqrt(np.maximum(vecdot(sig * d, d), 0.0)))
     return worst
 
 
-def pmc_residual(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
-                 margin: float = DEFAULT_MARGIN) -> ResidualReport:
-    """Max norm of the normal-connection derivative of H over the grid.
+def pmc_residual(gp: GeomPoint, grid: tuple[int, int]) -> ResidualReport:
+    """Max norm of the normal-connection derivative of H over the grid ``gp``.
 
     Minimal points are annotated, not fatal: H == 0 is parallel.
     """
     nu, nv = grid
-    normH = grid_geometry(spec, nu, nv, margin).normH
-    report = grid_report(spec, "pmc", functools.partial(_pmc_values, spec), nu, nv, margin,
+    report = grid_report(gp, "pmc", functools.partial(_pmc_values, gp), nu, nv,
                          DEFAULT_TOLERANCES["pmc"])
-    minimal_points = int(np.count_nonzero(normH <= MINIMAL_TOL))
+    minimal_points = int(np.count_nonzero(gp.normH <= MINIMAL_TOL))
     if minimal_points:
         report.warnings.append(
             f"{minimal_points} of {nu * nv} grid points flagged minimal (|H| <= {MINIMAL_TOL})"
@@ -345,44 +331,39 @@ def pmc_residual(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
     return report
 
 
-def mu_integrand(spec: SurfaceSpec, u, v):
+def mu_integrand(gp: GeomPoint) -> np.ndarray:
     """|alpha|^2 - |A_H|^2 / |H|^2 at non-minimal points."""
-    u, v, one = codazzi.points(u, v)
-    gp = spec.geom(u, v)
     bad = np.flatnonzero(gp.normH <= MINIMAL_TOL)
     if bad.size:
         k = bad[0]
         raise MinimalSurfaceError(
-            f"|H| = {float(gp.normH[k])!r} below threshold at ({u[k]}, {v[k]})")
+            f"|H| = {float(gp.normH[k])!r} below threshold at ({gp.u[k]}, {gp.v[k]})")
     traces = np.trace(np.matmul(gp.A, gp.A), axis1=-2, axis2=-1)
-    alpha2 = functools.reduce(np.add, traces.T, np.zeros(len(u)))
-    sig = np.asarray(spec.ambient.signature)
+    alpha2 = functools.reduce(np.add, traces.T, np.zeros(len(gp.u)))
+    sig = np.asarray(gp.spec.ambient.signature)
     m = vecdot(sig * gp.alpha_val, gp.H_val[:, None, None, :])
     a_h = np.matmul(gp.ginv_val, m)
     a_h2 = np.trace(np.matmul(a_h, a_h), axis1=-2, axis2=-1)
-    return codazzi.per_point(alpha2 - a_h2 / gp.normH ** 2, one)
+    return alpha2 - a_h2 / gp.normH ** 2
 
 
-def mu_estimate(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
-                margin: float = DEFAULT_MARGIN) -> tuple[float, float]:
+def mu_estimate(gp: GeomPoint) -> tuple[float, float]:
     """Grid supremum of the mu integrand, with its frame cross-check residual.
 
     The cross-check compares the integrand against -2 sum_{i>1} det A_i
     pointwise; the returned pair is (sup, max cross residual).  A NaN
     integrand at any point makes both NaN.
     """
-    u, v = grid_arrays(spec, grid[0], grid[1], margin)
-    val = mu_integrand(spec, u, v)
-    cross = np.abs(val + 2.0 * aux_det_sum(spec.geom(u, v)))
+    val = mu_integrand(gp)
+    cross = np.abs(val + 2.0 * aux_det_sum(gp))
     return float(np.max(val)), float(np.max(cross, initial=0.0))
 
 
 # -- suite orchestration -------------------------------------------------------
 
-def classify_minimality(spec: SurfaceSpec, grid: tuple[int, int],
-                        margin: float) -> tuple[bool, list[str]]:
-    """Decide the pipeline branch from |H| over the grid; band points warn."""
-    h = grid_geometry(spec, grid[0], grid[1], margin).normH
+def classify_minimality(gp: GeomPoint) -> tuple[bool, list[str]]:
+    """Decide the pipeline branch from |H| over the grid ``gp``; band points warn."""
+    h = gp.normH
     warnings: list[str] = []
     max_h = float(np.fmax.reduce(h, initial=0.0))  # a NaN never becomes the maximum
     band = int(np.count_nonzero((MINIMAL_TOL < h) & (h < MINIMAL_WARN_BAND)))
@@ -394,50 +375,39 @@ def classify_minimality(spec: SurfaceSpec, grid: tuple[int, int],
     return max_h <= MINIMAL_TOL, warnings
 
 
-def suite_rows(spec: SurfaceSpec, u: np.ndarray, v: np.ndarray, minimal: bool):
+def suite_rows(gp: GeomPoint, minimal: bool):
     """The suite's rows for the surface's minimality class, in report order.
 
-    Each row is (identity_id, fn) with ``fn(u, v)`` a :func:`grid_report`
-    evaluator over the points (u, v); the operator of the class is built once
-    for all of them.  The ``pmc`` row is :func:`pmc_residual`'s.
+    Each row is (identity_id, fn) with ``fn()`` a :func:`grid_report`
+    evaluator over the points of ``gp``; the operator of the class is built
+    once for all of them.  The ``pmc`` row is :func:`pmc_residual`'s.
     """
     kind = "angle" if minimal else "pmc"
-    op_field = codazzi.field_for(spec, kind)
-    op_field = codazzi.pinned(op_field, op_field.matrix_at(u, v))
-    t_field = functools.cache(lambda: t_field_residuals(spec, u, v))
+    s = codazzi.operator_jets(gp, kind)
+    t_field = functools.cache(lambda: t_field_residuals(gp))
     skip_floor = f"|S| below the floor {codazzi.S_NORM_FLOOR}"
     skip_singular = f"operator singular (|det S| <= {codazzi.SINGULAR_TOL})"
-
-    def norm_det(u, v):
-        s_val = codazzi.matrix_values(op_field.matrix_at(u, v))
-        return codazzi.s_norm_det_identity(s_val, spec.geom(u, v).g_val)
-
-    def mu_check(u, v):
-        return mu_integrand(spec, u, v) + 2.0 * aux_det_sum(spec.geom(u, v))
-
     rows = [
-        (f"codazzi_{kind}", lambda u, v: codazzi.codazzi_residual(spec, u, v, op_field)),
-        ("operator_trace", lambda u, v: codazzi.trace_residual(spec, u, v, op_field)),
-        ("operator_norm_det", norm_det),
-        ("simons_sq", lambda u, v: codazzi.simons_quadratic_residual(spec, u, v, op_field)),
-        ("simons_reduced", lambda u, v: skipping(
-            skip_floor, codazzi.simons_reduced_residual(spec, u, v, op_field))),
-        ("simons_log", lambda u, v: skipping(
-            skip_floor, codazzi.simons_log_residual(spec, u, v, op_field))),
-        ("metric_change", lambda u, v: skipping(
-            skip_singular, codazzi.metric_change(spec, u, v, op_field)[2])),
-        ("inverse_operator_codazzi", lambda u, v: skipping(
-            skip_singular, codazzi.inverse_codazzi_residual(spec, u, v, op_field))),
-        ("ambient_codazzi", lambda u, v: ambient_codazzi_residual(spec, u, v)),
-        ("gauss_equation", lambda u, v: gauss_equation_residual(spec, u, v)),
-        ("t_laplacian", lambda u, v: t_laplacian_residual(spec, u, v)),
-        ("t_field_grad", lambda u, v: t_field()[0]),
-        ("t_field_alpha", lambda u, v: t_field()[1]),
+        (f"codazzi_{kind}", lambda: codazzi.codazzi_residual(gp, s)),
+        ("operator_trace", lambda: codazzi.trace_residual(s)),
+        ("operator_norm_det",
+         lambda: codazzi.s_norm_det_identity(codazzi.matrix_values(s), gp.g_val)),
+        ("simons_sq", lambda: codazzi.simons_quadratic_residual(gp, s)),
+        ("simons_reduced", lambda: skipping(
+            skip_floor, codazzi.simons_reduced_residual(gp, s))),
+        ("simons_log", lambda: skipping(skip_floor, codazzi.simons_log_residual(gp, s))),
+        ("metric_change", lambda: skipping(skip_singular, codazzi.metric_change(gp, s)[2])),
+        ("inverse_operator_codazzi", lambda: skipping(
+            skip_singular, codazzi.inverse_codazzi_residual(gp, s))),
+        ("ambient_codazzi", lambda: ambient_codazzi_residual(gp)),
+        ("gauss_equation", lambda: gauss_equation_residual(gp)),
+        ("t_laplacian", lambda: t_laplacian_residual(gp)),
+        ("t_field_grad", lambda: t_field()[0]),
+        ("t_field_alpha", lambda: t_field()[1]),
     ]
     if not minimal:
-        rows.append(("curvature_formula",
-                     lambda u, v: curvature_formula_residual(spec, u, v, op_field)))
-        rows.append(("mu_consistency", mu_check))
+        rows.append(("curvature_formula", lambda: curvature_formula_residual(gp, s)))
+        rows.append(("mu_consistency", lambda: mu_integrand(gp) + 2.0 * aux_det_sum(gp)))
     return rows
 
 
@@ -449,19 +419,19 @@ def run_suite(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    minimal, class_warnings = classify_minimality(spec, grid, margin)
-    u, v = grid_arrays(spec, nu, nv, margin)
+    gp = grid_geometry(spec, nu, nv, margin)
+    minimal, class_warnings = classify_minimality(gp)
 
     reports: list[ResidualReport] = []
-    for identity_id, fn in suite_rows(spec, u, v, minimal):
-        report = grid_report(spec, identity_id, fn, nu, nv, margin, tol[identity_id])
+    for identity_id, fn in suite_rows(gp, minimal):
+        report = grid_report(gp, identity_id, fn, nu, nv, tol[identity_id])
         if report is None:
             continue
         if class_warnings:
             report.warnings.extend(class_warnings)
         reports.append(report)
 
-    pmc_rep = pmc_residual(spec, grid, margin)
+    pmc_rep = pmc_residual(gp, grid)
     pmc_rep.tolerance = tol["pmc"]
     pmc_rep.passed = pmc_rep.max_abs <= pmc_rep.tolerance
     reports.append(pmc_rep)
@@ -478,15 +448,15 @@ def residual_field(spec: SurfaceSpec, identity_id: str, grid: tuple[int, int],
     if identity_id not in DEFAULT_TOLERANCES:
         known = ", ".join(sorted(DEFAULT_TOLERANCES))
         raise ValueError(f"unknown identity {identity_id!r}; known: {known}")
-    minimal, _ = classify_minimality(spec, grid, margin)
-    u, v = grid_arrays(spec, grid[0], grid[1], margin)
-    rows = dict(suite_rows(spec, u, v, minimal), pmc=functools.partial(_pmc_values, spec))
+    gp = grid_geometry(spec, grid[0], grid[1], margin)
+    minimal, _ = classify_minimality(gp)
+    rows = dict(suite_rows(gp, minimal), pmc=functools.partial(_pmc_values, gp))
     if identity_id not in rows:
         surface_class = "minimal" if minimal else "non-minimal"
         raise ValueError(f"identity {identity_id!r} does not apply to the {surface_class} "
                          f"surface {spec.catalog_id!r}")
-    values, skips = _split(rows[identity_id](u, v))
-    evaluated = ~functools.reduce(np.logical_or, skips.values(), np.zeros(len(u), bool))
+    values, skips = _split(rows[identity_id]())
+    evaluated = ~functools.reduce(np.logical_or, skips.values(), np.zeros(len(gp.u), bool))
     if not evaluated.any():
         reasons = "; ".join(sorted(skips))
         raise ValueError(f"identity {identity_id!r} skipped at every grid point of "

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codazzi, identities
-from .codazzi import CodazziField
 from .geometry import (
     MINIMAL_TOL,
     GeomPoint,
     SurfaceSpec,
     aux_det_sum,
-    grid_arrays,
     grid_geometry,
 )
 from .identities import DEFAULT_GRID, DEFAULT_MARGIN
@@ -93,31 +91,31 @@ class TheoremVerdict:
         }
 
 
-def check_codazzi_dichotomy(spec: SurfaceSpec, op_field: CodazziField | None = None,
+def check_codazzi_dichotomy(spec: SurfaceSpec, kind: str | None = None,
                             grid=DEFAULT_GRID, eps: float = 0.1,
                             margin: float = DEFAULT_MARGIN) -> TheoremVerdict:
     """Sign dichotomy for a traceless Codazzi operator (checker id "1.2").
 
     K >= 0 with |det S| <= eps forces det S constant and K det S == 0;
     K <= 0 with |det S| >= eps > 0 forces det S constant and K == 0.
+    The operator is of ``kind`` 'pmc' or 'angle', by default the one of the
+    surface's minimality class.
     """
     data = grid_geometry(spec, grid[0], grid[1], margin)
-    if op_field is None:
+    if kind is None:
         kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
-        op_field = codazzi.field_for(spec, kind)
-    u, v = grid_arrays(spec, grid[0], grid[1], margin)
-    op_field = codazzi.pinned(op_field, op_field.matrix_at(u, v))
-    worst_codazzi = float(np.max(codazzi.codazzi_residual(spec, u, v, op_field)))
+    s = codazzi.operator_jets(data, kind)
+    worst_codazzi = float(np.max(codazzi.codazzi_residual(data, s)))
     if not worst_codazzi <= CODAZZI_GATE:
         raise GateError(
             f"operator fails the Codazzi gate: residual {worst_codazzi!r} > {CODAZZI_GATE}"
         )
-    worst_trace = float(np.max(codazzi.trace_residual(spec, u, v, op_field)))
+    worst_trace = float(np.max(codazzi.trace_residual(s)))
     if not worst_trace <= CODAZZI_GATE:
         raise GateError(f"operator not traceless: {worst_trace!r}")
 
-    dets = codazzi.det_jet(op_field.matrix_at(u, v)).value
-    verdict = TheoremVerdict("1.2", notes=[CHART_NOTE, f"operator kind: {op_field.kind}"])
+    dets = codazzi.det_jet(s).value
+    verdict = TheoremVerdict("1.2", notes=[CHART_NOTE, f"operator kind: {kind}"])
     k_min, k_max = float(data.K_val.min()), float(data.K_val.max())
     abs_det = np.abs(dets)
 
@@ -161,7 +159,7 @@ def _pmc_gates(spec: SurfaceSpec, grid, margin) -> GeomPoint:
             f"minimal point on grid (min |H| = {float(data.normH.min())!r}); "
             "checker needs a non-minimal surface"
         )
-    pmc_rep = identities.pmc_residual(spec, grid, margin)
+    pmc_rep = identities.pmc_residual(data, grid)
     if not pmc_rep.max_abs <= PMC_GATE:
         raise GateError(
             f"surface fails the PMC gate: max |nabla-perp H| = {pmc_rep.max_abs!r}"
@@ -227,7 +225,7 @@ def check_pmc_flatness_mu(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1
     kappa < 0: K - |H|^2 - kappa + mu/2 <= -eps; kappa > 0: K + mu/2 <= c |H|^2.
     """
     def half_mu(data):
-        mu, _cross = identities.mu_estimate(spec, grid, margin)
+        mu, _cross = identities.mu_estimate(data)
         return -0.5 * mu, [f"mu grid supremum: {mu!r}"]
 
     return _flatness("1.3", spec, grid, eps, c, margin, half_mu)

@@ -15,7 +15,7 @@ import pytest
 
 from prodsurf import catalog, codazzi, identities, theorems
 from prodsurf.cli import main as cli_main
-from prodsurf.geometry import grid_arrays, grid_geometry, grid_points, shape_operator
+from prodsurf.geometry import evaluate_chart, grid_geometry, grid_points, shape_operator
 from prodsurf.jets import Jet2
 from prodsurf.spaceforms import constraint_residual
 
@@ -36,8 +36,8 @@ def criterion(number: int, description: str):
 
 
 def _sweep_max(spec, fn) -> float:
-    """Largest |residual| of an array evaluator over the 33x33 grid."""
-    return float(np.max(np.abs(fn(*grid_arrays(spec, *GRID)))))
+    """Largest |residual| of an array evaluator over the 33x33 grid's geometry."""
+    return float(np.max(np.abs(fn(grid_geometry(spec, *GRID)))))
 
 
 CODAZZI_CASES = [
@@ -51,10 +51,9 @@ def test_criterion_01_codazzi_certification():
     with criterion(1, "Codazzi residual < 1e-9 over 33x33, < 5 s per surface"):
         for sid, params, kind in CODAZZI_CASES:
             spec = catalog.instantiate(sid, params)
-            field = codazzi.field_for(spec, kind)
             start = time.perf_counter()
-            worst = _sweep_max(spec, lambda u, v: codazzi.codazzi_residual(
-                spec, u, v, field))
+            worst = _sweep_max(spec, lambda gp: codazzi.codazzi_residual(
+                gp, codazzi.operator_jets(gp, kind)))
             elapsed = time.perf_counter() - start
             assert worst < 1e-9, (sid, worst)
             assert elapsed < 5.0, (sid, elapsed)
@@ -65,12 +64,11 @@ def test_criterion_02_curvature_formula():
                       "hand expansion to 1e-12"):
         for params in ({"kappa": 1.0, "r": math.pi / 4}, {"kappa": -1.0, "r": 0.3}):
             spec = catalog.instantiate("circle_cylinder", params)
-            worst = _sweep_max(
-                spec, lambda u, v: identities.curvature_formula_residual(spec, u, v))
+            worst = _sweep_max(spec, identities.curvature_formula_residual)
             assert worst < 1e-9, (params, worst)
         spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})
-        u, v = grid_points(spec, 5, 5)[7]
-        terms = identities.curvature_formula_terms(spec, u, v)
+        terms = identities.curvature_formula_terms(
+            evaluate_chart(spec, *grid_points(spec, 5, 5)[7]))
         hand = {"ambient": 0.0, "mean_sq": 0.25, "operator_norm": -1.0,
                 "vertical_quartic": -0.25, "operator_vertical": 1.0,
                 "aux_det_sum": 0.0, "K": 0.0}
@@ -92,27 +90,26 @@ def test_criterion_03_simons_suite(caplog):
                       "log form skipped and logged below the floor"):
         for sid, params, kind in SIMONS_SURFACES:
             spec = catalog.instantiate(sid, params)
-            field = codazzi.field_for(spec, kind)
-            u, v = grid_arrays(spec, *GRID)
-            live = codazzi.norm_sq_jet(field.matrix_at(u, v)).value > 1e-12
-            r_sq = codazzi.simons_quadratic_residual(spec, u, v, field)
+            gp = grid_geometry(spec, *GRID)
+            s = codazzi.operator_jets(gp, kind)
+            live = codazzi.norm_sq_jet(s).value > 1e-12
+            r_sq = codazzi.simons_quadratic_residual(gp, s)
             assert r_sq.max() < 1e-7, (sid, r_sq.max())
-            r_log = codazzi.simons_log_residual(spec, u, v, field)
-            r_red = codazzi.simons_reduced_residual(spec, u, v, field)
+            r_log = codazzi.simons_log_residual(gp, s)
+            r_red = codazzi.simons_reduced_residual(gp, s)
             for r in (r_log, r_red):
                 assert np.array_equal(np.ma.getmaskarray(r), ~live), sid
                 assert r.data[live].max() < 1e-7, (sid, r.data[live].max())
         # the slice's angle operator vanishes: the log form must be skipped
-        spec = catalog.instantiate("slice", {"kappa": 1.0})
-        field = codazzi.field_for(spec, "angle")
+        gp = grid_geometry(catalog.instantiate("slice", {"kappa": 1.0}), 9, 9)
+        s = codazzi.angle_operator_jets(gp)
 
-        def log_form(u, v):
+        def log_form():
             return identities.skipping("|S| below the floor",
-                                       codazzi.simons_log_residual(spec, u, v, field))
+                                       codazzi.simons_log_residual(gp, s))
 
         with caplog.at_level(logging.WARNING, logger="prodsurf"):
-            report = identities.grid_report(spec, "simons_log", log_form,
-                                            9, 9, 0.02, 1e-7)
+            report = identities.grid_report(gp, "simons_log", log_form, 9, 9, 1e-7)
         assert report is None
         assert any("simons_log skipped" in rec.message for rec in caplog.records)
 
@@ -130,11 +127,11 @@ def test_criterion_04_metric_change():
                       "Ktilde from the intrinsic path"):
         for sid, params, kind in METRIC_CHANGE_SURFACES:
             spec = catalog.instantiate(sid, params)
-            field = codazzi.field_for(spec, kind)
-            u, v = grid_arrays(spec, *GRID)
-            det = codazzi.det_jet(field.matrix_at(u, v)).value
+            gp = grid_geometry(spec, *GRID)
+            s = codazzi.operator_jets(gp, kind)
+            det = codazzi.det_jet(s).value
             assert np.abs(det).min() > 1e-8, (sid, np.abs(det).min())
-            gs, _ktilde, residual = codazzi.metric_change(spec, u, v, field)
+            gs, _ktilde, residual = codazzi.metric_change(gp, s)
             assert residual.max() < 1e-8, (sid, residual.max())
             gs_val = codazzi.matrix_values(gs)
             assert (gs_val[:, 0, 0] > 0).all() and (np.linalg.det(gs_val) > 0).all()
@@ -201,17 +198,14 @@ def test_criterion_07_negative_control():
                       "structural identities stay < 1e-8"):
         spec = catalog.instantiate("perturbed_control",
                                    {"kappa": 1.0, "r": math.pi / 4})
-        report = identities.pmc_residual(spec, GRID)
+        report = identities.pmc_residual(grid_geometry(spec, *GRID), GRID)
         assert report.max_abs > 1e-3, report.max_abs
-        field = codazzi.field_for(spec, "pmc")
         worst_codazzi = _sweep_max(
-            spec, lambda u, v: codazzi.codazzi_residual(spec, u, v, field))
+            spec, lambda gp: codazzi.codazzi_residual(gp, codazzi.pmc_operator_jets(gp)))
         assert worst_codazzi > 1e-3, worst_codazzi
-        worst_gauss = _sweep_max(
-            spec, lambda u, v: identities.gauss_equation_residual(spec, u, v))
+        worst_gauss = _sweep_max(spec, identities.gauss_equation_residual)
         assert worst_gauss < 1e-8, worst_gauss
-        worst_ambient = _sweep_max(
-            spec, lambda u, v: identities.ambient_codazzi_residual(spec, u, v))
+        worst_ambient = _sweep_max(spec, identities.ambient_codazzi_residual)
         assert worst_ambient < 1e-8, worst_ambient
 
 
@@ -289,7 +283,7 @@ def test_criterion_09_frame_invariance():
                 gp = spec.geom(u, v)
                 xi, normH = gp.xi[0], gp.normH[0]
                 base_det = sum(np.linalg.det(a) for a in gp.A[0, 1:])
-                base_mu = identities.mu_integrand(spec, u, v)
+                base_mu = identities.mu_integrand(gp)[0]
                 for _ in range(10):
                     angle = rng.uniform(0.0, 2.0 * math.pi)
                     q = np.array([[math.cos(angle), -math.sin(angle)],

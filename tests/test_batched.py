@@ -1,9 +1,9 @@
 """The array evaluators against their one-point calls, and their cost per grid.
 
-A one-point call runs the evaluator on a batch of one, so it cannot see the
-other points of a grid: agreement at every grid point, bit for bit, pins the
-per-point masks (frame seeding, dropped axes, skipped points) of the batched
-path.
+A point is evaluated as a batch of one, ``evaluate_chart(spec, u, v)``, so it
+cannot see the other points of a grid: agreement at every grid point, bit for
+bit, pins the per-point masks (frame seeding, dropped axes, skipped points) of
+the batched path.
 """
 
 import math
@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from prodsurf import catalog, codazzi, identities, jets, theorems
-from prodsurf.codazzi import NormFloorError, SingularOperatorError
 from prodsurf.geometry import (
     MINIMAL_TOL,
     MINIMAL_WARN_BAND,
     SurfaceSpec,
-    grid_arrays,
+    evaluate_chart,
     grid_geometry,
     normal_connection_derivative,
     normal_frame_jets,
@@ -34,87 +33,65 @@ def _same(batch, one, what):
     assert np.array_equal(batch, one.reshape(batch.shape), equal_nan=True), what
 
 
-def _one_point_memo(fn, freeze=False):
-    """``fn(u, v)`` evaluated once per single point, however many evaluators ask.
-
-    A float point and a coordinate array of length one share the entry: both
-    are evaluated as the same batch of one, which
-    ``test_geometry.py::TestBatchedGeometry`` compares with the grid's batch
-    bit for bit.  With ``freeze`` the jets of a matrix result are made
-    read-only, so a reader that wrote into a shared entry would fail.
-    """
-    seen = {}
-
-    def memo(u, v):
-        if np.size(u) != 1:
-            return fn(u, v)
-        key = (float(np.ravel(u)[0]), float(np.ravel(v)[0]))
-        if key not in seen:
-            seen[key] = fn(u, v)
-            for row in seen[key] if freeze else ():
-                for x in row:
-                    x.c.flags.writeable = False
-        return seen[key]
-
-    return memo
-
-
-def _evaluators(spec, minimal):
-    """The rows, and the field they share, so that a test can memoize its operator."""
-    field = codazzi.field_for(spec, "angle" if minimal else "pmc")
+def _evaluators(minimal):
+    """The rows as functions of a geometry batch and its operator matrix; the
+    second dict's rows mask the points where their identity is undefined."""
     rows = {
-        "codazzi": lambda u, v: codazzi.codazzi_residual(spec, u, v, field),
-        "trace": lambda u, v: codazzi.trace_residual(spec, u, v, field),
-        "grad_tensor": lambda u, v: codazzi.grad_tensor_norm_sq(spec, u, v, field),
-        "simons_sq": lambda u, v: codazzi.simons_quadratic_residual(spec, u, v, field),
-        "ambient_codazzi": lambda u, v: identities.ambient_codazzi_residual(spec, u, v),
-        "gauss": lambda u, v: identities.gauss_equation_residual(spec, u, v),
-        "t_laplacian": lambda u, v: identities.t_laplacian_residual(spec, u, v),
-        "t_field_grad": lambda u, v: identities.t_field_residuals(spec, u, v)[0],
-        "t_field_alpha": lambda u, v: identities.t_field_residuals(spec, u, v)[1],
-        "operator": lambda u, v: codazzi.matrix_values(field.matrix_at(u, v)),
-        "pmc_u": lambda u, v: normal_connection_derivative(spec, u, v, lambda g: g.H, "u"),
+        "codazzi": codazzi.codazzi_residual,
+        "trace": lambda gp, s: codazzi.trace_residual(s),
+        "grad_tensor": codazzi.grad_tensor_norm_sq,
+        "simons_sq": codazzi.simons_quadratic_residual,
+        "ambient_codazzi": lambda gp, s: identities.ambient_codazzi_residual(gp),
+        "gauss": lambda gp, s: identities.gauss_equation_residual(gp),
+        "t_laplacian": lambda gp, s: identities.t_laplacian_residual(gp),
+        "t_field_grad": lambda gp, s: identities.t_field_residuals(gp)[0],
+        "t_field_alpha": lambda gp, s: identities.t_field_residuals(gp)[1],
+        "operator": lambda gp, s: codazzi.matrix_values(s),
+        "s_norm_det": lambda gp, s: codazzi.s_norm_det_identity(codazzi.matrix_values(s),
+                                                                gp.g_val),
+        "pmc_u": lambda gp, s: normal_connection_derivative(gp, lambda g: g.H, "u"),
     }
     if not minimal:
-        rows["curvature_formula"] = lambda u, v: identities.curvature_formula_residual(
-            spec, u, v)
-        rows["mu_integrand"] = lambda u, v: identities.mu_integrand(spec, u, v)
+        rows["curvature_formula"] = identities.curvature_formula_residual
+        rows["mu_integrand"] = lambda gp, s: identities.mu_integrand(gp)
     skipping = {
-        "simons_reduced": (NormFloorError,
-                           lambda u, v: codazzi.simons_reduced_residual(spec, u, v, field)),
-        "simons_log": (NormFloorError,
-                       lambda u, v: codazzi.simons_log_residual(spec, u, v, field)),
-        "metric_change": (SingularOperatorError,
-                          lambda u, v: codazzi.metric_change(spec, u, v, field)[2]),
-        "inverse_codazzi": (SingularOperatorError,
-                            lambda u, v: codazzi.inverse_codazzi_residual(spec, u, v, field)),
+        "simons_reduced": codazzi.simons_reduced_residual,
+        "simons_log": codazzi.simons_log_residual,
+        "metric_change": lambda gp, s: codazzi.metric_change(gp, s)[2],
+        "inverse_codazzi": codazzi.inverse_codazzi_residual,
     }
-    return field, rows, skipping
+    return rows, skipping
+
+
+def _frozen(s):
+    """The jet matrix ``s`` made read-only, so a reader that wrote into it fails."""
+    for row in s:
+        for x in row:
+            x.c.flags.writeable = False
+    return s
 
 
 @pytest.mark.parametrize("sid,params", BATCH_BRANCHES)
 def test_batch_equals_one_point_calls(sid, params):
     spec = catalog.instantiate(sid, params)
-    minimal, _ = identities.classify_minimality(spec, (9, 9), 0.02)
-    u, v = grid_arrays(spec, 9, 9)
-    field, rows, skipping = _evaluators(spec, minimal)
-    batch = {name: fn(u, v) for name, fn in rows.items()}
-    masked = {name: fn(u, v) for name, (_, fn) in skipping.items()}
-    s_norm_det = codazzi.s_norm_det_identity(batch["operator"], grid_geometry(spec, 9, 9).g_val)
-    # each point's geometry and operator are built once and read by every row
-    spec.geom = _one_point_memo(spec.geom)
-    field.matrix_at = _one_point_memo(field.matrix_at, freeze=True)
-    for k in range(len(u)):
+    gp = grid_geometry(spec, 9, 9)
+    minimal, _ = identities.classify_minimality(gp)
+    kind = "angle" if minimal else "pmc"
+    rows, skipping = _evaluators(minimal)
+    s = codazzi.operator_jets(gp, kind)
+    batch = {name: fn(gp, s) for name, fn in rows.items()}
+    masked = {name: fn(gp, s) for name, fn in skipping.items()}
+    for k in range(len(gp.u)):
+        # each point's geometry and operator are built once and read by every row
+        one = evaluate_chart(spec, gp.u[k], gp.v[k])
+        s_one = _frozen(codazzi.operator_jets(one, kind))
         for name, fn in rows.items():
-            _same(batch[name][k], fn(u[k], v[k]), (name, k))
-        _same(s_norm_det[k], codazzi.s_norm_det_identity(batch["operator"][k],
-                                                         spec.geom(u[k], v[k]).g_val), k)
-        for name, (error, fn) in skipping.items():
-            if np.ma.getmaskarray(masked[name])[k]:
-                with pytest.raises(error):
-                    fn(u[k], v[k])
-            else:
-                _same(masked[name].data[k], fn(u[k], v[k]), (name, k))
+            _same(batch[name][k], fn(one, s_one), (name, k))
+        for name, fn in skipping.items():
+            got = fn(one, s_one)
+            assert np.ma.getmaskarray(got)[0] == np.ma.getmaskarray(masked[name])[k], (name, k)
+            if not np.ma.getmaskarray(got)[0]:
+                _same(masked[name].data[k], got.data, (name, k))
 
 
 def test_mixed_frame_choices_match_one_point_calls():
@@ -125,7 +102,6 @@ def test_mixed_frame_choices_match_one_point_calls():
         return [u, v, 1e-6 * u * u * u + 0.3 * u + 0.2 * v]
 
     spec = SurfaceSpec("graph", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2), chart)
-    u, v = grid_arrays(spec, 9, 9)
     gp = grid_geometry(spec, 9, 9)
     seeded = gp.normH > MINIMAL_TOL
     banded = gp.normH <= MINIMAL_WARN_BAND
@@ -135,33 +111,31 @@ def test_mixed_frame_choices_match_one_point_calls():
         "ambient_codazzi": identities.ambient_codazzi_residual,
         "gauss": identities.gauss_equation_residual,
         "t_laplacian": identities.t_laplacian_residual,
-        "t_field_grad": lambda spec, u, v: identities.t_field_residuals(spec, u, v)[0],
-        "t_field_alpha": lambda spec, u, v: identities.t_field_residuals(spec, u, v)[1],
+        "t_field_grad": lambda gp: identities.t_field_residuals(gp)[0],
+        "t_field_alpha": lambda gp: identities.t_field_residuals(gp)[1],
     }
-    batch = {name: fn(spec, u, v) for name, fn in rows.items()}
-    spec.geom = _one_point_memo(spec.geom)
-    for k in range(len(u)):
-        one = spec.geom(u[k], v[k])
+    batch = {name: fn(gp) for name, fn in rows.items()}
+    for k in range(len(gp.u)):
+        one = evaluate_chart(spec, gp.u[k], gp.v[k])
         _same(gp.xi[k], one.xi, ("xi", k))
         for xi_batch, xi_one in zip(frame, normal_frame_jets(one)):
             for a, b in zip(xi_batch, xi_one):
                 order = min(a.order, b.order)
                 _same(a.truncate(order).c[k], b.truncate(order).c, ("frame", k))
         for name, fn in rows.items():
-            _same(batch[name][k], fn(spec, u[k], v[k]), (name, k))
+            _same(batch[name][k], fn(one), (name, k))
 
 
 def test_skip_masks_are_live_on_the_branches():
     # the equivalence above covers both sides of every skip mask
-    spec = catalog.instantiate("slice", {"kappa": 1.0})
-    field = codazzi.field_for(spec, "angle")
-    u, v = grid_arrays(spec, 9, 9)
-    assert np.ma.getmaskarray(codazzi.simons_log_residual(spec, u, v, field)).all()
-    assert np.ma.getmaskarray(codazzi.metric_change(spec, u, v, field)[2]).all()
+    gp = grid_geometry(catalog.instantiate("slice", {"kappa": 1.0}), 9, 9)
+    s = codazzi.angle_operator_jets(gp)
+    assert np.ma.getmaskarray(codazzi.simons_log_residual(gp, s)).all()
+    assert np.ma.getmaskarray(codazzi.metric_change(gp, s)[2]).all()
     spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2})
-    field = codazzi.field_for(spec, "pmc")
-    u, v = grid_arrays(spec, 9, 9)
-    assert not np.ma.getmaskarray(codazzi.simons_log_residual(spec, u, v, field)).any()
+    gp = grid_geometry(spec, 9, 9)
+    s = codazzi.pmc_operator_jets(gp)
+    assert not np.ma.getmaskarray(codazzi.simons_log_residual(gp, s)).any()
 
 
 def _count_products(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prodsurf.catalog import CatalogError, catalog_list, instantiate
-from prodsurf.geometry import grid_points
+from prodsurf.geometry import grid_geometry, grid_points
 from prodsurf.spaceforms import constraint_residual
 
 from conftest import get_surface
@@ -143,7 +143,7 @@ class TestClosedFormInvariants:
         from prodsurf.identities import pmc_residual
 
         spec = get_surface("perturbed_control", kappa=1.0, r=math.pi / 4)
-        report = pmc_residual(spec, grid=(9, 9))
+        report = pmc_residual(grid_geometry(spec, 9, 9), (9, 9))
         assert report.max_abs > 1e-3
         for (u, v) in _random_domain_points(spec, n=20):
             from prodsurf.jets import Jet2

@@ -261,8 +261,8 @@ class TestFieldCommand:
     def test_residual_leaves_out_skipped_points(self, tmp_path, monkeypatch):
         from prodsurf import codazzi
 
-        def half_skipped(spec, u, v, field):
-            return np.ma.masked_array(np.zeros(len(u)), np.arange(len(u)) % 2 == 1)
+        def half_skipped(gp, s):
+            return np.ma.masked_array(np.zeros(len(gp.u)), np.arange(len(gp.u)) % 2 == 1)
 
         monkeypatch.setattr(codazzi, "simons_log_residual", half_skipped)
         out = tmp_path / "f.csv"

@@ -15,7 +15,6 @@ from prodsurf.geometry import (
     evaluate_chart,
     gauss_curvature_brioschi,
     grad_norm_sq,
-    grid_arrays,
     grid_geometry,
     grid_points,
     normal_connection_derivative,
@@ -207,34 +206,47 @@ class TestNormalConnection:
     def test_slice_vertical_field_parallel(self):
         spec = get_surface("slice", kappa=1.0)
         for direction in "uv":
-            d = normal_connection_derivative(spec, 1.0, 0.5, lambda gp: gp.eta, direction)
+            d = normal_connection_derivative(evaluate_chart(spec, 1.0, 0.5), lambda gp: gp.eta, direction)
             assert np.abs(d).max() < 1e-12
 
     def test_pmc_surface_has_parallel_h(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
         for direction in "uv":
-            d = normal_connection_derivative(spec, 1.3, 0.2, lambda gp: gp.H, direction)
+            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.H, direction)
             assert np.abs(d).max() < 1e-9
 
     def test_warped_chart_same_surface(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4, warp=0.3)
         for direction in "uv":
-            d = normal_connection_derivative(spec, 1.3, 0.2, lambda gp: gp.H, direction)
+            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.H, direction)
             assert np.abs(d).max() < 1e-9
 
     def test_vanishing_normal_part_of_vertical_field(self):
         # the cylinder's vertical field is tangent, so eta == 0 stays parallel
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
         for direction in "uv":
-            d = normal_connection_derivative(spec, 1.3, 0.2, lambda gp: gp.eta, direction)
+            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.eta, direction)
             assert np.abs(d).max() < 1e-12
 
     def test_non_normal_field_rejected(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
         with pytest.raises(NotNormalError):
             normal_connection_derivative(
-                spec, 1.0, 0.0, lambda gp: [f + h for f, h in zip(gp.fu, gp.H)], "u"
+                evaluate_chart(spec, 1.0, 0.0),
+                lambda gp: [f + h for f, h in zip(gp.fu, gp.H)], "u"
             )
+
+
+class TestNormalPart:
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.0])
+    def test_one_vector_stands_for_every_point(self, kappa):
+        # as in shape_operator, one flat vector is that vector at every point
+        spec = catalog.instantiate("circle_cylinder", {"kappa": kappa, "r": 0.6, "pad": 2})
+        w = np.linspace(0.3, 1.1, spec.ambient.flat_dim)
+        for gp in (grid_geometry(spec, 5, 5), evaluate_chart(spec, 1.0, 0.3)):
+            repeated = np.repeat(w[None], len(gp.u), axis=0)
+            assert np.array_equal(geometry._normal_part(gp, w),
+                                  geometry._normal_part(gp, repeated))
 
 
 class TestLaplaceBeltrami:
@@ -470,23 +482,30 @@ class TestBatchedGeometry:
                     assert a.shape == b.shape, name
                     assert np.array_equal(a, b, equal_nan=True), (name, u, v)
 
-    def test_batch_is_one_call_above_the_old_cache_bound(self, monkeypatch):
-        spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["hypothesis", "--theorem", "1.2"],
+        ["hypothesis", "--theorem", "1.2", "--surface", "cor32_flat_minimal",
+         "--param", "kappa=1", "--param", "theta=0.7"],
+        ["hypothesis", "--theorem", "1.3"],
+        ["hypothesis", "--theorem", "3.1"],
+        ["hypothesis", "--theorem", "cor", "--surface", "cor32_flat_minimal",
+         "--param", "kappa=1", "--param", "theta=0.7"],
+        ["field", "--quantity", "normS"],
+        ["field", "--quantity", "detS"],
+        ["field", "--quantity", "detS", "--tilde"],
+        ["field", "--quantity", "mu_integrand"],
+        ["field", "--quantity", "residual:simons_log"],
+        ["field", "--quantity", "residual:pmc"],
+    ], ids=["verify", "1.2", "1.2-cor32", "1.3", "3.1", "cor", "normS", "detS", "detS-tilde",
+            "mu_integrand", "residual-simons_log", "residual-pmc"])
+    def test_verify_is_one_evaluation(self, argv, monkeypatch):
+        # every evaluator of an operation reads the one geometry batch its entry point made
         calls = _count_evaluations(monkeypatch)
-        pts = grid_points(spec, 51, 51)
-        assert len(pts) == 2601
-        for _ in range(2):
-            u, v = grid_arrays(spec, 51, 51)
-            spec.geom(u, v)
-            spec.geom(np.array(u), np.array(v))  # equal arrays find the same batch
-            grid_geometry(spec, 51, 51)
-        assert calls == [2601]
-
-    def test_verify_is_one_evaluation(self, monkeypatch):
-        calls = _count_evaluations(monkeypatch)
-        assert cli_main(["verify", "--surface", "circle_cylinder", "--param", "kappa=1",
-                         "--param", "r=0.6", "--param", "pad=2", "--grid", "9x9",
-                         "--output", os.devnull]) == 0
+        surface = [] if "--surface" in argv else [
+            "--surface", "circle_cylinder", "--param", "kappa=1", "--param", "r=0.6",
+            "--param", "pad=2"]
+        assert cli_main(argv + surface + ["--grid", "9x9", "--output", os.devnull]) == 0
         assert calls == [81]
 
     def test_verify_builds_one_normal_frame_per_grid(self, monkeypatch):
@@ -569,9 +588,8 @@ class TestBatchedGeometry:
     def test_batch_arrays_are_read_only(self):
         spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2})
         gp = grid_geometry(spec, 5, 5)
-        u, v = grid_arrays(spec, 5, 5)
         with pytest.raises(ValueError):
-            u[0] = 0.0
+            gp.u[0] = 0.0
         with pytest.raises(ValueError):
             gp.K.c[0] = 1.0
         with pytest.raises(ValueError):

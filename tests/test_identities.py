@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from prodsurf import catalog, identities, jets
+from prodsurf import identities, jets
 from prodsurf.geometry import (
     MinimalSurfaceError,
     SurfaceSpec,
+    evaluate_chart,
     grid_arrays,
+    grid_geometry,
     grid_points,
 )
 from prodsurf.spaceforms import make_ambient
@@ -51,26 +53,27 @@ def _probe(spec, frac=(0.37, 0.61)):
     return (u0 + frac[0] * (u1 - u0), v0 + frac[1] * (v1 - v0))
 
 
+def _at(spec, frac=(0.37, 0.61)):
+    """The geometry at the probe point, a batch of one."""
+    return evaluate_chart(spec, *_probe(spec, frac))
+
+
 class TestAmbientCodazzi:
     def test_slice_parallel_normal(self):
         spec = get_surface("slice", kappa=1.0)
-        u, v = _probe(spec)
-        assert ambient_codazzi_residual(spec, u, v, lambda gp: gp.eta) < 1e-12
+        assert ambient_codazzi_residual(_at(spec), lambda gp: gp.eta) < 1e-12
 
     def test_circle_cylinder_horizontal_normal(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        u, v = _probe(spec)
-        assert ambient_codazzi_residual(spec, u, v) < 1e-9
+        assert ambient_codazzi_residual(_at(spec)) < 1e-9
 
     def test_cor32_frame(self):
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
-        u, v = _probe(spec)
-        assert ambient_codazzi_residual(spec, u, v) < 1e-8
+        assert ambient_codazzi_residual(_at(spec)) < 1e-8
 
     def test_holds_on_any_surface(self):
         spec = get_surface("perturbed_control", kappa=1.0, r=math.pi / 4)
-        u, v = _probe(spec)
-        assert ambient_codazzi_residual(spec, u, v) < 1e-8
+        assert ambient_codazzi_residual(_at(spec)) < 1e-8
 
     def test_fd_oracle_step_halving(self):
         # both sides nonzero on the helical surface; the finite-difference
@@ -92,22 +95,20 @@ class TestAmbientCodazzi:
             return [u, v, 1e-6 * u * u * u + 0.2 * v]
 
         spec = SurfaceSpec("graph", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2), chart)
-        res = ambient_codazzi_residual(spec, *grid_arrays(spec, 9, 9))
+        res = ambient_codazzi_residual(grid_geometry(spec, 9, 9))
         assert np.all(res <= 1e-8)
 
 
 class TestCurvatureFormula:
     def test_circle_cylinder_positive_ambient(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        u, v = _probe(spec)
-        assert curvature_formula_residual(spec, u, v) < 1e-10
+        assert curvature_formula_residual(_at(spec)) < 1e-10
 
     def test_hand_expansion_term_by_term(self):
         # r = pi/4, kappa = 1: |H| = 1/2, |T| = 1, |S|^2 = 2, det S = -1,
         # <ST, T> = -1, so the terms are 0, 1/4, -1, -1/4, +1, 0
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        u, v = _probe(spec)
-        terms = curvature_formula_terms(spec, u, v)
+        terms = curvature_formula_terms(_at(spec))
         assert terms["ambient"] == pytest.approx(0.0, abs=1e-12)
         assert terms["mean_sq"] == pytest.approx(0.25, abs=1e-12)
         assert terms["operator_norm"] == pytest.approx(-1.0, abs=1e-12)
@@ -119,31 +120,30 @@ class TestCurvatureFormula:
 
     def test_hyperbolic_ambient(self):
         spec = get_surface("circle_cylinder", kappa=-1.0, r=0.3)
-        u, v = _probe(spec)
-        assert curvature_formula_residual(spec, u, v) < 1e-9
+        assert curvature_formula_residual(_at(spec)) < 1e-9
 
     def test_minimal_rejected(self):
         spec = get_surface("slice", kappa=1.0)
         with pytest.raises(MinimalSurfaceError):
-            curvature_formula_residual(spec, *_probe(spec))
+            curvature_formula_residual(_at(spec))
 
 
 class TestTLaplacian:
     def test_slice(self):
         spec = get_surface("slice", kappa=1.0)
-        assert t_laplacian_residual(spec, *_probe(spec)) < 1e-12
+        assert t_laplacian_residual(_at(spec)) < 1e-12
 
     def test_vertical_cylinder(self):
         spec = get_surface("vertical_geodesic_cylinder", kappa=-1.0)
-        assert t_laplacian_residual(spec, *_probe(spec)) < 1e-10
+        assert t_laplacian_residual(_at(spec)) < 1e-10
 
     def test_circle_cylinder(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        assert t_laplacian_residual(spec, *_probe(spec)) < 1e-9
+        assert t_laplacian_residual(_at(spec)) < 1e-9
 
     def test_helical_minimal_surface(self):
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
-        assert t_laplacian_residual(spec, *_probe(spec)) < 1e-9
+        assert t_laplacian_residual(_at(spec)) < 1e-9
 
     def test_rotational_cmc_graph_sums_the_whole_frame(self):
         # |A_{H/|H|} T|^2 is the whole sum on this hypersurface; dropping it
@@ -163,26 +163,24 @@ class TestTLaplacian:
     ])
     def test_cylinders_over_the_grid(self, params):
         spec = get_surface("circle_cylinder", **params)
-        u, v = grid_arrays(spec, 9, 9)
-        assert t_laplacian_residual(spec, u, v).max() < 1e-14
+        assert t_laplacian_residual(grid_geometry(spec, 9, 9)).max() < 1e-14
 
     def test_fails_without_parallel_mean_curvature(self):
         spec = get_surface("perturbed_control", kappa=1.0, r=math.pi / 4)
-        vals = [t_laplacian_residual(spec, u, v)
-                for (u, v) in [_probe(spec), _probe(spec, (0.2, 0.8))]]
-        assert max(vals) > 1e-4
+        u, v = np.array([_probe(spec), _probe(spec, (0.2, 0.8))]).T
+        assert t_laplacian_residual(evaluate_chart(spec, u, v)).max() > 1e-4
 
 
 class TestPmcReport:
     def test_circle_cylinder_parallel(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        report = pmc_residual(spec, grid=(9, 9))
+        report = pmc_residual(grid_geometry(spec, 9, 9), (9, 9))
         assert report.max_abs < 1e-9
         assert report.passed
 
     def test_perturbed_control_fails(self):
         spec = get_surface("perturbed_control", kappa=1.0, r=math.pi / 4)
-        report = pmc_residual(spec, grid=(9, 9))
+        report = pmc_residual(grid_geometry(spec, 9, 9), (9, 9))
         assert report.max_abs > 1e-3
         assert not report.passed
         # independent check: |H| genuinely varies along v
@@ -196,7 +194,7 @@ class TestPmcReport:
 
     def test_slice_flagged_minimal(self):
         spec = get_surface("slice", kappa=-1.0)
-        report = pmc_residual(spec, grid=(7, 7))
+        report = pmc_residual(grid_geometry(spec, 7, 7), (7, 7))
         assert report.max_abs < 1e-12
         assert any("minimal" in w for w in report.warnings)
 
@@ -204,39 +202,39 @@ class TestPmcReport:
 class TestMuEstimate:
     def test_hypersurface_is_zero(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        mu, cross = mu_estimate(spec, grid=(7, 7))
+        mu, cross = mu_estimate(grid_geometry(spec, 7, 7))
         assert abs(mu) < 1e-10
         assert cross < 1e-10
 
     def test_padded_embedding_adds_nothing(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2)
-        mu, cross = mu_estimate(spec, grid=(7, 7))
+        mu, cross = mu_estimate(grid_geometry(spec, 7, 7))
         assert abs(mu) < 1e-9
         assert cross < 1e-9
 
     def test_minimal_rejected(self):
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
         with pytest.raises(MinimalSurfaceError):
-            mu_estimate(spec, grid=(5, 5))
+            mu_estimate(grid_geometry(spec, 5, 5))
 
     def test_nan_integrand_reaches_both_results(self, monkeypatch):
         spec = get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2)
         original = identities.mu_integrand
 
-        def one_nan(spec, u, v):
-            values = np.array(original(spec, u, v))
+        def one_nan(gp):
+            values = np.array(original(gp))
             values[12] = math.nan
             return values
 
         monkeypatch.setattr(identities, "mu_integrand", one_nan)
-        mu, cross = mu_estimate(spec, grid=(5, 5))
+        mu, cross = mu_estimate(grid_geometry(spec, 5, 5))
         assert math.isnan(mu) and math.isnan(cross)
 
 
 class TestGaussEquation:
     def test_slice_totally_geodesic(self):
         spec = get_surface("slice", kappa=1.0)
-        assert gauss_equation_residual(spec, *_probe(spec)) < 1e-10
+        assert gauss_equation_residual(_at(spec)) < 1e-10
 
     @pytest.mark.parametrize("sid,params", [
         ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4}),
@@ -248,7 +246,7 @@ class TestGaussEquation:
     def test_structure_equation_everywhere(self, sid, params):
         spec = get_surface(sid, **params)
         for frac in [(0.3, 0.4), (0.7, 0.2), (0.5, 0.9)]:
-            assert gauss_equation_residual(spec, *_probe(spec, frac)) < 1e-8
+            assert gauss_equation_residual(_at(spec, frac)) < 1e-8
 
     def test_intrinsic_curvature_fd_oracle(self):
         # the warped chart has genuinely varying Christoffels; differencing
@@ -285,25 +283,24 @@ class TestTFieldIdentities:
     ])
     def test_vertical_field_relations(self, sid, params):
         spec = get_surface(sid, **params)
-        grad_res, alpha_res = t_field_residuals(spec, *_probe(spec))
+        grad_res, alpha_res = t_field_residuals(_at(spec))
         assert grad_res < 1e-9
         assert alpha_res < 1e-9
 
 
 class TestGridReport:
     def test_residuals_do_not_depend_on_grid(self):
+        # a point's residual is the same alone and appended to a grid's points
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        u, v = _probe(spec)
-        grid_points(spec, 5, 5)
-        a = gauss_equation_residual(spec, u, v)
-        fresh = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})
-        assert a == gauss_equation_residual(fresh, u, v)
+        u, v = grid_arrays(spec, 5, 5)
+        pu, pv = _probe(spec)
+        among = gauss_equation_residual(evaluate_chart(spec, np.r_[u, pu], np.r_[v, pv]))
+        assert among[-1] == gauss_equation_residual(_at(spec))[0]
 
     def test_report_shape(self):
-        spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        report = grid_report(spec, "gauss_equation",
-                             lambda u, v: gauss_equation_residual(spec, u, v),
-                             5, 5, 0.02, 1e-8)
+        gp = grid_geometry(get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4), 5, 5)
+        report = grid_report(gp, "gauss_equation", lambda: gauss_equation_residual(gp),
+                             5, 5, 1e-8)
         assert isinstance(report, ResidualReport)
         assert report.grid == (5, 5)
         assert report.passed == (report.max_abs <= report.tolerance)
@@ -314,27 +311,27 @@ class TestGridReport:
         assert all(len(p) == 2 for p in pts)
 
     def test_all_points_skipped_returns_none(self):
-        spec = get_surface("slice", kappa=1.0)
+        gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
 
-        def always_skip(u, v):
-            return np.zeros(len(u)), {"not applicable here": np.ones(len(u), dtype=bool)}
+        def always_skip():
+            return np.zeros(25), {"not applicable here": np.ones(25, dtype=bool)}
 
-        assert grid_report(spec, "x", always_skip, 5, 5, 0.02, 1.0) is None
+        assert grid_report(gp, "x", always_skip, 5, 5, 1.0) is None
 
     def test_partial_skips_warn_and_leave_the_mean(self):
         spec = get_surface("slice", kappa=1.0)
 
-        def residual(u, v):
-            values = np.full(len(u), 2.0)
+        def residual():
+            values = np.full(25, 2.0)
             values[3] = 100.0  # skipped, so neither the maximum nor in the mean
             values[4] = 4.0
-            low = np.zeros(len(u), dtype=bool)
+            low = np.zeros(25, dtype=bool)
             low[[0, 3]] = True
-            singular = np.zeros(len(u), dtype=bool)
+            singular = np.zeros(25, dtype=bool)
             singular[10] = True
             return values, {"low": low, "singular": singular}
 
-        report = grid_report(spec, "x", residual, 5, 5, 0.02, 5.0)
+        report = grid_report(grid_geometry(spec, 5, 5), "x", residual, 5, 5, 5.0)
         assert report.warnings == ["skipped at 2 of 25 points: low",
                                    "skipped at 1 of 25 points: singular"]
         assert report.max_abs == 4.0
@@ -343,9 +340,8 @@ class TestGridReport:
         assert report.passed
 
     def test_all_nan_residual_fails(self):
-        spec = get_surface("slice", kappa=1.0)
-        report = grid_report(spec, "x", lambda u, v: np.full(len(u), math.nan),
-                             5, 5, 0.02, 1.0)
+        gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
+        report = grid_report(gp, "x", lambda: np.full(25, math.nan), 5, 5, 1.0)
         assert math.isnan(report.max_abs)
         assert not report.passed
 
@@ -353,22 +349,21 @@ class TestGridReport:
         spec = get_surface("slice", kappa=1.0)
         bad = grid_points(spec, 5, 5, 0.02)[7]
 
-        def residual(u, v):
-            values = np.full(len(u), 1e-12)
+        def residual():
+            values = np.full(25, 1e-12)
             values[7] = math.nan
             values[20] = 5.0
             return values
 
-        report = grid_report(spec, "x", residual, 5, 5, 0.02, 1.0)
+        report = grid_report(grid_geometry(spec, 5, 5), "x", residual, 5, 5, 1.0)
         assert math.isnan(report.max_abs)
         assert report.argmax == bad
         assert not report.passed
         assert not report.to_dict()["passed"]
 
     def test_infinite_residual_fails(self):
-        spec = get_surface("slice", kappa=1.0)
-        report = grid_report(spec, "x", lambda u, v: np.full(len(u), -math.inf),
-                             5, 5, 0.02, 1.0)
+        gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
+        report = grid_report(gp, "x", lambda: np.full(25, -math.inf), 5, 5, 1.0)
         assert report.max_abs == math.inf
         assert not report.passed
 
@@ -377,21 +372,20 @@ class TestGridReport:
         # floor everywhere and the stand-in residuals must not be reported.
         from prodsurf import codazzi
 
-        spec = get_surface("slice", kappa=1.0)
-        field = codazzi.field_for(spec, "angle")
-        assert grid_report(spec, "simons_log",
-                           lambda u, v: codazzi.simons_log_residual(spec, u, v, field),
-                           5, 5, 0.02, 1e-7) is None
+        gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
+        s = codazzi.angle_operator_jets(gp)
+        assert grid_report(gp, "simons_log", lambda: codazzi.simons_log_residual(gp, s),
+                           5, 5, 1e-7) is None
 
     def test_partly_masked_evaluator_warns_and_leaves_the_mean(self):
-        spec = get_surface("slice", kappa=1.0)
+        gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
 
-        def residual(u, v):
-            values = np.full(len(u), 2.0)
+        def residual():
+            values = np.full(25, 2.0)
             values[3] = 100.0
-            return np.ma.masked_array(values, np.arange(len(u)) == 3)
+            return np.ma.masked_array(values, np.arange(25) == 3)
 
-        report = grid_report(spec, "x", residual, 5, 5, 0.02, 5.0)
+        report = grid_report(gp, "x", residual, 5, 5, 5.0)
         assert report.warnings == [
             "skipped at 1 of 25 points: identity undefined (masked by its evaluator)"]
         assert report.max_abs == 2.0
@@ -410,7 +404,7 @@ class TestClassification:
                                    {"kappa": 1.0, "r": math.pi / 2 - 2e-7})
         gp = spec.geom(1.0, 0.0)
         assert 1e-8 < gp.normH < 1e-6
-        minimal, warnings = classify_minimality(spec, (5, 5), 0.02)
+        minimal, warnings = classify_minimality(grid_geometry(spec, 5, 5))
         assert not minimal
         assert any("conditioning band" in w for w in warnings)
 
@@ -426,7 +420,7 @@ class TestClassification:
 def classify_minimality_helper(spec):
     from prodsurf.identities import classify_minimality
 
-    return classify_minimality(spec, (5, 5), 0.02)
+    return classify_minimality(grid_geometry(spec, 5, 5))
 
 
 class TestRunSuite:
