@@ -587,17 +587,10 @@ def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
     return [(u, v) for u in us for v in vs]
 
 
-def grid_arrays(spec: SurfaceSpec, nu: int, nv: int,
-                margin: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's u and v arrays, point k being ``grid_points(...)[k]``."""
-    u, v = np.array(grid_points(spec, nu, nv, margin)).T
-    return u, v
-
-
 def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02) -> GeomPoint:
     """Batched geometry of the grid, point k being ``grid_points(...)[k]``.
 
     Each entry point evaluates its grid once and passes the result to every
     evaluator that reads it.
     """
-    return evaluate_chart(spec, *grid_arrays(spec, nu, nv, margin))
+    return evaluate_chart(spec, *np.array(grid_points(spec, nu, nv, margin)).T)

@@ -188,18 +188,18 @@ def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
     return worst
 
 
-def curvature_formula_terms(gp: GeomPoint, s=None) -> dict:
+def curvature_formula_terms(gp: GeomPoint, s) -> dict:
     """All terms of the Gaussian-curvature formula for non-minimal PMC charts.
 
     K = kappa (1 - |T|^2) + |H|^2 - |S|^2/(8|H|^2) - kappa^2 |T|^4/(16|H|^2)
         - kappa <S T, T>/(4|H|^2) + sum_{i>1} det A_i
     Each term holds one value per point of ``gp``.  ``s`` is the PMC
-    operator's jet matrix over ``gp``, built here when not given.
+    operator's jet matrix over ``gp``.
     """
     first_bad(gp.normH <= MINIMAL_TOL, "curvature formula needs |H| > 0: |H| =",
               gp.normH, MinimalSurfaceError)
     kappa = gp.spec.ambient.kappa
-    s_val = codazzi.matrix_values(codazzi.pmc_operator_jets(gp) if s is None else s)
+    s_val = codazzi.matrix_values(s)
     h2 = gp.normH ** 2
     t2 = gp.normT2.value
     s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
@@ -218,7 +218,7 @@ def curvature_formula_terms(gp: GeomPoint, s=None) -> dict:
     return terms
 
 
-def curvature_formula_residual(gp: GeomPoint, s=None) -> np.ndarray:
+def curvature_formula_residual(gp: GeomPoint, s) -> np.ndarray:
     return curvature_formula_terms(gp, s)["residual"]
 
 

@@ -91,19 +91,17 @@ class TheoremVerdict:
         }
 
 
-def check_codazzi_dichotomy(spec: SurfaceSpec, kind: str | None = None,
-                            grid=DEFAULT_GRID, eps: float = 0.1,
+def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
                             margin: float = DEFAULT_MARGIN) -> TheoremVerdict:
     """Sign dichotomy for a traceless Codazzi operator (checker id "1.2").
 
     K >= 0 with |det S| <= eps forces det S constant and K det S == 0;
     K <= 0 with |det S| >= eps > 0 forces det S constant and K == 0.
-    The operator is of ``kind`` 'pmc' or 'angle', by default the one of the
-    surface's minimality class.
+    The operator is the angle operator on a minimal surface, the PMC one
+    otherwise.
     """
     data = grid_geometry(spec, grid[0], grid[1], margin)
-    if kind is None:
-        kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
+    kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
     s = codazzi.operator_jets(data, kind)
     worst_codazzi = float(np.max(codazzi.codazzi_residual(data, s)))
     if not worst_codazzi <= CODAZZI_GATE:
@@ -284,8 +282,7 @@ def check_minimal_angle(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
 # Every checker by id, called as (spec, grid, eps, c, margin); only the
 # flatness checkers read c.
 CHECKERS = {
-    "1.2": lambda spec, grid, eps, c, margin: check_codazzi_dichotomy(
-        spec, None, grid, eps, margin),
+    "1.2": lambda spec, grid, eps, c, margin: check_codazzi_dichotomy(spec, grid, eps, margin),
     "1.3": lambda spec, grid, eps, c, margin: check_pmc_flatness_mu(
         spec, grid, eps, c, margin),
     "3.1": lambda spec, grid, eps, c, margin: check_pmc_flatness(spec, grid, eps, c, margin),

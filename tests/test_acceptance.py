@@ -64,11 +64,12 @@ def test_criterion_02_curvature_formula():
                       "hand expansion to 1e-12"):
         for params in ({"kappa": 1.0, "r": math.pi / 4}, {"kappa": -1.0, "r": 0.3}):
             spec = catalog.instantiate("circle_cylinder", params)
-            worst = _sweep_max(spec, identities.curvature_formula_residual)
+            worst = _sweep_max(spec, lambda gp: identities.curvature_formula_residual(
+                gp, codazzi.pmc_operator_jets(gp)))
             assert worst < 1e-9, (params, worst)
         spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4})
-        terms = identities.curvature_formula_terms(
-            evaluate_chart(spec, *grid_points(spec, 5, 5)[7]))
+        gp = evaluate_chart(spec, *grid_points(spec, 5, 5)[7])
+        terms = identities.curvature_formula_terms(gp, codazzi.pmc_operator_jets(gp))
         hand = {"ambient": 0.0, "mean_sq": 0.25, "operator_norm": -1.0,
                 "vertical_quartic": -0.25, "operator_vertical": 1.0,
                 "aux_det_sum": 0.0, "K": 0.0}

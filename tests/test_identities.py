@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from prodsurf import identities, jets
+from prodsurf import codazzi, identities, jets
 from prodsurf.geometry import (
     MinimalSurfaceError,
     SurfaceSpec,
     evaluate_chart,
-    grid_arrays,
     grid_geometry,
     grid_points,
 )
@@ -58,6 +57,12 @@ def _at(spec, frac=(0.37, 0.61)):
     return evaluate_chart(spec, *_probe(spec, frac))
 
 
+def _pmc_at(spec):
+    """The probe point's geometry and its PMC operator's jet matrix."""
+    gp = _at(spec)
+    return gp, codazzi.pmc_operator_jets(gp)
+
+
 class TestAmbientCodazzi:
     def test_slice_parallel_normal(self):
         spec = get_surface("slice", kappa=1.0)
@@ -102,13 +107,13 @@ class TestAmbientCodazzi:
 class TestCurvatureFormula:
     def test_circle_cylinder_positive_ambient(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        assert curvature_formula_residual(_at(spec)) < 1e-10
+        assert curvature_formula_residual(*_pmc_at(spec)) < 1e-10
 
     def test_hand_expansion_term_by_term(self):
         # r = pi/4, kappa = 1: |H| = 1/2, |T| = 1, |S|^2 = 2, det S = -1,
         # <ST, T> = -1, so the terms are 0, 1/4, -1, -1/4, +1, 0
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        terms = curvature_formula_terms(_at(spec))
+        terms = curvature_formula_terms(*_pmc_at(spec))
         assert terms["ambient"] == pytest.approx(0.0, abs=1e-12)
         assert terms["mean_sq"] == pytest.approx(0.25, abs=1e-12)
         assert terms["operator_norm"] == pytest.approx(-1.0, abs=1e-12)
@@ -120,12 +125,13 @@ class TestCurvatureFormula:
 
     def test_hyperbolic_ambient(self):
         spec = get_surface("circle_cylinder", kappa=-1.0, r=0.3)
-        assert curvature_formula_residual(_at(spec)) < 1e-9
+        assert curvature_formula_residual(*_pmc_at(spec)) < 1e-9
 
     def test_minimal_rejected(self):
         spec = get_surface("slice", kappa=1.0)
+        gp = _at(spec)
         with pytest.raises(MinimalSurfaceError):
-            curvature_formula_residual(_at(spec))
+            curvature_formula_residual(gp, codazzi.angle_operator_jets(gp))
 
 
 class TestTLaplacian:
@@ -292,7 +298,7 @@ class TestGridReport:
     def test_residuals_do_not_depend_on_grid(self):
         # a point's residual is the same alone and appended to a grid's points
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        u, v = grid_arrays(spec, 5, 5)
+        u, v = np.array(grid_points(spec, 5, 5)).T
         pu, pv = _probe(spec)
         among = gauss_equation_residual(evaluate_chart(spec, np.r_[u, pu], np.r_[v, pv]))
         assert among[-1] == gauss_equation_residual(_at(spec))[0]

@@ -51,7 +51,7 @@ class TestDichotomy:
     def test_non_codazzi_operator_gated(self):
         spec = get_surface("perturbed_control", kappa=1.0, r=math.pi / 4)
         with pytest.raises(GateError):
-            check_codazzi_dichotomy(spec, "pmc", grid=GRID, eps=0.1)
+            check_codazzi_dichotomy(spec, grid=GRID, eps=0.1)
 
 
 class TestPmcFlatness:
