@@ -5,8 +5,16 @@ curvature, operator determinant) computed from classical closed forms, so
 tests compare the numerical pipeline against independent hand results, never
 against itself.
 
-Chart domains avoid coordinate seams and parameterization degeneracies; the
-sampling margin applied by grid sweeps handles the rest.
+Every entry in ``M^2(kappa) x R`` is one chart for all kappa: its point of
+``M^2(kappa)`` comes from :func:`~prodsurf.spaceforms.polar` (the point at
+geodesic distance rho from the pole, at angle w), and no builder branches on
+the sign of kappa except to validate its parameters.  Geodesic lengths of a
+domain are in units of ``s = 1/sqrt|kappa|`` (``s = 1`` when flat), so one
+domain serves every kappa: ``slice`` takes rho in ``(0.2 s, 1.8 s)`` and the
+vertical cylinder's geodesic runs over ``(-1.5 s, 1.5 s)``.  Domains avoid
+coordinate seams and the pole; the sampling margin applied by grid sweeps
+handles the rest.  ``cor32_flat_minimal`` lives in ``M^4(kappa)`` and keeps
+its own chart.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Callable
 from . import jets
 from .geometry import SurfaceSpec
 from .jets import Jet2
-from .spaceforms import make_ambient
+from .spaceforms import make_ambient, polar, sn_cs, unit_length
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,119 +44,37 @@ class CatalogEntry:
     expected_formulas: dict[str, str]
     build: Callable[[dict[str, float]], SurfaceSpec] = field(repr=False)
 
-    def expected(self, params: dict[str, float]) -> dict[str, float]:
-        full = dict(self.optional_params)
-        full.update({k: float(v) for k, v in params.items()})
-        return self.build(full).expected
-
-
-def _cosh(a: Jet2) -> Jet2:
-    return 0.5 * (jets.exp(a) + jets.exp(-a))
-
-
-def _sinh(a: Jet2) -> Jet2:
-    return 0.5 * (jets.exp(a) - jets.exp(-a))
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise CatalogError(msg)
 
 
-def _curve_curvature(kappa: float, r: float) -> float:
-    """Geodesic curvature of the distance-r circle in the curvature-kappa plane."""
-    if kappa > 0:
-        return math.sqrt(kappa) / math.tan(math.sqrt(kappa) * r)
-    if kappa < 0:
-        return math.sqrt(-kappa) / math.tanh(math.sqrt(-kappa) * r)
-    return 1.0 / r
-
-
 def _build_slice(p: dict[str, float]) -> SurfaceSpec:
     kappa, t0 = p["kappa"], p["t0"]
-    ambient = make_ambient(kappa, 2)
-    if kappa > 0:
-        radius = 1.0 / math.sqrt(kappa)
+    s = unit_length(kappa)
 
-        def chart(uj, vj):
-            t = Jet2.constant(t0, uj.order)
-            return [
-                radius * jets.cos(uj) * jets.cos(vj),
-                radius * jets.sin(uj) * jets.cos(vj),
-                radius * jets.sin(vj),
-                t,
-            ]
+    def chart(uj, vj):
+        return polar(kappa, uj, vj) + [Jet2.constant(t0, uj.order)]
 
-        domain = ((0.0, TWO_PI), (-1.2, 1.2))
-    elif kappa < 0:
-        radius = 1.0 / math.sqrt(-kappa)
-
-        def chart(uj, vj):
-            t = Jet2.constant(t0, uj.order)
-            return [
-                radius * _cosh(uj),
-                radius * _sinh(uj) * jets.cos(vj),
-                radius * _sinh(uj) * jets.sin(vj),
-                t,
-            ]
-
-        domain = ((0.2, 1.8), (0.0, TWO_PI))
-    else:
-
-        def chart(uj, vj):
-            return [uj, vj, Jet2.constant(t0, uj.order)]
-
-        domain = ((-1.0, 1.0), (-1.0, 1.0))
     expected = {"K": kappa, "normT": 0.0, "normH": 0.0, "detS_tilde": 0.0,
                 "normS_tilde2": 0.0}
-    return SurfaceSpec("slice", dict(p), domain, ambient, chart, expected, minimal=True)
+    return SurfaceSpec("slice", dict(p), ((0.2 * s, 1.8 * s), (0.0, TWO_PI)),
+                       make_ambient(kappa, 2), chart, expected, minimal=True)
 
 
 def _build_vertical_cylinder(p: dict[str, float]) -> SurfaceSpec:
     kappa = p["kappa"]
-    ambient = make_ambient(kappa, 2)
-    if kappa > 0:
-        radius = 1.0 / math.sqrt(kappa)
+    s = unit_length(kappa)
 
-        def chart(uj, vj):
-            zero = Jet2.constant(0.0, uj.order)
-            return [radius * jets.cos(uj), radius * jets.sin(uj), zero, vj]
+    def chart(uj, vj):
+        return polar(kappa, uj, 0.0) + [vj]
 
-        domain = ((0.0, TWO_PI), (-1.0, 1.0))
-    elif kappa < 0:
-        radius = 1.0 / math.sqrt(-kappa)
-
-        def chart(uj, vj):
-            zero = Jet2.constant(0.0, uj.order)
-            return [radius * _cosh(uj), radius * _sinh(uj), zero, vj]
-
-        domain = ((-1.5, 1.5), (-1.0, 1.0))
-    else:
-
-        def chart(uj, vj):
-            return [uj, Jet2.constant(0.0, uj.order), vj]
-
-        domain = ((-1.0, 1.0), (-1.0, 1.0))
     expected = {"K": 0.0, "normT": 1.0, "normH": 0.0, "detS_tilde": -0.25,
                 "normS_tilde2": 0.5}
-    return SurfaceSpec("vertical_geodesic_cylinder", dict(p), domain, ambient, chart,
+    return SurfaceSpec("vertical_geodesic_cylinder", dict(p),
+                       ((-1.5 * s, 1.5 * s), (-1.0, 1.0)), make_ambient(kappa, 2), chart,
                        expected, minimal=True)
-
-
-def _circle_profile(kappa: float, r: float):
-    """Flat-block coordinates of the distance-r circle point at angle w (jets)."""
-    if kappa > 0:
-        radius = 1.0 / math.sqrt(kappa)
-        a = radius * math.sin(math.sqrt(kappa) * r)
-        c = radius * math.cos(math.sqrt(kappa) * r)
-        return lambda w: [a * jets.cos(w), a * jets.sin(w),
-                          Jet2.constant(c, w.order)]
-    if kappa < 0:
-        radius = 1.0 / math.sqrt(-kappa)
-        a = radius * math.sinh(math.sqrt(-kappa) * r)
-        c = radius * math.cosh(math.sqrt(-kappa) * r)
-        return lambda w: [Jet2.constant(c, w.order), a * jets.cos(w), a * jets.sin(w)]
-    return lambda w: [r * jets.cos(w), r * jets.sin(w)]
 
 
 def _check_circle_radius(kappa: float, r: float, slack: float = 1.0) -> None:
@@ -159,24 +85,21 @@ def _check_circle_radius(kappa: float, r: float, slack: float = 1.0) -> None:
 
 
 def _build_circle_cylinder(p: dict[str, float]) -> SurfaceSpec:
-    kappa, r = p["kappa"], p["r"]
-    pad, warp = int(p["pad"]), p["warp"]
+    kappa, r, warp = p["kappa"], p["r"], p["warp"]
     _check_circle_radius(kappa, r)
-    _require(pad in (0, 2), f"pad must be 0 or 2, got {pad}")
+    _require(p["pad"] in (0.0, 2.0), f"pad must be 0 or 2, got {p['pad']:g}")
     _require(abs(warp) < 1.0, f"|warp| must be < 1 for an immersion, got {warp}")
-    ambient = make_ambient(kappa, 2 + pad)
-    profile = _circle_profile(kappa, r)
+    pad = int(p["pad"])
 
     def chart(uj, vj):
         # warp reparameterizes the angle with a u-v coupled term; the surface
         # itself is unchanged, only the chart (and hence Gamma, T^a, the
         # operator matrix) becomes genuinely non-diagonal.
         w = uj + warp * jets.sin(uj) * jets.cos(vj) if warp else uj
-        zero = Jet2.constant(0.0, uj.order)
-        return profile(w) + [zero] * pad + [vj]
+        return polar(kappa, r, w) + [Jet2.constant(0.0, uj.order)] * pad + [vj]
 
-    domain = ((0.0, TWO_PI), (-1.0, 1.0))
-    cc = _curve_curvature(kappa, r)
+    sn, cs = sn_cs(kappa, r)
+    cc = cs / sn  # geodesic curvature of the distance-r circle
     eig = (cc * cc + kappa) / 2.0
     expected = {
         "K": 0.0,
@@ -187,8 +110,8 @@ def _build_circle_cylinder(p: dict[str, float]) -> SurfaceSpec:
         "principal_max": cc,
         "principal_min": 0.0,
     }
-    return SurfaceSpec("circle_cylinder", dict(p), domain, ambient, chart, expected,
-                       minimal=False)
+    return SurfaceSpec("circle_cylinder", dict(p), ((0.0, TWO_PI), (-1.0, 1.0)),
+                       make_ambient(kappa, 2 + pad), chart, expected, minimal=False)
 
 
 def _build_cor32(p: dict[str, float]) -> SurfaceSpec:
@@ -226,45 +149,15 @@ def _build_cor32(p: dict[str, float]) -> SurfaceSpec:
 
 def _build_perturbed_control(p: dict[str, float]) -> SurfaceSpec:
     kappa, r, amp = p["kappa"], p["r"], p["amp"]
-    _require(0 < abs(amp) < 0.5, f"amp must be in (0, 0.5), got {amp}")
+    _require(0 < abs(amp) < 0.5, f"amp must satisfy 0 < |amp| < 0.5, got {amp}")
     _check_circle_radius(kappa, r, slack=1.0 + abs(amp))
-    ambient = make_ambient(kappa, 2)
-    if kappa > 0:
-        radius = 1.0 / math.sqrt(kappa)
-        rho0 = math.sqrt(kappa) * r
 
-        def chart(uj, vj):
-            rho = rho0 * (1.0 + amp * jets.sin(vj))
-            return [
-                radius * jets.sin(rho) * jets.cos(uj),
-                radius * jets.sin(rho) * jets.sin(uj),
-                radius * jets.cos(rho),
-                vj,
-            ]
+    def chart(uj, vj):
+        return polar(kappa, r * (1.0 + amp * jets.sin(vj)), uj) + [vj]
 
-    elif kappa < 0:
-        radius = 1.0 / math.sqrt(-kappa)
-        rho0 = math.sqrt(-kappa) * r
-
-        def chart(uj, vj):
-            rho = rho0 * (1.0 + amp * jets.sin(vj))
-            return [
-                radius * _cosh(rho),
-                radius * _sinh(rho) * jets.cos(uj),
-                radius * _sinh(rho) * jets.sin(uj),
-                vj,
-            ]
-
-    else:
-
-        def chart(uj, vj):
-            rho = r * (1.0 + amp * jets.sin(vj))
-            return [rho * jets.cos(uj), rho * jets.sin(uj), vj]
-
-    domain = ((0.0, TWO_PI), (0.0, TWO_PI))
     expected = {"pmc_residual_exceeds": 1e-3, "constraint_residual": 0.0}
-    return SurfaceSpec("perturbed_control", dict(p), domain, ambient, chart, expected,
-                       minimal=False)
+    return SurfaceSpec("perturbed_control", dict(p), ((0.0, TWO_PI), (0.0, TWO_PI)),
+                       make_ambient(kappa, 2), chart, expected, minimal=False)
 
 
 _ENTRIES: list[CatalogEntry] = [

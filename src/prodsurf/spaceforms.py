@@ -6,6 +6,9 @@ sheet of the hyperboloid <x,x> = 1/kappa for kappa < 0, and plain Euclidean
 space for kappa = 0.  The line factor is always the last flat coordinate and
 never participates in the level-set constraint.
 
+:func:`polar` places the points of ``M^2(kappa)`` for every sign of kappa:
+the point at geodesic distance rho from a pole, at angle w.
+
 The product's Levi-Civita connection is realized as componentwise flat
 differentiation followed by :func:`project_to_product_tangent`; no ambient
 Christoffel symbols are ever needed.
@@ -13,10 +16,12 @@ Christoffel symbols are ever needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .jets import Jet2, first_where
 
 CONSTRAINT_TOL = 1e-10
@@ -51,6 +56,57 @@ def make_ambient(kappa: float, n: int) -> AmbientModel:
         else:
             signature = (1.0,) * flat_dim
     return AmbientModel(kappa, n, flat_dim, signature, flat_dim - 1)
+
+
+def unit_length(kappa: float) -> float:
+    """The length unit ``1/sqrt|kappa|`` of ``M^n(kappa)``; 1 when flat."""
+    return 1.0 / math.sqrt(abs(kappa)) if kappa else 1.0
+
+
+def sn_cs(kappa: float, rho):
+    """``sn_kappa(rho)`` and ``cs_kappa(rho)``, the radial functions of ``M^2(kappa)``.
+
+    With ``x = sqrt|kappa| rho``: ``(sin x / sqrt kappa, cos x)`` for kappa > 0,
+    ``(sinh x / sqrt(-kappa), cosh x)`` for kappa < 0 and ``(rho, 1)`` when
+    flat, so ``cs/sn`` is the geodesic curvature of the distance-rho circle.
+    A float ``rho`` goes through ``math``, a jet through ``jets``; for kappa < 0
+    a jet takes one pair of ``jets.exp`` calls.
+    """
+    if kappa == 0:
+        return rho, 1.0
+    root = math.sqrt(abs(kappa))
+    x = root * rho
+    if not isinstance(x, Jet2):
+        sn, cs = (math.sin(x), math.cos(x)) if kappa > 0 else (math.sinh(x), math.cosh(x))
+    elif kappa > 0:
+        sn, cs = jets.sin(x), jets.cos(x)
+    else:
+        ep, em = jets.exp(x), jets.exp(-x)
+        sn, cs = 0.5 * (ep - em), 0.5 * (ep + em)
+    return unit_length(kappa) * sn, cs
+
+
+def polar(kappa: float, rho, w) -> list:
+    """Flat-block coordinates of the point of ``M^2(kappa)`` at geodesic
+    distance ``rho`` from the pole, at angle ``w``.
+
+    The pole is the last flat coordinate for kappa > 0 and the first
+    (timelike) one for kappa < 0; when flat the point is ``rho (cos w, sin w)``.
+    Either argument may be a float or a jet; a float stays on ``math``, so a
+    constant angle or radius runs no jet composition.  The coordinates are
+    jets when either argument is.
+    """
+    sn, cs = sn_cs(kappa, rho)
+    if isinstance(w, Jet2):
+        circle = [sn * jets.cos(w), sn * jets.sin(w)]
+    else:
+        circle = [sn * math.cos(w), sn * math.sin(w)]
+    if kappa == 0:
+        return circle
+    pole = unit_length(kappa) * cs
+    if isinstance(w, Jet2) and not isinstance(pole, Jet2):
+        pole = Jet2.constant(pole, w.order)
+    return circle + [pole] if kappa > 0 else [pole] + circle
 
 
 def flat_inner(model: AmbientModel, x, y):

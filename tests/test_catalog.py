@@ -26,8 +26,8 @@ class TestCatalogList:
             assert entry.expected_formulas
 
     def test_entry_expected_values(self):
-        entry = next(e for e in catalog_list() if e.id == "circle_cylinder")
-        exp = entry.expected({"kappa": 1.0, "r": math.pi / 4, "pad": 0, "warp": 0})
+        exp = instantiate("circle_cylinder",
+                          {"kappa": 1.0, "r": math.pi / 4, "pad": 0, "warp": 0}).expected
         assert exp["normH"] == pytest.approx(0.5)
         assert exp["detS"] == pytest.approx(-1.0)
 
@@ -55,6 +55,11 @@ ALL_INSTANCES = [
     ("cor32_flat_minimal", {"kappa": 2.0, "theta": 0.5}),
     ("perturbed_control", {"kappa": 1.0, "r": math.pi / 4}),
     ("perturbed_control", {"kappa": -1.0, "r": 0.4}),
+    # kappa = 0 and the non-unit scales s = 1/sqrt|kappa| = 1/2 and 2
+    *((sid, {"kappa": k}) for sid in ("slice", "vertical_geodesic_cylinder")
+      for k in (0.0, 4.0, -0.25)),
+    *((sid, {"kappa": k, "r": r}) for sid in ("circle_cylinder", "perturbed_control")
+      for k, r in ((0.0, 0.7), (4.0, 0.3), (-0.25, 1.0))),
 ]
 
 
@@ -70,6 +75,14 @@ class TestInstantiate:
             f = spec.chart(Jet2.variable("u", u, 0), Jet2.variable("v", v, 0))
             point = [c.value for c in f]
             assert abs(constraint_residual(spec.ambient, point)) < 1e-12
+
+    @pytest.mark.parametrize("sid,params", ALL_INSTANCES)
+    def test_closed_forms_hold_on_the_grid(self, sid, params):
+        spec = instantiate(sid, params)
+        gp = grid_geometry(spec, 5, 5)
+        got = {"K": gp.K_val, "normT": gp.normT, "normH": gp.normH}
+        for name in got.keys() & spec.expected.keys():
+            assert np.abs(got[name] - spec.expected[name]).max() < 1e-9, name
 
     def test_cor32_parameterization_constants(self):
         # b = sqrt(kappa (1 + cos^2 theta)); block norm of the curved factor is
@@ -101,6 +114,8 @@ class TestInstantiate:
         ("circle_cylinder", {"kappa": 1.0, "r": 2.0}),       # beyond pi/(2 sqrt k)
         ("circle_cylinder", {"kappa": 1.0, "r": -0.5}),
         ("circle_cylinder", {"kappa": 1.0, "r": 0.5, "pad": 1}),
+        ("circle_cylinder", {"kappa": 1.0, "r": 0.5, "pad": 2.5}),  # not truncated to 2
+        ("circle_cylinder", {"kappa": 1.0, "r": 0.5, "pad": 0.5}),  # not truncated to 0
         ("circle_cylinder", {"kappa": 1.0, "r": 0.5, "warp": 1.5}),
         ("cor32_flat_minimal", {"kappa": -1.0, "theta": 0.5}),
         ("cor32_flat_minimal", {"kappa": 1.0, "theta": 2.0}),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prodsurf import catalog, codazzi
+from prodsurf import codazzi
 from prodsurf.codazzi import (
     OperatorShapeError,
     angle_operator,
@@ -23,7 +23,7 @@ from prodsurf.codazzi import (
     simons_reduced_residual,
     trace_residual,
 )
-from prodsurf.geometry import MinimalSurfaceError, evaluate_chart
+from prodsurf.geometry import MinimalSurfaceError, SurfaceSpec, evaluate_chart
 from prodsurf.jets import Jet2
 from prodsurf.spaceforms import make_ambient
 
@@ -205,6 +205,15 @@ class TestSimons:
         assert codazzi.simons_quadratic_residual(gp, s) < 1e-12
 
 
+def _flat_chart():
+    """The Cartesian chart (u, v, 0) of the plane z = 0 in R^2 x R, on (-1, 1)^2."""
+    def chart(uj, vj):
+        return [uj, vj, Jet2.constant(0.0, uj.order)]
+
+    return SurfaceSpec("flat_chart", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2),
+                       chart, minimal=True)
+
+
 def _varying_norm_codazzi_field():
     """Traceless Codazzi operator with genuinely non-constant norm.
 
@@ -213,7 +222,7 @@ def _varying_norm_codazzi_field():
     Every catalog operator has constant norm, so this is the one field where
     the gradient and Laplacian terms of the Simons identities are nonzero.
     """
-    spec = catalog.instantiate("slice", {"kappa": 0.0})
+    spec = _flat_chart()
 
     def matrix_at(u, v):
         uj = Jet2.variable("u", u, 4)
@@ -336,7 +345,7 @@ class TestMetricChange:
     def test_synthetic_constant_operator_on_flat_chart(self):
         # constant traceless diag(2,-2) on a flat chart: new metric 4*Id,
         # curvature stays zero = K / det S
-        gp = evaluate_chart(get_surface("slice", kappa=0.0), 0.2, 0.1)
+        gp = evaluate_chart(_flat_chart(), 0.2, 0.1)
         s = [[Jet2.constant(np.full(1, x), 2) for x in row] for row in ((2.0, 0.0), (0.0, -2.0))]
         gs, ktilde, residual = metric_change(gp, s)
         assert gs[0][0].value == pytest.approx(4.0)

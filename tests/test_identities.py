@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prodsurf import codazzi, identities, jets
+from prodsurf import codazzi, identities
 from prodsurf.geometry import (
     MinimalSurfaceError,
     SurfaceSpec,
@@ -11,7 +11,7 @@ from prodsurf.geometry import (
     grid_geometry,
     grid_points,
 )
-from prodsurf.spaceforms import make_ambient
+from prodsurf.spaceforms import make_ambient, polar, sn_cs
 from prodsurf.identities import (
     ResidualReport,
     ambient_codazzi_residual,
@@ -35,14 +35,8 @@ def _cmc_graph():
 
     A rotational CMC surface: S == 0, |H| = 1/2, and A_H T != 0.
     """
-    def cosh(a):
-        return 0.5 * (jets.exp(a) + jets.exp(-a))
-
-    def sinh(a):
-        return 0.5 * (jets.exp(a) - jets.exp(-a))
-
     def chart(r, w):
-        return [cosh(r), sinh(r) * jets.cos(w), sinh(r) * jets.sin(w), 2.0 * cosh(0.5 * r)]
+        return polar(-1.0, r, w) + [2.0 * sn_cs(-1.0, 0.5 * r)[1]]
 
     return SurfaceSpec("cmc_graph", {}, ((0.3, 1.5), (0.1, 2.0)), make_ambient(-1.0, 2), chart)
 

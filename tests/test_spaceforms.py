@@ -11,8 +11,12 @@ from prodsurf.spaceforms import (
     constraint_residual,
     flat_inner,
     make_ambient,
+    polar,
     project_to_product_tangent,
+    sn_cs,
+    space_inner,
 )
+from prodsurf.jets import Jet2
 
 
 class TestMakeAmbient:
@@ -149,3 +153,68 @@ def test_vertical_axis():
     m = make_ambient(-1.0, 2)
     e = np.eye(m.flat_dim)[m.t_index]
     assert flat_inner(m, e, e) == pytest.approx(1.0)
+
+
+def _distance_from_pole(kappa: float, p) -> float:
+    """Geodesic distance from the pole, from the closed forms of each model."""
+    if kappa > 0:
+        return math.acos(p[2] * math.sqrt(kappa)) / math.sqrt(kappa)
+    if kappa < 0:
+        return math.acosh(p[0] * math.sqrt(-kappa)) / math.sqrt(-kappa)
+    return math.hypot(p[0], p[1])
+
+
+def _cot(kappa: float, r: float) -> float:
+    if kappa > 0:
+        return math.sqrt(kappa) / math.tan(math.sqrt(kappa) * r)
+    if kappa < 0:
+        return math.sqrt(-kappa) / math.tanh(math.sqrt(-kappa) * r)
+    return 1.0 / r
+
+
+class TestPolar:
+    KAPPAS = [1.0, -1.0, 0.0, 4.0, -0.25]
+
+    @staticmethod
+    def _at(kappa, rho, w, jet_radius):
+        """The point, its w-derivative and, for a jet radius, its rho-derivative."""
+        r = Jet2.variable("u", rho) if jet_radius else rho
+        p = polar(kappa, r, Jet2.variable("v", w))
+        value = [float(c.value) for c in p]
+        d_w = [float(c.dv) for c in p]
+        d_rho = [float(c.du) for c in p] if jet_radius else None
+        return value, d_w, d_rho
+
+    @pytest.mark.parametrize("jet_radius", [False, True])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_on_the_model_at_distance_rho(self, kappa, jet_radius):
+        model = make_ambient(kappa, 2)
+        s = 1.0 / math.sqrt(abs(kappa)) if kappa else 1.0
+        for rho, w in [(0.3 * s, 0.0), (1.1 * s, 2.0), (1.5 * s, -2.8)]:
+            p, d_w, d_rho = self._at(kappa, rho, w, jet_radius)
+            assert len(p) == model.flat_dim - 1
+            if kappa:
+                assert abs(constraint_residual(model, p + [0.0])) < 1e-14 * s * s
+            assert _distance_from_pole(kappa, p) == pytest.approx(rho, rel=1e-12)
+            speed_w = math.sqrt(space_inner(model, d_w + [0.0], d_w + [0.0]))
+            assert speed_w == pytest.approx(float(sn_cs(kappa, rho)[0]), rel=1e-13)
+            if jet_radius:  # rho is arc length along the radial geodesic
+                assert space_inner(model, d_rho + [0.0], d_rho + [0.0]) == pytest.approx(
+                    1.0, rel=1e-13)
+                assert abs(space_inner(model, d_rho + [0.0], d_w + [0.0])) < 1e-13 * s
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_float_and_jet_radius_agree(self, kappa):
+        floats = polar(kappa, 0.7, 1.3)
+        jet = polar(kappa, Jet2.variable("u", 0.7), 1.3)
+        assert all(isinstance(c, float) for c in floats)
+        assert [float(c.value) for c in jet] == pytest.approx(floats, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_cs_over_sn_is_cot_kappa(self, kappa):
+        s = 1.0 / math.sqrt(abs(kappa)) if kappa else 1.0
+        for r in (0.2 * s, 0.9 * s, 1.4 * s):
+            sn, cs = sn_cs(kappa, r)
+            assert cs / sn == pytest.approx(_cot(kappa, r), rel=1e-14)
+            jsn, jcs = sn_cs(kappa, Jet2.variable("u", r))
+            assert float((jcs / jsn).value) == pytest.approx(_cot(kappa, r), rel=1e-14)
