@@ -37,7 +37,9 @@ NUMERICAL_ERRORS = (
 )
 USAGE_ERRORS = (CatalogError, GateError, MinimalSurfaceError, ValueError)
 
-FIELD_QUANTITIES = ("K", "normT", "normS", "detS", "mu_integrand")
+# Each field quantity and the chart jet order it reads: Brioschi K needs the metric
+# to order 2, normT the tangents, the rest the second fundamental form.
+FIELD_ORDER = {"K": 3, "normT": 1, "normS": 2, "detS": 2, "mu_integrand": 2}
 RESIDUAL_PREFIX = "residual:"
 
 
@@ -168,8 +170,8 @@ def cmd_field(args) -> int:
     margin = _check_margin(args.margin)
     spec = instantiate(args.surface, params)
     quantity = args.quantity
-    if quantity not in FIELD_QUANTITIES and not quantity.startswith(RESIDUAL_PREFIX):
-        raise ValueError(f"unknown quantity {quantity!r}; known: {', '.join(FIELD_QUANTITIES)}, "
+    if quantity not in FIELD_ORDER and not quantity.startswith(RESIDUAL_PREFIX):
+        raise ValueError(f"unknown quantity {quantity!r}; known: {', '.join(FIELD_ORDER)}, "
                          f"{RESIDUAL_PREFIX}<identity_id>")
     pts = grid_points(spec, grid[0], grid[1], margin)
     keep = np.ones(len(pts), dtype=bool)
@@ -177,7 +179,7 @@ def cmd_field(args) -> int:
         values, keep = identities.residual_field(
             spec, quantity[len(RESIDUAL_PREFIX):], grid, margin)
     else:
-        gp = grid_geometry(spec, grid[0], grid[1], margin)
+        gp = grid_geometry(spec, grid[0], grid[1], margin, FIELD_ORDER[quantity])
         if quantity in ("K", "normT"):
             values = gp.K_val if quantity == "K" else gp.normT
         else:
@@ -195,10 +197,13 @@ def cmd_field(args) -> int:
                     values = np.sqrt(np.maximum(codazzi.norm_sq_jet(s).value, 0.0))
                 else:
                     values = codazzi.det_jet(s).value
-    rows = ["u,v,value"]
-    for (u_k, v_k), value, kept in zip(pts, values.tolist(), keep.tolist()):
-        if kept:
-            rows.append("%.17g,%.17g,%.17g" % (u_k, v_k, value))
+    # Point k takes the (k // nv)-th u and the (k % nv)-th v: format each once.
+    nv = grid[1]
+    u_txt = ["%.17g," % u for u, _ in pts[::nv]]
+    v_txt = ["%.17g," % v for _, v in pts[:nv]]
+    value_txt = ["%.17g" % x for x in values.tolist()]
+    rows = ["u,v,value"] + [u_txt[k // nv] + v_txt[k % nv] + value_txt[k]
+                            for k in np.flatnonzero(keep).tolist()]
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld = sub.add_parser("field", parents=[common],
                          help="sample a scalar field over the grid as CSV")
     fld.add_argument("--quantity", required=True,
-                     help=f"one of {', '.join(FIELD_QUANTITIES)}, or {RESIDUAL_PREFIX}ID for "
+                     help=f"one of {', '.join(FIELD_ORDER)}, or {RESIDUAL_PREFIX}ID for "
                           "the residual of one verify row (skipped points are left out)")
     fld.add_argument("--tilde", action="store_true",
                      help="use the angle operator for normS/detS")
@@ -267,22 +272,27 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+# The log handler of every call, pointed at that call's stderr.
+_LOG_HANDLER = logging.StreamHandler()
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    _LOG_HANDLER.stream = sys.stderr  # not setStream: the last call's stream may be closed
+    logging.basicConfig(handlers=[_LOG_HANDLER], format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.verbose:
-        logging.getLogger("prodsurf").setLevel(logging.INFO)
+    logging.getLogger("prodsurf").setLevel(logging.INFO if args.verbose else logging.NOTSET)
     try:
         return args.fn(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Numerical errors first: ConstraintError and OperatorShapeError are ValueErrors.
     except NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -152,8 +152,6 @@ def codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
     Coordinate fields commute, so the bracket term is absent:
     residual = | nabla_u (S d_v) - nabla_v (S d_u) |_g.
     """
-    if min(s[a][b].order for a in range(2) for b in range(2)) < 1:
-        raise ValueError("operator entries must carry jets of order >= 1")
     gam = gp.gamma_val
     res = np.empty((len(gp.u), 2))
     for a in range(2):

@@ -1,11 +1,11 @@
 """Pointwise extrinsic and intrinsic geometry of an immersed chart.
 
-Everything is derived from order-4 jets of the flat coordinates of the
-immersion: first fundamental form, Christoffel symbols, second fundamental
-form (as the surface-normal part of projected flat second derivatives),
-mean curvature vector, the tangential/normal split of the vertical field,
-orthonormal normal frames, shape operators, and intrinsic Gaussian
-curvature via the Brioschi formula.
+Everything is derived from jets of the flat coordinates of the immersion,
+of order 4 unless the caller reads fewer derivatives: first fundamental
+form, Christoffel symbols, second fundamental form (as the surface-normal
+part of projected flat second derivatives), mean curvature vector, the
+tangential/normal split of the vertical field, orthonormal normal frames,
+shape operators, and intrinsic Gaussian curvature via the Brioschi formula.
 
 The intrinsic curvature is computed purely from the metric so that the
 structure equations checked elsewhere (Gauss equation, curvature formula)
@@ -98,9 +98,10 @@ class GeomPoint:
     - normal frame: ``xi``, ``h``, ``A``.  A :class:`FrameError` surfaces on
       the first read of one of these.
 
-    Jets keep the orders implied by differentiating an order-4 immersion:
-    metric entries order 3, Christoffels and second-fundamental-form data
-    order 2, intrinsic curvature order 1.
+    Jets keep the orders implied by differentiating the chart, whose order
+    m is the ``order`` given to :func:`evaluate_chart` (4 by default):
+    metric entries order m - 1, Christoffels and second-fundamental-form
+    data order m - 2, intrinsic curvature order m - 3.
 
     A GeomPoint holds N points, N = 1 for a float point: its jets are
     batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
@@ -249,8 +250,6 @@ def laplace_beltrami_values(phi: Jet2, ginv_val: np.ndarray, gamma_val: np.ndarr
 
     The values may carry a leading point axis, matching a batched jet.
     """
-    if phi.order < 2:
-        raise ValueError("laplace_beltrami needs a jet of order >= 2")
     d1 = (phi.du, phi.dv)
     d2 = ((phi.duu, phi.duv), (phi.duv, phi.dvv))
     acc = 0.0
@@ -268,8 +267,6 @@ def laplace_at(phi: Jet2, gp: "GeomPoint"):
 
 def grad_norm_sq(phi: Jet2, ginv_val: np.ndarray):
     """Squared gradient norm g^{ab} d_a phi d_b phi from inverse-metric values."""
-    if phi.order < 1:
-        raise ValueError("grad_norm_sq needs a jet of order >= 1")
     return quad_form(_stack([phi.du, phi.dv]), np.asarray(ginv_val, dtype=float))
 
 
@@ -393,13 +390,15 @@ def _freeze(x) -> None:
             _freeze(y)
 
 
-def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray) -> GeomPoint:
+def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray,
+                   order: int = jets.MAX_ORDER) -> GeomPoint:
     """Evaluate the chart jets and metric at (u, v); the rest of the geometry
     is computed in stages on first read (see :class:`GeomPoint`).
 
     Equal-length 1-D arrays ``u`` and ``v`` are evaluated in one batched
     pass, and floats as a batch of one; an error names the first offending
-    point.
+    point.  The chart is seeded with jets of ``order``; a lower order gives
+    the same bits for every derivative it still holds.
     """
     ua, va = np.array(u, dtype=float, ndmin=1), np.array(v, dtype=float, ndmin=1)
     if ua.shape != va.shape or ua.ndim > 1:
@@ -414,7 +413,7 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
 
     # A constant coordinate comes back as a single-point jet: repeat it over the batch.
     f = [Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
-         for c in spec.chart(Jet2.variable("u", ua), Jet2.variable("v", va))]
+         for c in spec.chart(Jet2.variable("u", ua, order), Jet2.variable("v", va, order))]
     if model.kappa != 0:
         res = constraint_residual(model, _values(f).T)
         bad = first_where(abs(res) > 1e-10)
@@ -587,10 +586,11 @@ def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
     return [(u, v) for u in us for v in vs]
 
 
-def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02) -> GeomPoint:
+def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02,
+                  order: int = jets.MAX_ORDER) -> GeomPoint:
     """Batched geometry of the grid, point k being ``grid_points(...)[k]``.
 
-    Each entry point evaluates its grid once and passes the result to every
-    evaluator that reads it.
+    Each entry point evaluates its grid once, at the chart order it reads,
+    and passes the result to every evaluator that reads it.
     """
-    return evaluate_chart(spec, *np.array(grid_points(spec, nu, nv, margin)).T)
+    return evaluate_chart(spec, *np.array(grid_points(spec, nu, nv, margin)).T, order)

@@ -11,6 +11,8 @@ Order 4 is a hard cap: the deepest consumer needs a Laplacian of a quantity
 built from second derivatives of the immersion, which uses exactly four
 derivative levels.  Coefficients are stored densely in degree-major order,
 so truncation to order m just zeroes the tail of the coefficient vector.
+Those zeros are not derivatives: reading a first (second) derivative of a
+jet of order below 1 (2) raises ``ValueError`` naming both orders.
 
 The coefficient array may carry one leading batch axis, shape ``(N, 15)``:
 the jet then holds the Taylor data of N points and every operation acts on
@@ -229,24 +231,34 @@ class Jet2:
     def value(self) -> float | np.ndarray:
         return self.c.T[0]
 
+    def _need(self, order: int, what: str) -> None:
+        """Raise unless the jet holds ``what``: past its order it holds zeros."""
+        if self.order < order:
+            raise ValueError(f"{what} needs a jet of order >= {order}, got order {self.order}")
+
     @property
     def du(self) -> float | np.ndarray:
+        self._need(1, "du")
         return self.c.T[1]
 
     @property
     def dv(self) -> float | np.ndarray:
+        self._need(1, "dv")
         return self.c.T[2]
 
     @property
     def duu(self) -> float | np.ndarray:
+        self._need(2, "duu")
         return 2.0 * self.c.T[3]
 
     @property
     def duv(self) -> float | np.ndarray:
+        self._need(2, "duv")
         return self.c.T[4]
 
     @property
     def dvv(self) -> float | np.ndarray:
+        self._need(2, "dvv")
         return 2.0 * self.c.T[5]
 
     def deriv(self, i: int, j: int) -> float | np.ndarray:
@@ -275,19 +287,20 @@ class Jet2:
 
     # -- derivative jets ----------------------------------------------------
 
-    def _derivative(self, out_idx, src_idx, fact) -> "Jet2":
+    def _derivative(self, what, out_idx, src_idx, fact) -> "Jet2":
+        self._need(1, what)
         c = np.zeros(self.c.shape[::-1]).T
         c[..., out_idx] = self.c[..., src_idx] * fact
-        m = max(self.order - 1, 0)
+        m = self.order - 1
         c[..., _NCOEF[m]:] = 0.0
         return Jet2(c, m)
 
     def d_u(self) -> "Jet2":
         """Jet of the u-partial, one order lower."""
-        return self._derivative(_DU_OUT, _DU_SRC, _DU_FACT)
+        return self._derivative("d_u", _DU_OUT, _DU_SRC, _DU_FACT)
 
     def d_v(self) -> "Jet2":
-        return self._derivative(_DV_OUT, _DV_SRC, _DV_FACT)
+        return self._derivative("d_v", _DV_OUT, _DV_SRC, _DV_FACT)
 
     def d(self, direction: int) -> "Jet2":
         return self.d_u() if direction == 0 else self.d_v()

@@ -30,6 +30,9 @@ CONCLUSION_TOL = 1e-8
 SIGN_SLOP = 1e-10
 CODAZZI_GATE = 1e-8
 PMC_GATE = 1e-8
+# Chart jet order of every checker: Brioschi K needs the metric to order 2,
+# and the Codazzi and PMC gates read first derivatives of S and H.
+CHECKER_ORDER = 3
 
 STATUS_CONSISTENT = "consistent"
 STATUS_INAPPLICABLE = "inapplicable"
@@ -100,7 +103,7 @@ def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0
     The operator is the angle operator on a minimal surface, the PMC one
     otherwise.
     """
-    data = grid_geometry(spec, grid[0], grid[1], margin)
+    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
     kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
     s = codazzi.operator_jets(data, kind)
     worst_codazzi = float(np.max(codazzi.codazzi_residual(data, s)))
@@ -151,7 +154,7 @@ def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0
 
 
 def _pmc_gates(spec: SurfaceSpec, grid, margin) -> GeomPoint:
-    data = grid_geometry(spec, grid[0], grid[1], margin)
+    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
     if float(data.normH.min()) <= MINIMAL_TOL:
         raise GateError(
             f"minimal point on grid (min |H| = {float(data.normH.min())!r}); "
@@ -240,7 +243,7 @@ def check_minimal_angle(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
     obtained by deleting the mean-curvature terms being kappa times the angle
     operator.
     """
-    data = grid_geometry(spec, grid[0], grid[1], margin)
+    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
     if float(data.normH.max()) > MINIMAL_TOL:
         raise GateError(
             f"non-minimal surface (max |H| = {float(data.normH.max())!r}); "

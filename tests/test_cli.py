@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -192,6 +195,25 @@ class TestVerifyCommand:
         assert run(["verify", "--surface", "slice", "--param", "kappa=1",
                     "--grid", "7x7"]) == 3
 
+    def test_constraint_violation_exits_three(self, capsys):
+        """ConstraintError is a ValueError, yet it is a numerical error, not a usage one."""
+        assert run(["verify", "--surface", "circle_cylinder", "--param", "kappa=-1",
+                    "--param", "r=40", "--grid", "5x5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical error: chart point off the model by ")
+
+    def test_each_call_logs_to_its_own_stderr(self, monkeypatch):
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])  # as in a fresh process
+        argv = ["verify", "--surface", "slice", "--param", "kappa=1", "--grid", "5x5",
+                "--output", os.devnull]
+        errs = []
+        for _ in range(2):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run(argv) == 0
+            errs.append(err.getvalue())
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("WARNING prodsurf: simons_reduced skipped on slice")
+
 
 class TestFieldCommand:
     def test_curvature_of_flat_minimal_surface(self, tmp_path):
@@ -270,6 +292,34 @@ class TestFieldCommand:
                     "--param", f"r={PI4}", "--quantity", "residual:simons_log",
                     "--grid", "5x5", "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 13
+
+    @pytest.mark.parametrize("quantity", ["residual:simons_log", "detS"])
+    def test_rows_match_per_row_formatting(self, quantity, tmp_path, monkeypatch):
+        """Each kept row is "%.17g,%.17g,%.17g" of its point and value, NaN and -0.0
+        included, on a grid with nu != nv."""
+        from types import SimpleNamespace
+
+        from prodsurf import catalog, codazzi
+        from prodsurf.geometry import grid_points
+
+        values = np.tile([0.1, -0.0, np.nan, 1e300, -2.5e-310], 7)
+        skip = np.arange(35) % 3 == 1
+        monkeypatch.setattr(codazzi, "simons_log_residual",
+                            lambda gp, s: np.ma.masked_array(values, skip))
+        monkeypatch.setattr(codazzi, "det_jet", lambda s: SimpleNamespace(value=values))
+        out = tmp_path / "f.csv"
+        assert run(["field", "--surface", "circle_cylinder", "--param", "kappa=1",
+                    "--param", f"r={PI4}", "--quantity", quantity, "--grid", "5x7",
+                    "--output", str(out)]) == 0
+        pts = grid_points(catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4}),
+                          5, 7)
+        if quantity == "detS":
+            rows = zip(pts, values)
+        else:
+            rows = ((p, abs(x)) for p, x, s in zip(pts, values, skip) if not s)
+        want = ["u,v,value"] + ["%.17g,%.17g,%.17g" % (u, v, x) for (u, v), x in rows]
+        assert out.read_text() == "\n".join(want) + "\n"
+        assert (",-0\n" if quantity == "detS" else ",nan\n") in out.read_text()
 
     @pytest.mark.parametrize("identity_id", ["simons_log", "codazzi_pmc", "nope"])
     def test_residual_not_available_exits_two(self, identity_id, capsys):

@@ -305,6 +305,35 @@ class TestAccessors:
         assert np.count_nonzero(t.c) == 2
 
 
+class TestOrderGuard:
+    """A derivative past a jet's order is a zero tail coefficient, not a
+    derivative: reading it raises, naming both orders."""
+
+    # (order needed, read, name, its value on u^2 v + u v^2 at (1, 1))
+    READS = [(1, lambda j: j.du, "du", 3.0), (1, lambda j: j.dv, "dv", 3.0),
+             (1, lambda j: j.d_u().value, "d_u", 3.0), (1, lambda j: j.d_v().value, "d_v", 3.0),
+             (2, lambda j: j.duu, "duu", 2.0), (2, lambda j: j.duv, "duv", 4.0),
+             (2, lambda j: j.dvv, "dvv", 2.0)]
+
+    @pytest.mark.parametrize("need,read,name,_", READS)
+    def test_one_order_short_raises(self, need, read, name, _):
+        u = Jet2.variable("u", np.array([0.5, 1.5]), need - 1)
+        with pytest.raises(ValueError, match=rf"^{name} needs a jet of order >= {need}, "
+                                             rf"got order {need - 1}$"):
+            read(u * u)
+
+    @pytest.mark.parametrize("need,read,name,want", READS)
+    def test_enough_order_reads_the_derivative(self, need, read, name, want):
+        u, v = (Jet2.variable(w, 1.0, need) for w in "uv")
+        assert read(u * u * v + u * v * v) == want
+
+    def test_derivative_jet_of_order_one_is_constant(self):
+        d = Jet2.variable("u", 0.5, 1).d_u()
+        assert d.order == 0 and d.value == 1.0
+        with pytest.raises(ValueError, match="order >= 1, got order 0"):
+            d.d_v()
+
+
 def _reference_products(a, b, m):
     """Per point: each output sums left to right from 0.0 in table order.
 

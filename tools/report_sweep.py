@@ -26,14 +26,14 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import math
 import sys
 
 PI4 = repr(math.pi / 4)
 
 # (catalog id, parameters) of every swept surface: each kappa sign and scale
-# each entry admits, the pad/warp variants, and the exit-3 and failing cylinders.
+# each entry admits, the pad/warp variants, and the exit-3 and failing cylinders
+# (r=40 at kappa=-1 lies off the model).
 SURFACES = [
     *(("slice", {"kappa": k}) for k in ("1", "-1", "0", "4", "-0.25")),
     ("slice", {"kappa": "-1", "t0": "2.5"}),
@@ -50,6 +50,7 @@ SURFACES = [
     ("circle_cylinder", {"kappa": "1e4", "r": "5e-3"}),
     ("circle_cylinder", {"kappa": "1e6", "r": "5e-4"}),
     ("circle_cylinder", {"kappa": "-1", "r": "4.8"}),
+    ("circle_cylinder", {"kappa": "-1", "r": "40"}),
     ("cor32_flat_minimal", {"kappa": "1", "theta": PI4}),
     ("cor32_flat_minimal", {"kappa": "2", "theta": "0.5"}),
     ("cor32_flat_minimal", {"kappa": "1", "theta": "1.2"}),
@@ -80,9 +81,10 @@ def commands() -> list[list[str]]:
     """The fixed sweep: thirteen commands per surface, then :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
-    minimal entries, which have no PMC operator.
+    minimal entries, which have no PMC operator.  The first surface of each
+    catalog id also samples ``K`` and ``normT`` at 65x65.
     """
-    out = []
+    out, dense = [], set()
     for sid, params in SURFACES:
         base = ["--surface", sid]
         for name, value in params.items():
@@ -97,6 +99,9 @@ def commands() -> list[list[str]]:
                 for q in ("K", "normT", "residual:pmc", "residual:gauss_equation")]
         out += [["field", *base, "--grid", "7x7", "--quantity", q, *tilde]
                 for q in ("normS", "detS")]
+        if sid not in dense:
+            dense.add(sid)
+            out += [["field", *base, "--grid", "65x65", "--quantity", q] for q in ("K", "normT")]
     return out + EXTRA
 
 
@@ -132,20 +137,11 @@ def run_one(argv: list[str]) -> list:
     from prodsurf import cli
 
     out, err = io.StringIO(), io.StringIO()
-    # cli.main binds its log handler to the stderr of its first call; point it
-    # at this call's stderr, and back afterwards.
-    handlers = [h for h in logging.getLogger().handlers if type(h) is logging.StreamHandler]
-    streams = [h.stream for h in handlers]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        for handler in handlers:
-            handler.setStream(err)
         try:
             code: int | str = cli.main(argv)
         except Exception as exc:  # noqa: BLE001 - recorded, and fails the sweep
             code = f"uncaught {type(exc).__name__}: {exc}"
-        finally:
-            for handler, stream in zip(handlers, streams):
-                handler.setStream(stream)
     text = out.getvalue()
     digest = _digest(argv, text) if isinstance(code, int) else {}
     return [code, _sha(text), _sha(err.getvalue()), digest]
