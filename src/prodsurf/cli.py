@@ -21,8 +21,8 @@ from .geometry import (
     DegenerateMetricError,
     FrameError,
     MinimalSurfaceError,
+    grid_axes,
     grid_geometry,
-    grid_points,
 )
 from .jets import JetDomainError
 from .spaceforms import ConstraintError
@@ -173,8 +173,8 @@ def cmd_field(args) -> int:
     if quantity not in FIELD_ORDER and not quantity.startswith(RESIDUAL_PREFIX):
         raise ValueError(f"unknown quantity {quantity!r}; known: {', '.join(FIELD_ORDER)}, "
                          f"{RESIDUAL_PREFIX}<identity_id>")
-    pts = grid_points(spec, grid[0], grid[1], margin)
-    keep = np.ones(len(pts), dtype=bool)
+    us, vs = grid_axes(spec, grid[0], grid[1], margin)
+    keep = np.ones(len(us) * len(vs), dtype=bool)
     if quantity.startswith(RESIDUAL_PREFIX):
         values, keep = identities.residual_field(
             spec, quantity[len(RESIDUAL_PREFIX):], grid, margin)
@@ -199,8 +199,8 @@ def cmd_field(args) -> int:
                     values = codazzi.det_jet(s).value
     # Point k takes the (k // nv)-th u and the (k % nv)-th v: format each once.
     nv = grid[1]
-    u_txt = ["%.17g," % u for u, _ in pts[::nv]]
-    v_txt = ["%.17g," % v for _, v in pts[:nv]]
+    u_txt = ["%.17g," % u for u in us]
+    v_txt = ["%.17g," % v for v in vs]
     value_txt = ["%.17g" % x for x in values.tolist()]
     rows = ["u,v,value"] + [u_txt[k // nv] + v_txt[k % nv] + value_txt[k]
                             for k in np.flatnonzero(keep).tolist()]
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prodsurf",
         description="Verify curvature identities of surfaces in product-space models",
     )
-    parser.add_argument("--verbose", action="store_true", help="log skip diagnostics")
+    parser.add_argument("--verbose", action="store_true", help="log per-row point counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cat = sub.add_parser("catalog", help="list built-in surfaces")

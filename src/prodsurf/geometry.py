@@ -25,6 +25,7 @@ point axis first, and an error names the first offending point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -101,7 +102,7 @@ class GeomPoint:
     Jets keep the orders implied by differentiating the chart, whose order
     m is the ``order`` given to :func:`evaluate_chart` (4 by default):
     metric entries order m - 1, Christoffels and second-fundamental-form
-    data order m - 2, intrinsic curvature order m - 3.
+    data order m - 2, intrinsic curvature order m - 3; none stores more.
 
     A GeomPoint holds N points, N = 1 for a float point: its jets are
     batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
@@ -220,8 +221,6 @@ def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
     Input metric entries must carry order >= 2; the result loses two orders.
     """
     E, F, G = g[0][0], g[0][1], g[1][1]
-    if min(E.order, F.order, G.order) < 2:
-        raise ValueError("metric jets must have order >= 2 for curvature")
     det = E * G - F * F
     first_bad(_too_degenerate(det.value), "det g too small for the curvature: det g =",
               det.value, DegenerateMetricError)
@@ -412,7 +411,7 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     model = spec.ambient
 
     # A constant coordinate comes back as a single-point jet: repeat it over the batch.
-    f = [Jet2(np.broadcast_to(c.c, (len(ua), jets.NCOEF)), c.order)
+    f = [Jet2(np.broadcast_to(c.c, (len(ua), c.c.shape[-1])), c.order)
          for c in spec.chart(Jet2.variable("u", ua, order), Jet2.variable("v", va, order))]
     if model.kappa != 0:
         res = constraint_residual(model, _values(f).T)
@@ -577,13 +576,18 @@ def aux_det_sum(gp: GeomPoint):
     return total
 
 
-def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
-    """Interior sample grid, excluding a margin fraction near the chart edge."""
+def grid_axes(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
+    """The u and v values of the interior sample grid, excluding a margin
+    fraction near the chart edge: :func:`grid_points` is their product."""
     (u0, u1), (v0, v1) = spec.domain
     du, dv = u1 - u0, v1 - v0
-    us = [u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)]
-    vs = [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)]
-    return [(u, v) for u in us for v in vs]
+    return ([u0 + margin * du + i * (1 - 2 * margin) * du / (nu - 1) for i in range(nu)],
+            [v0 + margin * dv + j * (1 - 2 * margin) * dv / (nv - 1) for j in range(nv)])
+
+
+def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
+    """Interior sample grid: point k takes the (k // nv)-th u and (k % nv)-th v."""
+    return list(itertools.product(*grid_axes(spec, nu, nv, margin)))
 
 
 def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02,
@@ -593,4 +597,5 @@ def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02,
     Each entry point evaluates its grid once, at the chart order it reads,
     and passes the result to every evaluator that reads it.
     """
-    return evaluate_chart(spec, *np.array(grid_points(spec, nu, nv, margin)).T, order)
+    us, vs = grid_axes(spec, nu, nv, margin)
+    return evaluate_chart(spec, np.repeat(us, nv), np.tile(vs, nu), order)

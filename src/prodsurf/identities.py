@@ -116,6 +116,7 @@ def grid_report(gp: GeomPoint, identity_id: str, fn, nu: int, nv: int,
     identity does not apply anywhere on this chart); partial skips become
     report warnings.  The row's maximum is the first largest value, or the
     first NaN, which fails the row; the mean folds the values left to right.
+    Each row logs its counts of evaluated and skipped points at INFO.
     """
     vals, skips = _split(fn())
     npts = len(gp.u)
@@ -126,17 +127,20 @@ def grid_report(gp: GeomPoint, identity_id: str, fn, nu: int, nv: int,
             warnings.append(f"skipped at {int(np.count_nonzero(mask))} of {npts} "
                             f"points: {reason}")
         evaluated &= ~mask
-    if not evaluated.any():
+    n = int(np.count_nonzero(evaluated))
+    if not n:
         log.warning("%s skipped on %s: %s", identity_id, gp.spec.catalog_id,
                     "; ".join(warnings) or "no evaluable points")
         return None
+    log.info("%s on %s: evaluated %d points, skipped %d", identity_id, gp.spec.catalog_id,
+             n, npts - n)
     k = int(np.argmax(np.where(evaluated, vals, -1.0)))  # a NaN is found first
     max_abs = float(vals[k])
     return ResidualReport(
         identity_id=identity_id,
         grid=(nu, nv),
         max_abs=max_abs,
-        mean_abs=float(np.add.accumulate(vals[evaluated])[-1]) / int(evaluated.sum()),
+        mean_abs=float(np.add.accumulate(vals[evaluated])[-1]) / n,
         argmax=(float(gp.u[k]), float(gp.v[k])),
         tolerance=tolerance,
         passed=max_abs <= tolerance,

@@ -10,17 +10,19 @@ all curvature formulas downstream rely on this.
 Order 4 is a hard cap: the deepest consumer needs a Laplacian of a quantity
 built from second derivatives of the immersion, which uses exactly four
 derivative levels.  Coefficients are stored densely in degree-major order,
-so truncation to order m just zeroes the tail of the coefficient vector.
-Those zeros are not derivatives: reading a first (second) derivative of a
-jet of order below 1 (2) raises ``ValueError`` naming both orders.
+and a jet of order m stores only the first ``_NCOEF[m]`` (1, 3, 6, 10, 15):
+truncation keeps a prefix, and operands of two orders meet at the lower
+order's prefix.  ``coeff`` past the order reads 0.0; reading a first
+(second) derivative of a jet of order below 1 (2) raises ``ValueError``.
 
-The coefficient array may carry one leading batch axis, shape ``(N, 15)``:
-the jet then holds the Taylor data of N points and every operation acts on
-all of them at once (the vector mode of Taylor propagation).  A batch is
-stored coefficient-major (``c.T`` is C-contiguous), so ``c.T[k]`` is
-coefficient k of every point as one contiguous row.  A jet built from a
-float keeps a plain ``(15,)`` array, and every operation treats it as a
-column against a batch; all jets run the same NumPy code.
+The coefficient array may carry one leading batch axis, shape ``(N, w)``
+for ``w = _NCOEF[m]``: the jet then holds the Taylor data of N points and
+every operation acts on all of them at once (the vector mode of Taylor
+propagation).  A batch is stored coefficient-major (``c.T`` is
+C-contiguous), so ``c.T[k]`` is coefficient k of every point as one
+contiguous row.  A jet built from a float keeps a plain ``(w,)`` array, and
+every operation treats it as a column against a batch; all jets run the
+same NumPy code.
 
 A product has one summation order: each coefficient sums its terms left to
 right from 0.0, in multiplication-table order.  It runs the slot kernel
@@ -66,9 +68,6 @@ def _mul_table(m: int):
             np.asarray(iout, dtype=np.intp))
 
 
-_MUL_TABLES = [_mul_table(m) for m in range(MAX_ORDER + 1)]
-
-
 def _slot_table(m: int):
     """The order-m table in slots, for a product over a batch.
 
@@ -77,7 +76,7 @@ def _slot_table(m: int):
     (widths 15, 14, 12, 10, 7, 5, 3, 3, 1 at order 4).  Returns that output
     order, the slots' operand rows concatenated in slot order, and the widths.
     """
-    ia, ib, iout = _MUL_TABLES[m]
+    ia, ib, iout = _mul_table(m)
     terms = [np.flatnonzero(iout == k) for k in range(_NCOEF[m])]
     order = sorted(range(_NCOEF[m]), key=lambda k: -len(terms[k]))
     rows, widths = [], []
@@ -132,13 +131,12 @@ _SLOT_TABLES = [_gather_groups(m) for m in range(MAX_ORDER + 1)]
 # at 729 points, 256 KiB at 468-1089.
 _GATHER_BYTES = 128 * 1024
 
-# d/du and d/dv as (out_index, src_index, factor) scatter tables.
-_DU_OUT = np.asarray([_IDX[(i - 1, j)] for (i, j) in MONOMIALS if i >= 1], dtype=np.intp)
-_DU_SRC = np.asarray([_IDX[(i, j)] for (i, j) in MONOMIALS if i >= 1], dtype=np.intp)
-_DU_FACT = np.asarray([float(i) for (i, j) in MONOMIALS if i >= 1])
-_DV_OUT = np.asarray([_IDX[(i, j - 1)] for (i, j) in MONOMIALS if j >= 1], dtype=np.intp)
-_DV_SRC = np.asarray([_IDX[(i, j)] for (i, j) in MONOMIALS if j >= 1], dtype=np.intp)
-_DV_FACT = np.asarray([float(j) for (i, j) in MONOMIALS if j >= 1])
+# d/du and d/dv as gather tables over the order-3 monomials: coefficient k of the
+# derivative of an order-m jet, k < _NCOEF[m - 1], is SRC[k] times FACT[k].
+_DU_SRC = np.asarray([_IDX[(i + 1, j)] for (i, j) in MONOMIALS[:_NCOEF[3]]], dtype=np.intp)
+_DU_FACT = np.asarray([float(i + 1) for (i, j) in MONOMIALS[:_NCOEF[3]]])
+_DV_SRC = np.asarray([_IDX[(i, j + 1)] for (i, j) in MONOMIALS[:_NCOEF[3]]], dtype=np.intp)
+_DV_FACT = np.asarray([float(j + 1) for (i, j) in MONOMIALS[:_NCOEF[3]]])
 
 DOMAIN_TOL = 1e-12
 
@@ -164,14 +162,14 @@ def first_where(mask):
 
 
 def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Truncated product; a ``(15,)`` operand acts as a column against a batch.
+    """Order-m product of operands of ``_NCOEF[m]`` or more coefficients; a 1-D one
+    acts as a column against a batch, and two give a 1-D result.
 
     Each coefficient sums its terms left to right from 0.0 in table order
-    (``+= 0.0`` turns a first term of -0.0 into 0.0).  Two ``(15,)`` operands
-    give a ``(15,)`` result.
+    (``+= 0.0`` turns a first term of -0.0 into 0.0).
     """
     order, pick, groupings = _SLOT_TABLES[m]
-    at, bt = a.reshape(-1, NCOEF).T, b.reshape(-1, NCOEF).T
+    at, bt = a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]).T
     swap = at.shape[1] == 1
     if swap:  # gather the batch first, so that it is scaled in place
         at, bt = bt, at
@@ -186,9 +184,17 @@ def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
             acc += 0.0
         for rows, w in adds:
             acc[:w] += x[rows]
-    out = np.zeros((NCOEF, n))
-    out[order] = acc
-    return out.T.reshape(np.broadcast(a, b).shape)
+    out = np.empty((len(order), n))
+    out[order] = acc  # order is a permutation: every row is written
+    return out.T if a.ndim > 1 or b.ndim > 1 else out[:, 0]
+
+
+def _common(a: "Jet2", b: "Jet2"):
+    """Two jets' coefficients at their lower order m, and m: a prefix is a view."""
+    if a.order == b.order:
+        return a.c, b.c, a.order
+    m = min(a.order, b.order)
+    return a.c[..., :_NCOEF[m]], b.c[..., :_NCOEF[m]], m
 
 
 class Jet2:
@@ -211,7 +217,7 @@ class Jet2:
         """Constant jet; an array ``x`` gives one constant per point."""
         _check_order(order)
         x = np.asarray(x, dtype=float)
-        c = np.zeros((NCOEF,) + x.shape).T
+        c = np.zeros((_NCOEF[order],) + x.shape).T
         c.T[0] = x
         return Jet2(c, order)
 
@@ -268,39 +274,33 @@ class Jet2:
         return self.c.T[_IDX[(i, j)]] * math.factorial(i) * math.factorial(j)
 
     def coeff(self, i: int, j: int) -> float | np.ndarray:
-        return self.c.T[_IDX[(i, j)]]
-
-    def coeffs(self) -> dict[tuple[int, int], float | np.ndarray]:
-        """Triangular coefficient map, (order+1)(order+2)/2 entries."""
-        return {m: self.c.T[k] for k, m in enumerate(MONOMIALS) if k < _NCOEF[self.order]}
+        """Taylor coefficient of u^i v^j: 0.0 past the jet's order."""
+        k = _IDX[(i, j)]
+        return self.c.T[k] if k < self.c.shape[-1] else np.zeros(self.c.shape[:-1])[()]
 
     def truncate(self, order: int) -> "Jet2":
         _check_order(order)
-        if order >= self.order:
-            return Jet2(self.c.copy("K"), order if order <= self.order else self.order)
-        c = self.c.copy("K")
-        c[..., _NCOEF[order]:] = 0.0
-        return Jet2(c, order)
+        m = min(order, self.order)
+        return Jet2(self.c[..., :_NCOEF[m]].copy("K"), m)
 
     def __repr__(self) -> str:
         return f"Jet2(order={self.order}, value={self.value!r})"
 
     # -- derivative jets ----------------------------------------------------
 
-    def _derivative(self, what, out_idx, src_idx, fact) -> "Jet2":
+    def _derivative(self, what, src, fact) -> "Jet2":
         self._need(1, what)
-        c = np.zeros(self.c.shape[::-1]).T
-        c[..., out_idx] = self.c[..., src_idx] * fact
         m = self.order - 1
-        c[..., _NCOEF[m]:] = 0.0
+        c = self.c.T[src[:_NCOEF[m]]].T  # a fresh coefficient-major gather
+        c *= fact[:_NCOEF[m]]
         return Jet2(c, m)
 
     def d_u(self) -> "Jet2":
         """Jet of the u-partial, one order lower."""
-        return self._derivative("d_u", _DU_OUT, _DU_SRC, _DU_FACT)
+        return self._derivative("d_u", _DU_SRC, _DU_FACT)
 
     def d_v(self) -> "Jet2":
-        return self._derivative("d_v", _DV_OUT, _DV_SRC, _DV_FACT)
+        return self._derivative("d_v", _DV_SRC, _DV_FACT)
 
     def d(self, direction: int) -> "Jet2":
         return self.d_u() if direction == 0 else self.d_v()
@@ -309,11 +309,8 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            m = min(self.order, other.order)
-            c = self.c + other.c
-            if m < MAX_ORDER:
-                c[..., _NCOEF[m]:] = 0.0
-            return Jet2(c, m)
+            a, b, m = _common(self, other)
+            return Jet2(a + b, m)
         c = self.c.copy("K")
         c.T[0] += other
         return Jet2(c, self.order)
@@ -322,11 +319,8 @@ class Jet2:
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            m = min(self.order, other.order)
-            c = self.c - other.c
-            if m < MAX_ORDER:
-                c[..., _NCOEF[m]:] = 0.0
-            return Jet2(c, m)
+            a, b, m = _common(self, other)
+            return Jet2(a - b, m)
         c = self.c.copy("K")
         c.T[0] -= other
         return Jet2(c, self.order)
@@ -379,11 +373,8 @@ def where(mask, a, b) -> Jet2:
     The result has the lower of the two orders and stays coefficient-major.
     """
     a, b = (x if isinstance(x, Jet2) else Jet2.constant(x) for x in (a, b))
-    m = min(a.order, b.order)
-    c = np.where(mask, a.c.reshape(-1, NCOEF).T, b.c.reshape(-1, NCOEF).T).T
-    if m < MAX_ORDER:
-        c[..., _NCOEF[m]:] = 0.0
-    return Jet2(c, m)
+    ca, cb, m = _common(a, b)
+    return Jet2(np.where(mask, np.atleast_2d(ca).T, np.atleast_2d(cb).T).T, m)
 
 
 def _check_domain(bad, a0, what: str) -> None:

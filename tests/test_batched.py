@@ -184,8 +184,9 @@ def test_jet_products_do_not_grow_with_the_grid(sid, params, monkeypatch):
 
 def test_batch_of_one_product_matches_the_scalar_kernel():
     rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((2, jets.NCOEF))
+    a15, b15 = rng.standard_normal((2, jets.NCOEF))
     for order in range(jets.MAX_ORDER + 1):
+        a, b = a15[:jets._NCOEF[order]], b15[:jets._NCOEF[order]]
         scalar = Jet2(a.copy(), order) * Jet2(b.copy(), order)
         one = Jet2(a[None].copy(), order) * Jet2(b.copy(), order)
         wide = Jet2(np.stack([a, b, a]), order) * Jet2(np.stack([b, a, b]), order)
@@ -197,8 +198,9 @@ def test_batch_of_one_product_matches_the_scalar_kernel():
 def test_every_point_of_a_batch_product_matches_its_one_point_product(n):
     # one summation order: the slot kernel and bincount give the same bits
     rng = np.random.default_rng(n)
-    a, b = rng.standard_normal((2, n, jets.NCOEF))
+    a15, b15 = rng.standard_normal((2, n, jets.NCOEF))
     for order in range(jets.MAX_ORDER + 1):
+        a, b = a15[:, :jets._NCOEF[order]], b15[:, :jets._NCOEF[order]]
         batch = (Jet2(a.T.copy().T, order) * Jet2(b.T.copy().T, order)).c
         for k in range(n):
             one = Jet2(a[k].copy(), order) * Jet2(b[k].copy(), order)

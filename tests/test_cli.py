@@ -214,6 +214,31 @@ class TestVerifyCommand:
         assert errs[0] == errs[1]
         assert errs[0].startswith("WARNING prodsurf: simons_reduced skipped on slice")
 
+    def test_verbose_logs_each_rows_point_counts(self, monkeypatch):
+        """--verbose adds one INFO line per report row; without it stderr holds
+        only the skip warnings, and stdout is the same either way."""
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])  # as in a fresh process
+        argv = ["verify", "--surface", "slice", "--param", "kappa=1", "--grid", "5x5"]
+        runs = []
+        for flags in ([], ["--verbose"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                run(flags + argv)
+            runs.append((out.getvalue(), err.getvalue().splitlines()))
+        (quiet_out, quiet), (verbose_out, verbose) = runs
+        assert quiet_out == verbose_out
+        assert quiet and all(line.startswith("WARNING prodsurf: ") for line in quiet)
+        assert [line for line in verbose if not line.startswith("INFO ")] == quiet
+        info = [line for line in verbose if line.startswith("INFO ")]
+        rows = json.loads(verbose_out)["results"]
+        assert len(info) == len(rows) > 0
+        for line, row in zip(info, rows):
+            head, _, counts = line.partition(": evaluated ")
+            assert head == f"INFO prodsurf: {row['identity_id']} on slice"
+            evaluated, skipped = (int(x) for x in counts.split(" points, skipped "))
+            assert evaluated + skipped == 25 and evaluated > 0
+            assert (skipped > 0) == any(w.startswith("skipped at") for w in row["warnings"])
+
 
 class TestFieldCommand:
     def test_curvature_of_flat_minimal_surface(self, tmp_path):

@@ -142,6 +142,13 @@ class TestBrioschi:
         with pytest.raises(DegenerateMetricError):
             gauss_curvature_brioschi(g)
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_low_order_metric_raises_the_order_guard(self, order):
+        g = _metric_jets(_const(1.0), _const(0.0), lambda u, v: jets.sin(u) ** 2, 0.8, 0.1,
+                         order=order)
+        with pytest.raises(ValueError, match="needs a jet of order >= 1, got order 0"):
+            gauss_curvature_brioschi(g)
+
     @pytest.mark.parametrize("n", [17, 65])
     @pytest.mark.parametrize("catalog_id,params", [
         ("slice", {"kappa": 0.0}),
@@ -604,3 +611,34 @@ class TestBatchedGeometry:
             gp.T_val[0, 0] = 1.0
         # arithmetic on the views is unaffected
         assert (gp.K * 2.0).value == pytest.approx(2.0 * gp.K_val)
+
+
+def _jets_in(x):
+    """Every jet in a nested list or tuple."""
+    if isinstance(x, Jet2):
+        yield x
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _jets_in(y)
+
+
+@pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+def test_every_geometry_jet_stores_exactly_its_order(order):
+    """Each jet a grid geometry reaches stores _NCOEF[m] coefficients for its
+    order m, coefficient-major; a name the chart order cannot give raises."""
+    spec = catalog.instantiate("circle_cylinder",
+                               {"kappa": 1.0, "r": math.pi / 4, "warp": 0.3, "pad": 2})
+    gp = grid_geometry(spec, 5, 5, order=order)
+    seen = 0
+    for name in geometry.GEOMETRY_NAMES:
+        try:
+            value = getattr(gp, name)
+        except ValueError:  # the order guard: this name needs a higher chart order
+            assert order < jets.MAX_ORDER, name
+            continue
+        for jet in _jets_in(value):
+            seen += 1
+            assert jet.c.shape == (25, jets._NCOEF[jet.order]), name
+            # coefficient-major: each coefficient a contiguous row, or a broadcast constant
+            assert jet.c.strides[0] in (0, jet.c.itemsize), name
+    assert seen >= 12

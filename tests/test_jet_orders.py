@@ -2,9 +2,8 @@
 ``theorems.CHECKER_ORDER`` for the checkers.
 
 At its table order every command prints the bytes it prints at order 4, and
-one order lower it fails with the jet order guard's message (or, for K, the
-Brioschi formula's own order check) instead of reading zero tail
-coefficients as derivatives.
+one order lower it fails with the jet order guard's message instead of
+reading derivatives the jets do not hold.
 """
 
 import contextlib
@@ -24,7 +23,7 @@ SURFACES = [
     ("cor32_flat_minimal", {"kappa": 1.0, "theta": math.pi / 4}, True),
     ("perturbed_control", {"kappa": -1.0, "r": 0.4}, False),
 ]
-ORDER_ERROR = r"needs a jet of order >= \d, got order \d|metric jets must have order >= 2"
+ORDER_ERROR = r"needs a jet of order >= \d, got order \d"
 
 
 def _argv(command, sid, params, grid, *extra):

@@ -39,7 +39,7 @@ class TestVariable:
     def test_coefficient_count(self):
         for order in range(5):
             j = Jet2.variable("u", 1.0, order)
-            assert len(j.coeffs()) == (order + 1) * (order + 2) // 2
+            assert j.c.shape == ((order + 1) * (order + 2) // 2,)
 
 
 class TestArithmetic:
@@ -194,8 +194,8 @@ class TestPolynomialExactness:
 
 @st.composite
 def random_jets(draw, order=4):
-    c = np.zeros(jets.NCOEF)
-    for k in range(jets._NCOEF[order]):
+    c = np.zeros(jets._NCOEF[order])
+    for k in range(len(c)):
         c[k] = draw(small)
     return Jet2(c, order)
 
@@ -337,12 +337,13 @@ class TestOrderGuard:
 def _reference_products(a, b, m):
     """Per point: each output sums left to right from 0.0 in table order.
 
-    One term per step, taken for every point at once.
+    One term per step, taken for every point at once; the order-m product
+    is the first ``_NCOEF[m]`` columns.
     """
     out = np.zeros((len(a), jets.NCOEF))
     for i, j, k in zip(*jets._mul_table(m)):
         out[:, k] += a[:, i] * b[:, j]
-    return out
+    return out[:, :jets._NCOEF[m]]
 
 
 def _grouping_edges():
@@ -370,10 +371,11 @@ class TestBatchProductKernel:
         a = rng.standard_normal((n, jets.NCOEF)) * 10.0 ** rng.integers(-3, 4, (n, jets.NCOEF))
         b = rng.standard_normal((n, jets.NCOEF))
         a[rng.random(a.shape) < 0.1] = -0.0  # a first term of -0.0 still sums from 0.0
+        a, b = a[:, :jets._NCOEF[order]], b[:, :jets._NCOEF[order]]  # order-m operands
         want = _reference_products(a, b, order)
         for layout in (_coefficient_major, np.ascontiguousarray):
             got = (Jet2(layout(a), order) * Jet2(layout(b), order)).c
-            assert got.shape == (n, jets.NCOEF) and got.T.flags.c_contiguous
+            assert got.shape == (n, jets._NCOEF[order]) and got.T.flags.c_contiguous
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         col = a[0]
@@ -393,6 +395,7 @@ class TestBatchProductKernel:
         a = rng.uniform(0.5, 2.0, (17, jets.NCOEF))
         b = rng.uniform(0.5, 2.0, (17, jets.NCOEF))
         a[5, k] = np.inf
+        a, b = a[:, :jets._NCOEF[order]], b[:, :jets._NCOEF[order]]  # order-m operands
         got = (Jet2(_coefficient_major(a), order) * Jet2(_coefficient_major(b), order)).c
         i1, j1 = jets.MONOMIALS[k]
         reached = {jets.MONOMIALS.index((i1 + i2, j1 + j2)) for (i2, j2) in jets.MONOMIALS
@@ -450,3 +453,84 @@ class TestFloatPointAgainstItsBatchRow:
         for k in range(self.N):
             one = fn(self._inputs(x[k:k + 1], y[k:k + 1])[1]).c
             assert np.array_equal(one[0], batch[k]), (name, k)
+
+
+def _assert_stored(jet, order, shape=None):
+    """``jet`` has ``order`` and stores exactly its ``_NCOEF[order]`` coefficients,
+    each a contiguous row over the points (coefficient-major)."""
+    assert jet.order == order
+    assert jet.c.shape[-1] == jets._NCOEF[order]
+    if shape is not None:
+        assert jet.c.shape[:-1] == shape
+    assert jet.c.ndim == 1 or jet.c.strides[0] == jet.c.itemsize
+
+
+class TestStoredWidth:
+    """A jet of order m stores its first _NCOEF[m] coefficients, no more."""
+
+    N = 5
+
+    def _jet(self, order, batched, seed):
+        rng = np.random.default_rng(seed)
+        w = jets._NCOEF[order]
+        if batched:
+            return Jet2(_coefficient_major(rng.uniform(0.5, 2.0, (self.N, w))), order)
+        return Jet2(rng.uniform(0.5, 2.0, w), order)
+
+    @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_unary_results(self, order, batched):
+        a = self._jet(order, batched, order)
+        shape = (self.N,) if batched else ()
+        x = np.full(self.N, 0.75) if batched else 0.75
+        for built in (Jet2.constant(x, order), Jet2.variable("u", x, order),
+                      Jet2.variable("v", x, order)):
+            _assert_stored(built, order, shape)
+        for out in (a * 2.0, 2.0 * a, a / 2.0, a + 1.0, 1.0 + a, a - 1.0, 1.0 - a, -a,
+                    a ** 3, a ** -2, a ** 0.5, 1.0 / a, jets.sin(a), jets.cos(a),
+                    jets.exp(a), jets.log(a), jets.sqrt(a), jets.powf(a, 1.5)):
+            _assert_stored(out, order, shape)
+        _assert_stored(a ** 0, order)  # the constant 1, one column for every point
+        for m in range(jets.MAX_ORDER + 1):
+            _assert_stored(a.truncate(m), min(m, order), shape)
+        if order >= 1:
+            _assert_stored(a.d_u(), order - 1, shape)
+            _assert_stored(a.d_v(), order - 1, shape)
+
+    @pytest.mark.parametrize("oa,ob", [(oa, ob) for oa in range(jets.MAX_ORDER + 1)
+                                       for ob in range(jets.MAX_ORDER + 1)])
+    @pytest.mark.parametrize("kinds", [(True, True), (True, False), (False, True),
+                                       (False, False)])
+    def test_binary_results_take_the_lower_order(self, oa, ob, kinds):
+        a, b = self._jet(oa, kinds[0], 10 + oa), self._jet(ob, kinds[1], 20 + ob)
+        m = min(oa, ob)
+        shape = (self.N,) if any(kinds) else ()
+        for out in (a + b, a - b, a * b, a / b):
+            _assert_stored(out, m, shape)
+        mask = np.arange(self.N) % 2 == 0
+        chosen = jets.where(mask, a, b)
+        _assert_stored(chosen, m, (self.N,))
+        w = jets._NCOEF[m]
+        want = np.where(mask[:, None], np.broadcast_to(a.c[..., :w], (self.N, w)),
+                        np.broadcast_to(b.c[..., :w], (self.N, w)))
+        assert np.array_equal(chosen.c, want)
+        # the lower order's sum is the prefix sum of the coefficients
+        assert np.array_equal((a + b).c, a.c[..., :w] + b.c[..., :w])
+
+    @pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_coeff_past_the_order_is_zero(self, order, batched):
+        a = self._jet(order, batched, 30 + order)
+        for (i, j) in jets.MONOMIALS[jets._NCOEF[order]:]:
+            got = a.coeff(i, j)
+            assert np.shape(got) == ((self.N,) if batched else ())
+            assert not np.any(got)
+        with pytest.raises(ValueError, match="exceeds jet order"):
+            a.deriv(order + 1, 0)
+
+    def test_derivative_gathers_the_scaled_source_coefficients(self):
+        a = self._jet(jets.MAX_ORDER, True, 40)
+        for d, (di, dj) in ((a.d_u(), (1, 0)), (a.d_v(), (0, 1))):
+            for k, (i, j) in enumerate(jets.MONOMIALS[:jets._NCOEF[d.order]]):
+                src = a.coeff(i + di, j + dj) * float(i + 1 if di else j + 1)
+                assert np.array_equal(d.c[:, k], src)

@@ -76,9 +76,18 @@ EXTRA = [
      "--param", "theta=0.5", "--grid", "5x5"],
 ]
 
+# Full reports on the largest grids: jet memory per point shows most here.
+DENSE = [
+    ["verify", "--surface", "circle_cylinder", "--param", "kappa=-1", "--param", "r=0.4",
+     "--param", "warp=-0.2", "--param", "pad=2", "--grid", "129x129"],
+    ["verify", "--surface", "cor32_flat_minimal", "--param", "kappa=1",
+     "--param", f"theta={PI4}", "--grid", "129x129"],
+]
+
 
 def commands() -> list[list[str]]:
-    """The fixed sweep: thirteen commands per surface, then :data:`EXTRA`.
+    """The fixed sweep: thirteen commands per surface, then :data:`DENSE` and
+    :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
     minimal entries, which have no PMC operator.  The first surface of each
@@ -102,7 +111,7 @@ def commands() -> list[list[str]]:
         if sid not in dense:
             dense.add(sid)
             out += [["field", *base, "--grid", "65x65", "--quantity", q] for q in ("K", "normT")]
-    return out + EXTRA
+    return out + DENSE + EXTRA
 
 
 def _digest(argv: list[str], text: str) -> dict[str, list]:
