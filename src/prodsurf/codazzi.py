@@ -286,9 +286,10 @@ def inverse_codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ma.Masked
 
     The connection of the changed metric is recomputed independently from its
     own Christoffel symbols (not through the S-conjugation formula), so this
-    checks that S^{-1} really is Codazzi for the new geometry.
+    checks that S^{-1} really is Codazzi for the new geometry.  S is cut to
+    order 1: first derivatives of S^{-1} and of <S., S.> are all it reads.
     """
-    s, _, singular = _nonsingular(s)
+    s, _, singular = _nonsingular([[x.truncate(1) for x in row] for row in s])
     r = 1.0 / det_jet(s)
     p = [[s[1][1] * r, -s[0][1] * r], [-s[1][0] * r, s[0][0] * r]]
     gs = new_metric_jets(gp, s)

@@ -46,6 +46,10 @@ MINIMAL_TOL = 1e-8
 MINIMAL_WARN_BAND = 1e-6
 FRAME_DROP_TOL = 1e-10
 NORMALITY_TOL = 1e-10
+# Brioschi's K reads the metric to order 2, every other reader to chart order - 2.
+METRIC_ORDER = 2
+# The normal frame's one reader, ambient Codazzi, differentiates xi and <alpha, xi> once.
+FRAME_ORDER = 1
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -99,10 +103,10 @@ class GeomPoint:
     - normal frame: ``xi``, ``h``, ``A``.  A :class:`FrameError` surfaces on
       the first read of one of these.
 
-    Jets keep the orders implied by differentiating the chart, whose order
-    m is the ``order`` given to :func:`evaluate_chart` (4 by default):
-    metric entries order m - 1, Christoffels and second-fundamental-form
-    data order m - 2, intrinsic curvature order m - 3; none stores more.
+    Jets keep the orders their readers use, for a chart of order m (the
+    ``order`` of :func:`evaluate_chart`, 4 by default): ``fu``, ``fv`` m - 1,
+    metric and vertical split min(m - 1, 2), Christoffels one less, second
+    fundamental form m - 2, intrinsic curvature 0; none stores more.
 
     A GeomPoint holds N points, N = 1 for a float point: its jets are
     batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
@@ -358,16 +362,17 @@ def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
 
     The projection is a smooth normal field through the frame vector, so its
     jets give honest derivatives, and the frame's values and sign rules come
-    from :func:`_normal_frames` alone.  Any smooth normal extension serves the
-    Codazzi equation: (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) is tensorial in
-    xi.  Used only where an explicit normal field is needed; covariant normal
+    from :func:`_normal_frames` alone; the jets are of order
+    :data:`FRAME_ORDER`.  Any smooth normal extension serves the Codazzi
+    equation: (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) is tensorial in xi.
+    Used only where an explicit normal field is needed; covariant normal
     derivatives elsewhere go through projections, never through frame
     differences.
     """
     model = gp.spec.ambient
     comps = gp.xi.T  # comps[i][j]: component i of vector j, per point
     return [_normal_part_jets(model, gp.f, gp.fu, gp.fv, gp.ginv,
-                              [Jet2.constant(c[j]) for c in comps])
+                              [Jet2.constant(c[j], FRAME_ORDER) for c in comps])
             for j in range(model.n - 1)]
 
 
@@ -422,8 +427,9 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
 
     fu = [c.d_u() for c in f]
     fv = [c.d_v() for c in f]
-    g01 = flat_inner(model, fu, fv)
-    g = [[flat_inner(model, fu, fu), g01], [g01, flat_inner(model, fv, fv)]]
+    tu, tv = ([c.truncate(METRIC_ORDER) for c in x] for x in (fu, fv))
+    g01 = flat_inner(model, tu, tv)
+    g = [[flat_inner(model, tu, tu), g01], [g01, flat_inner(model, tv, tv)]]
     detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
     bad = first_where(_too_degenerate(detg.value))
     if bad is not None:

@@ -166,8 +166,9 @@ def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
     wedge = np.stack([t_low[:, 1], -t_low[:, 0]], axis=-1)
     worst = np.zeros(len(gp.u))
     for xi in frame:
-        m = [[flat_inner(model, gp.alpha_flat[a][b], xi) for b in range(2)]
-             for a in range(2)]
+        m01 = flat_inner(model, gp.alpha_flat[0][1], xi)  # alpha is symmetric
+        m = [[flat_inner(model, gp.alpha_flat[0][0], xi), m01],
+             [m01, flat_inner(model, gp.alpha_flat[1][1], xi)]]
         a_xi = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
                 for a in range(2)]
         a_val = codazzi.matrix_values(a_xi)

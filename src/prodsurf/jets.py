@@ -279,9 +279,10 @@ class Jet2:
         return self.c.T[k] if k < self.c.shape[-1] else np.zeros(self.c.shape[:-1])[()]
 
     def truncate(self, order: int) -> "Jet2":
+        """The jet to at most ``order``: itself, or a view of its coefficient prefix."""
         _check_order(order)
         m = min(order, self.order)
-        return Jet2(self.c[..., :_NCOEF[m]].copy("K"), m)
+        return self if m == self.order else Jet2(self.c[..., :_NCOEF[m]], m)
 
     def __repr__(self) -> str:
         return f"Jet2(order={self.order}, value={self.value!r})"
@@ -355,7 +356,7 @@ class Jet2:
             return powf(self, float(n))
         if n < 0:
             return _reciprocal(self ** (-n))
-        out = Jet2.constant(1.0, self.order)
+        out = Jet2.constant(np.ones(self.c.shape[:-1]), self.order)
         base = self
         while n:
             if n & 1:

@@ -303,6 +303,8 @@ class TestAccessors:
         t = f.truncate(1)
         assert t.order == 1
         assert np.count_nonzero(t.c) == 2
+        assert np.shares_memory(t.c, f.c)  # a view of the coefficient prefix
+        assert f.truncate(4) is f and t.truncate(2) is t
 
 
 class TestOrderGuard:
@@ -490,7 +492,9 @@ class TestStoredWidth:
                     a ** 3, a ** -2, a ** 0.5, 1.0 / a, jets.sin(a), jets.cos(a),
                     jets.exp(a), jets.log(a), jets.sqrt(a), jets.powf(a, 1.5)):
             _assert_stored(out, order, shape)
-        _assert_stored(a ** 0, order)  # the constant 1, one column for every point
+        one = a ** 0
+        _assert_stored(one, order, shape)  # the constant 1 at every point
+        assert np.all(one.value == 1.0) and not np.any(one.c[..., 1:])
         for m in range(jets.MAX_ORDER + 1):
             _assert_stored(a.truncate(m), min(m, order), shape)
         if order >= 1:
