@@ -60,8 +60,9 @@ class CodazziField:
     ``matrix_at(u, v)`` gives the 2x2 jet matrix over the points of the
     coordinate arrays ``u``, ``v``, with one row per point in every entry,
     also where the field is constant.  The evaluators below take that matrix
-    itself; a field serves callers that query the operator at points of
-    their own choosing, such as a finite-difference oracle.
+    itself, and no package path builds a field: it stays while the benchmark
+    tracer (``perfbench/tracer.py``) wraps :func:`field_for` and the tests'
+    finite-difference Codazzi oracle queries one.
     """
 
     kind: str
@@ -69,22 +70,20 @@ class CodazziField:
     matrix_at: Callable[[float, float], list[list[Jet2]]]
 
 
-def pmc_operator_jets(gp: GeomPoint, kappa: float | None = None) -> list[list[Jet2]]:
+def pmc_operator_jets(gp: GeomPoint) -> list[list[Jet2]]:
     """Chart-basis matrix (jet entries) of the PMC operator at a point or batch."""
     first_bad(gp.normH <= MINIMAL_TOL,
               "PMC operator undefined at minimal point: |H| =", gp.normH, MinimalSurfaceError)
-    if kappa is None:
-        kappa = gp.spec.ambient.kappa
     model = gp.spec.ambient
     m = [[flat_inner(model, gp.alpha_flat[a][b], gp.H) for b in range(2)] for a in range(2)]
     a_h = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
            for a in range(2)]
     t_low = [gp.g[b][0] * gp.T_up[0] + gp.g[b][1] * gp.T_up[1] for b in range(2)]
-    diag = 0.5 * kappa * gp.normT2 - 2.0 * gp.normH2
+    diag = 0.5 * model.kappa * gp.normT2 - 2.0 * gp.normH2
     out = [[None, None], [None, None]]
     for a in range(2):
         for b in range(2):
-            entry = 2.0 * a_h[a][b] - kappa * (gp.T_up[a] * t_low[b])
+            entry = 2.0 * a_h[a][b] - model.kappa * (gp.T_up[a] * t_low[b])
             if a == b:
                 entry = entry + diag
             out[a][b] = entry
@@ -111,8 +110,8 @@ def matrix_values(s: list[list[Jet2]]) -> np.ndarray:
                      np.stack([s[1][0].value, s[1][1].value], axis=-1)], axis=-2)
 
 
-def pmc_operator(gp: GeomPoint, kappa: float | None = None) -> np.ndarray:
-    return matrix_values(pmc_operator_jets(gp, kappa))
+def pmc_operator(gp: GeomPoint) -> np.ndarray:
+    return matrix_values(pmc_operator_jets(gp))
 
 
 def angle_operator(gp: GeomPoint) -> np.ndarray:
@@ -146,19 +145,21 @@ def det_jet(s: list[list[Jet2]]) -> Jet2:
     return s[0][0] * s[1][1] - s[0][1] * s[1][0]
 
 
-def codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
-    """g-norm of the antisymmetrized covariant derivative of the operator.
-
-    Coordinate fields commute, so the bracket term is absent:
-    residual = | nabla_u (S d_v) - nabla_v (S d_u) |_g.
-    """
-    gam = gp.gamma_val
-    res = np.empty((len(gp.u), 2))
+def _codazzi_defect(gam: np.ndarray, s: list[list[Jet2]]) -> np.ndarray:
+    """nabla_u (S d_v) - nabla_v (S d_u) per point in chart components, from the
+    Christoffel values ``gam[:, a, b, c]`` = Gamma^a_bc (coordinate fields commute)."""
+    res = np.empty((len(gam), 2))
     for a in range(2):
         cov_u = s[a][1].du + (gam[:, a, 0, 0] * s[0][1].value + gam[:, a, 0, 1] * s[1][1].value)
         cov_v = s[a][0].dv + (gam[:, a, 1, 0] * s[0][0].value + gam[:, a, 1, 1] * s[1][0].value)
         res[:, a] = cov_u - cov_v
-    return gp.chart_norm(res)
+    return res
+
+
+def codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
+    """g-norm of the antisymmetrized covariant derivative of the operator,
+    | nabla_u (S d_v) - nabla_v (S d_u) |_g."""
+    return gp.chart_norm(_codazzi_defect(gp.gamma_val, s))
 
 
 def grad_tensor_norm_sq(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
@@ -183,15 +184,15 @@ def grad_tensor_norm_sq(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
                      gp.ginv_val)
 
 
-def _norm_floor(s2: Jet2, floor: float) -> tuple[np.ndarray, Jet2]:
-    """Where |S| is below the floor, and the jet of |S|^2 made safe there."""
-    low = s2.value <= floor * floor
+def _norm_floor(s2: Jet2) -> tuple[np.ndarray, Jet2]:
+    """Where |S| is below S_NORM_FLOOR, and the jet of |S|^2 made safe there."""
+    low = s2.value <= S_NORM_FLOOR * S_NORM_FLOOR
     return low, jets.where(low, 1.0, s2)
 
 
-def simons_log_residual(gp: GeomPoint, s, floor=S_NORM_FLOOR) -> np.ma.MaskedArray:
+def simons_log_residual(gp: GeomPoint, s) -> np.ma.MaskedArray:
     """Residual of Lap ln|S| = 2 K, defined away from zeros of |S|."""
-    low, s2 = _norm_floor(norm_sq_jet(s), floor)
+    low, s2 = _norm_floor(norm_sq_jet(s))
     log_s = 0.5 * jets.log(s2)
     return np.ma.masked_array(np.abs(laplace_at(log_s, gp) - 2.0 * gp.K_val), low)
 
@@ -204,9 +205,9 @@ def simons_quadratic_residual(gp: GeomPoint, s) -> np.ndarray:
     return np.abs(0.5 * lap - grad_full - 2.0 * gp.K_val * s2.value)
 
 
-def simons_reduced_residual(gp: GeomPoint, s, floor=S_NORM_FLOOR) -> np.ma.MaskedArray:
+def simons_reduced_residual(gp: GeomPoint, s) -> np.ma.MaskedArray:
     """Residual of |S| Lap|S| - 2 K |S|^2 = |grad |S||^2, away from zeros of |S|."""
-    low, s2 = _norm_floor(norm_sq_jet(s), floor)
+    low, s2 = _norm_floor(norm_sq_jet(s))
     s_norm = jets.sqrt(s2)
     lap = laplace_at(s_norm, gp)
     grad = grad_norm_sq(s_norm, gp.ginv_val)
@@ -257,6 +258,18 @@ def _nonsingular(s: list[list[Jet2]]):
     return s, det, singular
 
 
+def _unit_det(gs: list[list[Jet2]]):
+    """The changed metric scaled at each point by c to a determinant in [1/2, 2), and c.
+
+    det <S., S.> = det(S)^2 det g is tiny where S is nearly singular, below the
+    absolute floors of Brioschi's K and of the metric inverse.  K(c g) = K(g) / c,
+    c g has the Christoffels of g, and c a power of two keeps this exact.
+    """
+    _, exponent = np.frexp(np.linalg.det(matrix_values(gs)))
+    c = np.ldexp(1.0, -(exponent // 2))
+    return [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs], c
+
+
 def metric_change(gp: GeomPoint, s: list[list[Jet2]]):
     """Changed metric, its intrinsic curvature, and the curvature-law residual.
 
@@ -269,13 +282,7 @@ def metric_change(gp: GeomPoint, s: list[list[Jet2]]):
     """
     safe, det, singular = _nonsingular(s)
     gs = new_metric_jets(gp, safe)
-    # Brioschi divides by det^2, and det <S., S.> = det(S)^2 det g is tiny
-    # where S is nearly singular: scale each point's metric to a determinant
-    # in [1/2, 2) and scale back, K(c g) = K(g) / c for a constant c.  A power
-    # of two for c keeps both scalings exact.
-    _, exponent = np.frexp(np.linalg.det(matrix_values(gs)))
-    c = np.ldexp(1.0, -(exponent // 2))
-    unit = [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs]
+    unit, c = _unit_det(gs)
     ktilde = gauss_curvature_brioschi(unit).value * c
     residual = np.abs(ktilde * det - gp.K_val)
     return gs, np.ma.masked_array(ktilde, singular), np.ma.masked_array(residual, singular)
@@ -293,16 +300,9 @@ def inverse_codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ma.Masked
     r = 1.0 / det_jet(s)
     p = [[s[1][1] * r, -s[0][1] * r], [-s[1][0] * r, s[0][0] * r]]
     gs = new_metric_jets(gp, s)
-    gam = christoffels(gs)
-    res = np.empty((len(gp.u), 2))
-    for a in range(2):
-        cov_u = p[a][1].du + (gam[a][0][0].value * p[0][1].value
-                              + gam[a][0][1].value * p[1][1].value)
-        cov_v = p[a][0].dv + (gam[a][1][0].value * p[0][0].value
-                              + gam[a][1][1].value * p[1][0].value)
-        res[:, a] = cov_u - cov_v
-    gs_val = matrix_values(gs)
-    norm = np.sqrt(np.maximum(quad_form(res, gs_val), 0.0))
+    gam = christoffels(_unit_det(gs)[0])
+    res = _codazzi_defect(np.stack([matrix_values(row) for row in gam], axis=1), p)
+    norm = np.sqrt(np.maximum(quad_form(res, matrix_values(gs)), 0.0))
     return np.ma.masked_array(norm, singular)
 
 

@@ -94,6 +94,59 @@ class TheoremVerdict:
         }
 
 
+def _claim(name: str, residual: float) -> Conclusion:
+    """A conclusion that holds when its residual is below CONCLUSION_TOL."""
+    return Conclusion(name, residual, residual < CONCLUSION_TOL)
+
+
+def _gate(worst: float, bound: float, message: str) -> None:
+    """Raise GateError unless worst <= bound, so a NaN fails the gate;
+    ``message`` may name ``{worst!r}`` and ``{bound}``."""
+    if not worst <= bound:
+        raise GateError(message.format(worst=worst, bound=bound))
+
+
+def _k_nonpositive(data: GeomPoint) -> Hypothesis:
+    k_max = float(data.K_val.max())
+    return Hypothesis("K_nonpositive", k_max <= SIGN_SLOP, -k_max)
+
+
+def _k_zero(data: GeomPoint) -> Conclusion:
+    return _claim("K_zero", float(np.abs(data.K_val).max()))
+
+
+def _grid(spec: SurfaceSpec, grid, margin, minimal: bool | None = None) -> GeomPoint:
+    """The checker grid at CHECKER_ORDER; ``minimal`` True or False demands a
+    minimal or a nowhere-minimal surface, None leaves it open."""
+    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
+    h_min, h_max = float(data.normH.min()), float(data.normH.max())
+    if minimal is True and h_max > MINIMAL_TOL:
+        raise GateError(f"non-minimal surface (max |H| = {h_max!r}); "
+                        "checker needs a minimal surface")
+    if minimal is False and h_min <= MINIMAL_TOL:
+        raise GateError(f"minimal point on grid (min |H| = {h_min!r}); "
+                        "checker needs a non-minimal surface")
+    return data
+
+
+def _verdict(theorem_id: str, notes: list[str], branches, local=()) -> TheoremVerdict:
+    """The one way a checker builds its verdict.
+
+    ``branches`` lists ``(hypotheses, conclusions)`` pairs.  A branch whose
+    hypotheses all hold makes the verdict applicable and adds the claims that
+    ``conclusions()`` gives.  ``local`` claims hold pointwise on any chart, so
+    they lead the conclusion list whether or not a branch holds.
+    """
+    verdict = TheoremVerdict(theorem_id, notes=[CHART_NOTE, *notes],
+                             conclusion_checked=list(local))
+    for hypotheses, conclusions in branches:
+        verdict.hypotheses += hypotheses
+        if all(h.satisfied for h in hypotheses):
+            verdict.applicable = True
+            verdict.conclusion_checked += conclusions()
+    return verdict
+
+
 def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
                             margin: float = DEFAULT_MARGIN) -> TheoremVerdict:
     """Sign dichotomy for a traceless Codazzi operator (checker id "1.2").
@@ -103,74 +156,32 @@ def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0
     The operator is the angle operator on a minimal surface, the PMC one
     otherwise.
     """
-    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
+    data = _grid(spec, grid, margin)
     kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
     s = codazzi.operator_jets(data, kind)
-    worst_codazzi = float(np.max(codazzi.codazzi_residual(data, s)))
-    if not worst_codazzi <= CODAZZI_GATE:
-        raise GateError(
-            f"operator fails the Codazzi gate: residual {worst_codazzi!r} > {CODAZZI_GATE}"
-        )
-    worst_trace = float(np.max(codazzi.trace_residual(s)))
-    if not worst_trace <= CODAZZI_GATE:
-        raise GateError(f"operator not traceless: {worst_trace!r}")
+    _gate(float(np.max(codazzi.codazzi_residual(data, s))), CODAZZI_GATE,
+          "operator fails the Codazzi gate: residual {worst!r} > {bound}")
+    _gate(float(np.max(codazzi.trace_residual(s))), CODAZZI_GATE,
+          "operator not traceless: {worst!r}")
 
     dets = codazzi.det_jet(s).value
-    verdict = TheoremVerdict("1.2", notes=[CHART_NOTE, f"operator kind: {kind}"])
-    k_min, k_max = float(data.K_val.min()), float(data.K_val.max())
-    abs_det = np.abs(dets)
-
-    pos_branch = [
-        Hypothesis("K_nonnegative", k_min >= -SIGN_SLOP, k_min),
-        Hypothesis("absdet_at_most_eps", float(abs_det.max()) <= eps + SIGN_SLOP,
-                   eps - float(abs_det.max())),
-    ]
-    neg_branch = [
-        Hypothesis("K_nonpositive", k_max <= SIGN_SLOP, -k_max),
-        Hypothesis("absdet_at_least_eps", eps > 0 and float(abs_det.min()) >= eps - SIGN_SLOP,
-                   float(abs_det.min()) - eps),
-    ]
-    verdict.hypotheses = pos_branch + neg_branch
-    det_variation = float(dets.max() - dets.min())
-    if all(h.satisfied for h in pos_branch):
-        verdict.applicable = True
-        verdict.conclusion_checked.append(
-            Conclusion("detS_constant", det_variation, det_variation < CONCLUSION_TOL)
-        )
-        kd = float(np.abs(data.K_val * dets).max())
-        verdict.conclusion_checked.append(
-            Conclusion("K_detS_zero", kd, kd < CONCLUSION_TOL)
-        )
-    if all(h.satisfied for h in neg_branch):
-        verdict.applicable = True
-        verdict.conclusion_checked.append(
-            Conclusion("detS_constant", det_variation, det_variation < CONCLUSION_TOL)
-        )
-        k_abs = float(np.abs(data.K_val).max())
-        verdict.conclusion_checked.append(
-            Conclusion("K_zero", k_abs, k_abs < CONCLUSION_TOL)
-        )
-    return verdict
-
-
-def _pmc_gates(spec: SurfaceSpec, grid, margin) -> GeomPoint:
-    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
-    if float(data.normH.min()) <= MINIMAL_TOL:
-        raise GateError(
-            f"minimal point on grid (min |H| = {float(data.normH.min())!r}); "
-            "checker needs a non-minimal surface"
-        )
-    pmc_rep = identities.pmc_residual(data, grid)
-    if not pmc_rep.max_abs <= PMC_GATE:
-        raise GateError(
-            f"surface fails the PMC gate: max |nabla-perp H| = {pmc_rep.max_abs!r}"
-        )
-    return data
+    k_min = float(data.K_val.min())
+    abs_min, abs_max = float(np.abs(dets).min()), float(np.abs(dets).max())
+    det_constant = _claim("detS_constant", float(dets.max() - dets.min()))
+    pos_branch = [Hypothesis("K_nonnegative", k_min >= -SIGN_SLOP, k_min),
+                  Hypothesis("absdet_at_most_eps", abs_max <= eps + SIGN_SLOP, eps - abs_max)]
+    neg_branch = [_k_nonpositive(data),
+                  Hypothesis("absdet_at_least_eps", eps > 0 and abs_min >= eps - SIGN_SLOP,
+                             abs_min - eps)]
+    return _verdict("1.2", [f"operator kind: {kind}"], [
+        (pos_branch, lambda: [det_constant, _claim("K_detS_zero",
+                                                   float(np.abs(data.K_val * dets).max()))]),
+        (neg_branch, lambda: [det_constant, _k_zero(data)])])
 
 
 def _flatness(theorem_id: str, spec: SurfaceSpec, grid, eps: float, c: float, margin: float,
               normal_term) -> TheoremVerdict:
-    """The flatness criteria's shared skeleton; ``normal_term(data)`` gives the
+    """The flatness criteria's shared hypotheses; ``normal_term(data)`` gives the
     term subtracted from K (one value per grid point, or a grid constant)
     and any notes about it.
     """
@@ -179,31 +190,23 @@ def _flatness(theorem_id: str, spec: SurfaceSpec, grid, eps: float, c: float, ma
         raise GateError("checker requires kappa != 0")
     if not 0 <= c < 1:
         raise GateError(f"c must lie in [0, 1), got {c}")
-    data = _pmc_gates(spec, grid, margin)
+    data = _grid(spec, grid, margin, minimal=False)
+    _gate(identities.pmc_residual(data, grid).max_abs, PMC_GATE,
+          "surface fails the PMC gate: max |nabla-perp H| = {worst!r}")
     aux, notes = normal_term(data)
-    verdict = TheoremVerdict(theorem_id, notes=[CHART_NOTE] + notes)
-    k_max = float(data.K_val.max())
-    verdict.hypotheses.append(Hypothesis("K_nonpositive", k_max <= SIGN_SLOP, -k_max))
+    hypotheses = [_k_nonpositive(data)]
     if kappa < 0:
         val = float((data.K_val - data.normH ** 2 - kappa - aux).max())
-        verdict.hypotheses.append(
+        hypotheses.append(
             Hypothesis("deficit_at_most_minus_eps", eps > 0 and val <= -eps + SIGN_SLOP,
                        -eps - val)
         )
     else:
         val1 = float((data.K_val - aux - c * data.normH ** 2).max())
-        verdict.hypotheses.append(
-            Hypothesis("excess_at_most_c_H2", val1 <= SIGN_SLOP, -val1)
-        )
+        hypotheses.append(Hypothesis("excess_at_most_c_H2", val1 <= SIGN_SLOP, -val1))
         val2 = float((4.0 * math.sqrt(1.0 - c) * data.normH ** 2 - kappa).min())
-        verdict.hypotheses.append(
-            Hypothesis("mean_curvature_dominates", val2 > SIGN_SLOP, val2)
-        )
-    verdict.applicable = all(h.satisfied for h in verdict.hypotheses)
-    if verdict.applicable:
-        k_abs = float(np.abs(data.K_val).max())
-        verdict.conclusion_checked.append(Conclusion("K_zero", k_abs, k_abs < CONCLUSION_TOL))
-    return verdict
+        hypotheses.append(Hypothesis("mean_curvature_dominates", val2 > SIGN_SLOP, val2))
+    return _verdict(theorem_id, notes, [(hypotheses, lambda: [_k_zero(data)])])
 
 
 def check_pmc_flatness(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
@@ -243,47 +246,36 @@ def check_minimal_angle(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
     obtained by deleting the mean-curvature terms being kappa times the angle
     operator.
     """
-    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
-    if float(data.normH.max()) > MINIMAL_TOL:
-        raise GateError(
-            f"non-minimal surface (max |H| = {float(data.normH.max())!r}); "
-            "checker needs a minimal surface"
-        )
+    data = _grid(spec, grid, margin, minimal=True)
     kappa = spec.ambient.kappa
-    verdict = TheoremVerdict("cor", notes=[CHART_NOTE])
-    k_max = float(data.K_val.max())
-    verdict.hypotheses.append(Hypothesis("K_nonpositive", k_max <= SIGN_SLOP, -k_max))
     t_min = float(data.normT.min())
-    verdict.hypotheses.append(Hypothesis("normT_above_eps", t_min > eps, t_min - eps))
-
+    hypotheses = [_k_nonpositive(data),
+                  Hypothesis("normT_above_eps", t_min > eps, t_min - eps)]
     s_val = codazzi.angle_operator(data)
     s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
     norm_identity = float(np.max(np.abs(s2 - data.normT2.value ** 2 / 2.0), initial=0.0))
-    verdict.conclusion_checked.append(
-        Conclusion("angle_operator_norm_identity", norm_identity,
-                   norm_identity < CONCLUSION_TOL)
-    )
-    verdict.applicable = all(h.satisfied for h in verdict.hypotheses)
-    if verdict.applicable:
-        k_abs = float(np.abs(data.K_val).max())
-        verdict.conclusion_checked.append(Conclusion("K_zero", k_abs, k_abs < CONCLUSION_TOL))
-        t_var = float(data.normT.max() - data.normT.min())
-        verdict.conclusion_checked.append(
-            Conclusion("normT_constant", t_var, t_var < CONCLUSION_TOL)
-        )
+
+    def conclusions():
+        claims = [_k_zero(data),
+                  _claim("normT_constant", float(data.normT.max() - data.normT.min()))]
         if kappa < 0:
             sig = np.asarray(spec.ambient.signature)
             eta2 = vecdot(sig * data.eta_val, data.eta_val)
-            eta_max = float(np.max(np.sqrt(np.maximum(eta2, 0.0)), initial=0.0))
-            verdict.conclusion_checked.append(
-                Conclusion("vertical_cylinder_eta_zero", eta_max, eta_max < CONCLUSION_TOL)
-            )
-            verdict.notes.append("negative ambient curvature: vertical cylinder expected")
+            claims.append(_claim("vertical_cylinder_eta_zero",
+                                 float(np.max(np.sqrt(np.maximum(eta2, 0.0)), initial=0.0))))
+        return claims
+
+    verdict = _verdict("cor", [], [(hypotheses, conclusions)],
+                       local=[_claim("angle_operator_norm_identity", norm_identity)])
+    if verdict.applicable and kappa < 0:
+        verdict.notes.append("negative ambient curvature: vertical cylinder expected")
     return verdict
 
 
 # Every checker by id, called as (spec, grid, eps, c, margin); only the
-# flatness checkers read c.
+# flatness checkers read c.  The lambdas look each checker up by module name
+# at call time: a benchmark tracer that replaces the module attributes must
+# still see the calls, which a table of the function objects would hide.
 CHECKERS = {
     "1.2": lambda spec, grid, eps, c, margin: check_codazzi_dichotomy(spec, grid, eps, margin),
     "1.3": lambda spec, grid, eps, c, margin: check_pmc_flatness_mu(

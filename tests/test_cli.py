@@ -162,6 +162,8 @@ class TestVerifyCommand:
           "--param", "pad=2"], 0),
         (["--surface", "circle_cylinder", "--param", "kappa=1", "--param", f"r={PI4}",
           "--param", "warp=0.3"], 0),
+        # det <S., S.> ~ 7e-13 lies under the 1e-12 floor of the metric inverse
+        (["--surface", "circle_cylinder", "--param", "kappa=-1", "--param", "r=4.9"], 0),
         (["--surface", "perturbed_control", "--param", "kappa=-1",
           "--param", "r=0.4"], 1),
     ])

@@ -83,7 +83,7 @@ class TestPmcOperator:
             alpha_flat=alpha,
             H=h_vec,
         )
-        s = matrix_values(pmc_operator_jets(gp, kappa=1.0))
+        s = matrix_values(pmc_operator_jets(gp))
         assert np.abs(s).max() < 1e-14
 
     def test_minimal_point_rejected(self):
@@ -364,6 +364,9 @@ class TestInverseOperator:
     @pytest.mark.parametrize("sid,params,kind", [
         ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4}, "pmc"),
         ("circle_cylinder", {"kappa": -1.0, "r": 0.3}, "pmc"),
+        # det S ~ -1.2e-8, so det <S., S.> ~ 7e-13 lies below the 1e-12 floor
+        # of the metric inverse, which the changed metric's Christoffels must not hit
+        ("circle_cylinder", {"kappa": -1.0, "r": 4.9}, "pmc"),
         ("circle_cylinder", {"kappa": 1.0, "r": math.pi / 4, "warp": 0.3}, "pmc"),
         ("vertical_geodesic_cylinder", {"kappa": 1.0}, "angle"),
         ("cor32_flat_minimal", {"kappa": 1.0, "theta": math.pi / 4}, "angle"),

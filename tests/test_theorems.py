@@ -32,6 +32,18 @@ class TestDichotomy:
         claims = {c.claim for c in v.conclusion_checked}
         assert {"detS_constant", "K_zero"} <= claims
 
+    def test_both_branches_list_their_claims_in_order(self):
+        # |det S| = 1/4 on the kappa=1 vertical cylinder and K = 0: at eps = 1/4
+        # both branches hold, and each adds its claims, detS_constant twice
+        spec = get_surface("vertical_geodesic_cylinder", kappa=1.0)
+        v = check_codazzi_dichotomy(spec, grid=GRID, eps=0.25)
+        assert [h.name for h in v.hypotheses] == [
+            "K_nonnegative", "absdet_at_most_eps", "K_nonpositive", "absdet_at_least_eps"]
+        assert all(h.satisfied for h in v.hypotheses)
+        assert [c.claim for c in v.conclusion_checked] == [
+            "detS_constant", "K_detS_zero", "detS_constant", "K_zero"]
+        assert v.status == STATUS_CONSISTENT
+
     def test_cor32_with_angle_operator(self):
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
         v = check_codazzi_dichotomy(spec, grid=GRID, eps=0.05)

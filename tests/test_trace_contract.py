@@ -59,6 +59,17 @@ def test_traced_verify_restores_the_package():
             geometry.SurfaceSpec.geom) == originals
 
 
+def test_traced_checker_records_its_span():
+    """``theorems.CHECKERS`` must look each checker up at call time, or the
+    wrapped module attribute is bypassed and the checker span is lost."""
+    t = tracer.Tracer()
+    argv = ["hypothesis", "--surface", "circle_cylinder", "--param", "kappa=-1",
+            "--param", "r=0.3", "--grid", "5x5", "--theorem", "3.1", "--output", os.devnull]
+    assert t.run_op(0, cli.main, argv) == 0
+    names = {span[0] for span in t.spans}
+    assert {"theorems.run_checker", "theorems.check_pmc_flatness"} <= names
+
+
 def test_jet_kernel_oracles_hold():
     jetkernel = _load("jetkernel")
     jetkernel.REPEATS = 1  # this copy's timings are not read; one loop each keeps the test cheap

@@ -32,8 +32,9 @@ import sys
 PI4 = repr(math.pi / 4)
 
 # (catalog id, parameters) of every swept surface: each kappa sign and scale
-# each entry admits, the pad/warp variants, and the exit-3 and failing cylinders
-# (r=40 at kappa=-1 lies off the model).
+# each entry admits, the pad/warp variants, the small-|det S| cylinders at
+# kappa=-1 (r=4.8 fails inverse_operator_codazzi, r=4.9 passes) and the exit-3
+# cylinder (r=40 at kappa=-1 lies off the model).
 SURFACES = [
     *(("slice", {"kappa": k}) for k in ("1", "-1", "0", "4", "-0.25")),
     ("slice", {"kappa": "-1", "t0": "2.5"}),
@@ -50,6 +51,7 @@ SURFACES = [
     ("circle_cylinder", {"kappa": "1e4", "r": "5e-3"}),
     ("circle_cylinder", {"kappa": "1e6", "r": "5e-4"}),
     ("circle_cylinder", {"kappa": "-1", "r": "4.8"}),
+    ("circle_cylinder", {"kappa": "-1", "r": "4.9"}),
     ("circle_cylinder", {"kappa": "-1", "r": "40"}),
     ("cor32_flat_minimal", {"kappa": "1", "theta": PI4}),
     ("cor32_flat_minimal", {"kappa": "2", "theta": "0.5"}),
@@ -76,6 +78,22 @@ EXTRA = [
      "--param", "theta=0.5", "--grid", "5x5"],
 ]
 
+# Checker branches the per-surface eps=0.1, c=0 commands miss: "1.2" with both
+# branches holding, "1.3"/"3.1" at c > 0 (kappa > 0) and at eps = 0 (kappa < 0),
+# and "cor" applicable at kappa > 0 and kappa < 0.
+CHECKER_BRANCHES = [
+    ["hypothesis", "--surface", "vertical_geodesic_cylinder", "--param", "kappa=1",
+     "--grid", "9x9", "--theorem", "1.2", "--eps", "0.25"],
+    *(["hypothesis", "--surface", "circle_cylinder", "--param", kappa, "--param", "r=0.3",
+       "--grid", "9x9", "--theorem", t, option, value]
+      for kappa, option, value in (("kappa=1", "--c", "0.5"), ("kappa=-1", "--eps", "0"))
+      for t in ("1.3", "3.1")),
+    ["hypothesis", "--surface", "cor32_flat_minimal", "--param", "kappa=1",
+     "--param", f"theta={PI4}", "--grid", "9x9", "--theorem", "cor", "--eps", "0.5"],
+    ["hypothesis", "--surface", "vertical_geodesic_cylinder", "--param", "kappa=-1",
+     "--grid", "9x9", "--theorem", "cor", "--eps", "0.5"],
+]
+
 # Full reports on the largest grids: jet memory per point shows most here.
 DENSE = [
     ["verify", "--surface", "circle_cylinder", "--param", "kappa=-1", "--param", "r=0.4",
@@ -86,8 +104,8 @@ DENSE = [
 
 
 def commands() -> list[list[str]]:
-    """The fixed sweep: fifteen commands per surface, then :data:`DENSE` and
-    :data:`EXTRA`.
+    """The fixed sweep: fifteen commands per surface, then :data:`DENSE`,
+    :data:`CHECKER_BRANCHES` and :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
     minimal entries, which have no PMC operator.  The first surface of each
@@ -112,7 +130,7 @@ def commands() -> list[list[str]]:
         if sid not in dense:
             dense.add(sid)
             out += [["field", *base, "--grid", "65x65", "--quantity", q] for q in ("K", "normT")]
-    return out + DENSE + EXTRA
+    return out + DENSE + CHECKER_BRANCHES + EXTRA
 
 
 def _digest(argv: list[str], text: str) -> dict[str, list]:
