@@ -21,8 +21,9 @@ from .geometry import (
     DegenerateMetricError,
     FrameError,
     MinimalSurfaceError,
+    SampleGrid,
     grid_axes,
-    grid_geometry,
+    joined,
 )
 from .jets import JetDomainError
 from .spaceforms import ConstraintError
@@ -165,6 +166,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_field(args) -> int:
+    """Write one quantity at every grid point as CSV rows ``u,v,value``.
+
+    The grid is evaluated in blocks (:class:`~prodsurf.geometry.SampleGrid`)
+    at the chart order the quantity reads; each block gives its values, which
+    are joined in point order.  The quantities that depend on the surface's
+    class first classify the whole grid.
+    """
     params = _parse_params(args.param)
     grid = _parse_grid(args.grid)
     margin = _check_margin(args.margin)
@@ -179,24 +187,24 @@ def cmd_field(args) -> int:
         values, keep = identities.residual_field(
             spec, quantity[len(RESIDUAL_PREFIX):], grid, margin)
     else:
-        gp = grid_geometry(spec, grid[0], grid[1], margin, FIELD_ORDER[quantity])
-        if quantity in ("K", "normT"):
-            values = gp.K_val if quantity == "K" else gp.normT
-        else:
-            minimal, _ = identities.classify_minimality(gp)
-            if quantity == "mu_integrand":
-                if minimal:
-                    raise MinimalSurfaceError("mu_integrand undefined on a minimal surface")
-                values = identities.mu_integrand(gp)
-            else:
-                if minimal and not args.tilde:
-                    raise ValueError(f"{quantity} undefined on a minimal surface; "
-                                     "pass --tilde for the angle operator")
-                s = codazzi.operator_jets(gp, "angle" if args.tilde else "pmc")
-                if quantity == "normS":
-                    values = np.sqrt(np.maximum(codazzi.norm_sq_jet(s).value, 0.0))
-                else:
-                    values = codazzi.det_jet(s).value
+        points = SampleGrid(spec, grid[0], grid[1], margin, FIELD_ORDER[quantity])
+        if quantity not in ("K", "normT"):
+            minimal, _ = identities.classify_minimality(points)
+            if minimal and quantity == "mu_integrand":
+                raise MinimalSurfaceError("mu_integrand undefined on a minimal surface")
+            if minimal and quantity != "mu_integrand" and not args.tilde:
+                raise ValueError(f"{quantity} undefined on a minimal surface; "
+                                 "pass --tilde for the angle operator")
+        kind = "angle" if args.tilde else "pmc"
+        value = {
+            "K": lambda gp: gp.K_val,
+            "normT": lambda gp: gp.normT,
+            "mu_integrand": identities.mu_integrand,
+            "normS": lambda gp: np.sqrt(np.maximum(
+                codazzi.norm_sq_jet(codazzi.operator_jets(gp, kind)).value, 0.0)),
+            "detS": lambda gp: codazzi.det_jet(codazzi.operator_jets(gp, kind)).value,
+        }[quantity]
+        (values,) = joined(points.map(lambda gp: (value(gp),)))
     # Point k takes the (k // nv)-th u and the (k % nv)-th v: format each once.
     nv = grid[1]
     u_txt = ["%.17g," % u for u in us]

@@ -14,8 +14,8 @@ norm/determinant identity ``|S|^2 = -2 det S`` for traceless operators, and
 the metric-change construction (new metric ``<S., S.>`` whose curvature is
 ``K / det S``).
 
-Every residual takes the batched geometry of its points, typically a grid's
-(:func:`prodsurf.geometry.grid_geometry`), and the operator's jet matrix
+Every residual takes the batched geometry of its points, typically a block
+of a grid (:class:`prodsurf.geometry.SampleGrid`), and the operator's jet matrix
 built from it once (:func:`operator_jets`), and returns one residual per
 point; a single point is a batch of one.  Where an identity is undefined
 (``|S|`` below the floor, singular ``S``) the residual is a masked array with

@@ -18,13 +18,15 @@ what it reads.
 
 Points are always evaluated as a batch: every jet carries one row per point
 and the per-point choices of the normal frame become masks; a single point
-is a batch of one.  A sample grid is one batch (:func:`grid_geometry`), which
-its caller passes to every evaluator that reads it.  Value arrays carry the
-point axis first, and an error names the first offending point.
+is a batch of one.  A sample grid is evaluated in consecutive blocks of
+bounded size (:class:`SampleGrid`), each one batch that its caller passes to
+every evaluator that reads it.  Value arrays carry the point axis first, and
+an error names the first offending point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -50,6 +52,10 @@ NORMALITY_TOL = 1e-10
 METRIC_ORDER = 2
 # The normal frame's one reader, ambient Codazzi, differentiates xi and <alpha, xi> once.
 FRAME_ORDER = 1
+# Chart-jet coefficients of one evaluation block of a grid (see SampleGrid): a
+# 65x65 order-3 K field splits into 2-3 blocks, an order-1 normT field and every
+# catalog grid up to 33x33 stay one, and a 129x129 verify runs in 8-16 blocks.
+BLOCK_COEFFS = 98_304
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -596,12 +602,66 @@ def grid_points(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):
     return list(itertools.product(*grid_axes(spec, nu, nv, margin)))
 
 
+def _grid_uv(spec: SurfaceSpec, nu: int, nv: int, margin: float):
+    us, vs = grid_axes(spec, nu, nv, margin)
+    return np.repeat(us, nv), np.tile(vs, nu)
+
+
 def grid_geometry(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02,
                   order: int = jets.MAX_ORDER) -> GeomPoint:
-    """Batched geometry of the grid, point k being ``grid_points(...)[k]``.
+    """Batched geometry of the whole grid in one batch, point k being
+    ``grid_points(...)[k]``.
 
-    Each entry point evaluates its grid once, at the chart order it reads,
-    and passes the result to every evaluator that reads it.
+    The entry points evaluate a grid through :class:`SampleGrid` instead,
+    whose blocks bound their memory; a grid of one block is this batch.
     """
-    us, vs = grid_axes(spec, nu, nv, margin)
-    return evaluate_chart(spec, np.repeat(us, nv), np.tile(vs, nu), order)
+    return evaluate_chart(spec, *_grid_uv(spec, nu, nv, margin), order)
+
+
+class SampleGrid:
+    """The sample grid of a chart, evaluated in consecutive blocks of equal size.
+
+    Point k takes the (k // nv)-th u and the (k % nv)-th v of
+    :func:`grid_axes`, as in :func:`grid_geometry`.  A block holds as many
+    points as fit in :data:`BLOCK_COEFFS` chart-jet coefficients at ``order``
+    (``flat_dim`` jets of ``_NCOEF[order]`` coefficients per point), at least
+    one; the last block may be shorter.  A grid of one block is evaluated
+    once, here, and every read takes that batch.
+
+    Each block is one :func:`evaluate_chart` batch, dropped before the next
+    one is evaluated, so memory is bounded by the block and not by the grid;
+    an entry point keeps only per-point arrays, joins them in point order
+    and reduces them once.  Blocks run in point order, so an error names
+    the first failing point of the first block that fails.
+    """
+
+    def __init__(self, spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02,
+                 order: int = jets.MAX_ORDER):
+        self.spec, self.order = spec, order
+        self.u, self.v = _grid_uv(spec, nu, nv, margin)
+        size = max(1, BLOCK_COEFFS // (spec.ambient.flat_dim * jets._NCOEF[order]))
+        self.blocks = [slice(k, k + size) for k in range(0, len(self.u), size)]
+        self.single = (evaluate_chart(spec, self.u, self.v, order)
+                       if len(self.blocks) == 1 else None)
+
+    @functools.cached_property
+    def normH(self) -> np.ndarray:
+        """|H| at every point: the single block's own, or else an order-2 sweep
+        of the blocks, which gives the same bits as the chart order."""
+        if self.single is not None:
+            return self.single.normH
+        return np.concatenate([evaluate_chart(self.spec, self.u[b], self.v[b], 2).normH
+                               for b in self.blocks])
+
+    def map(self, work) -> list:
+        """``work(gp)`` for the GeomPoint of each block, in point order."""
+        if self.single is not None:
+            return [work(self.single)]
+        return [work(evaluate_chart(self.spec, self.u[b], self.v[b], self.order))
+                for b in self.blocks]
+
+
+def joined(parts: list) -> tuple:
+    """The per-block tuples of per-point arrays of :meth:`SampleGrid.map` as one
+    tuple, each array joined in point order."""
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -1,13 +1,13 @@
 """Residual evaluators for the structure equations and curvature formulas.
 
 Every evaluator is an array function of the chart's batched geometry: it
-takes the :class:`~prodsurf.geometry.GeomPoint` of a grid, which each entry
-point (:func:`run_suite`, :func:`residual_field`) evaluates once with
-:func:`prodsurf.geometry.grid_geometry`, and returns one residual per point;
-a single point is a batch of one.  :func:`grid_report` reduces a residual
-array to a report row, folding left to right so reports are bitwise
-reproducible.  A residual depends only on its point, never on the sampling
-grid, which the tests exercise directly.
+takes the :class:`~prodsurf.geometry.GeomPoint` of a block of a grid, which
+each entry point (:func:`run_suite`, :func:`residual_field`) evaluates block
+by block with :class:`prodsurf.geometry.SampleGrid`, and returns one residual
+per point; a single point is a batch of one.  :func:`grid_report` reduces a
+residual array over the whole grid to a report row, folding left to right so
+reports are bitwise reproducible.  A residual depends only on its point,
+never on the sampling grid or its blocks, which the tests exercise directly.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from .geometry import (
     MINIMAL_WARN_BAND,
     GeomPoint,
     MinimalSurfaceError,
+    SampleGrid,
     SurfaceSpec,
     _normal_part,
     _stack,
     aux_det_sum,
     first_bad,
-    grid_geometry,
     laplace_at,
     normal_connection_derivative,
     normal_frame_jets,
@@ -310,7 +310,7 @@ def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
     return res_grad, res_alpha
 
 
-def _pmc_values(gp: GeomPoint) -> np.ndarray:
+def pmc_values(gp: GeomPoint) -> np.ndarray:
     """Norm of the normal-connection derivative of H, worst chart direction."""
     sig = np.asarray(gp.spec.ambient.signature)
     worst = np.zeros(len(gp.u))
@@ -320,13 +320,16 @@ def _pmc_values(gp: GeomPoint) -> np.ndarray:
     return worst
 
 
-def pmc_residual(gp: GeomPoint, grid: tuple[int, int]) -> ResidualReport:
+def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None) -> ResidualReport:
     """Max norm of the normal-connection derivative of H over the grid ``gp``.
 
-    Minimal points are annotated, not fatal: H == 0 is parallel.
+    ``values()`` gives that norm at every point, by default from ``gp``
+    itself; a grid evaluated in blocks passes its joined values, with ``gp``
+    its :class:`~prodsurf.geometry.SampleGrid`.  Minimal points are
+    annotated, not fatal: H == 0 is parallel.
     """
     nu, nv = grid
-    report = grid_report(gp, "pmc", functools.partial(_pmc_values, gp), nu, nv,
+    report = grid_report(gp, "pmc", values or functools.partial(pmc_values, gp), nu, nv,
                          DEFAULT_TOLERANCES["pmc"])
     minimal_points = int(np.count_nonzero(gp.normH <= MINIMAL_TOL))
     if minimal_points:
@@ -367,7 +370,8 @@ def mu_estimate(gp: GeomPoint) -> tuple[float, float]:
 # -- suite orchestration -------------------------------------------------------
 
 def classify_minimality(gp: GeomPoint) -> tuple[bool, list[str]]:
-    """Decide the pipeline branch from |H| over the grid ``gp``; band points warn."""
+    """Decide the pipeline branch from |H| over the grid ``gp`` (a GeomPoint or a
+    :class:`~prodsurf.geometry.SampleGrid`); band points warn."""
     h = gp.normH
     warnings: list[str] = []
     max_h = float(np.fmax.reduce(h, initial=0.0))  # a NaN never becomes the maximum
@@ -416,27 +420,68 @@ def suite_rows(gp: GeomPoint, minimal: bool):
     return rows
 
 
+def _all_rows(gp: GeomPoint, minimal: bool):
+    """:func:`suite_rows`, then the ``pmc`` row's values."""
+    return [*suite_rows(gp, minimal), ("pmc", functools.partial(pmc_values, gp))]
+
+
+def _joined(parts):
+    """One row's (residuals, skips) pairs of consecutive blocks as one pair; a
+    reason missing from a block skips none of its points."""
+    reasons = sorted({reason for _, skips in parts for reason in skips})
+    return (np.concatenate([values for values, _ in parts]),
+            {reason: np.concatenate([skips.get(reason, np.zeros(len(values), bool))
+                                     for values, skips in parts])
+             for reason in reasons})
+
+
+def _grid_rows(spec: SurfaceSpec, grid: tuple[int, int], margin: float, rows_of):
+    """The grid, its minimality class and class warnings, and its rows.
+
+    The class is decided on |H| over the whole grid.  Each row is
+    ``(identity_id, fn)`` as ``rows_of(gp, minimal)`` gives it, with ``fn()``
+    the row over the whole grid.  On a grid of one block ``fn`` is the
+    evaluator itself over that batch.  On a larger grid every row is
+    evaluated block by block as the block is evaluated, and only its
+    residuals and skip masks are kept; ``fn()`` joins them.
+    """
+    points = SampleGrid(spec, grid[0], grid[1], margin)
+    minimal, class_warnings = classify_minimality(points)
+    if points.single is not None:
+        return points.single, minimal, class_warnings, rows_of(points.single, minimal)
+    parts = points.map(lambda gp: [(identity_id, _split(fn()))
+                                   for identity_id, fn in rows_of(gp, minimal)])
+    rows = [(identity_id, functools.partial(_joined, [part[k][1] for part in parts]))
+            for k, (identity_id, _) in enumerate(parts[0])]
+    return points, minimal, class_warnings, rows
+
+
 def run_suite(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
               margin: float = DEFAULT_MARGIN,
               tolerances: dict[str, float] | None = None) -> list[ResidualReport]:
-    """Run every identity applicable to the surface's minimality class."""
+    """Run every identity applicable to the surface's minimality class.
+
+    The grid is evaluated in blocks (:class:`~prodsurf.geometry.SampleGrid`):
+    each row keeps its per-point residuals and skip masks, joined in point
+    order, and is reduced once, so the report is the one a single batch gives.
+    """
     nu, nv = grid
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    gp = grid_geometry(spec, nu, nv, margin)
-    minimal, class_warnings = classify_minimality(gp)
+    points, minimal, class_warnings, rows = _grid_rows(spec, grid, margin, _all_rows)
+    *rows, (_, pmc_fn) = rows
 
     reports: list[ResidualReport] = []
-    for identity_id, fn in suite_rows(gp, minimal):
-        report = grid_report(gp, identity_id, fn, nu, nv, tol[identity_id])
+    for identity_id, fn in rows:
+        report = grid_report(points, identity_id, fn, nu, nv, tol[identity_id])
         if report is None:
             continue
         if class_warnings:
             report.warnings.extend(class_warnings)
         reports.append(report)
 
-    pmc_rep = pmc_residual(gp, grid)
+    pmc_rep = pmc_residual(points, grid, pmc_fn)
     pmc_rep.tolerance = tol["pmc"]
     pmc_rep.passed = pmc_rep.max_abs <= pmc_rep.tolerance
     reports.append(pmc_rep)
@@ -447,21 +492,26 @@ def residual_field(spec: SurfaceSpec, identity_id: str, grid: tuple[int, int],
                    margin: float) -> tuple[np.ndarray, np.ndarray]:
     """One suite row's residual at every grid point, and the mask of evaluated points.
 
-    Raises ValueError naming the identity when it is unknown, belongs to the
-    other minimality class, or is skipped at every point.
+    The grid is evaluated in blocks, as in :func:`run_suite`, and only this
+    row runs on each.  Raises ValueError naming the identity when it is
+    unknown, belongs to the other minimality class, or is skipped at every
+    point.
     """
     if identity_id not in DEFAULT_TOLERANCES:
         known = ", ".join(sorted(DEFAULT_TOLERANCES))
         raise ValueError(f"unknown identity {identity_id!r}; known: {known}")
-    gp = grid_geometry(spec, grid[0], grid[1], margin)
-    minimal, _ = classify_minimality(gp)
-    rows = dict(suite_rows(gp, minimal), pmc=functools.partial(_pmc_values, gp))
-    if identity_id not in rows:
-        surface_class = "minimal" if minimal else "non-minimal"
-        raise ValueError(f"identity {identity_id!r} does not apply to the {surface_class} "
-                         f"surface {spec.catalog_id!r}")
-    values, skips = _split(rows[identity_id]())
-    evaluated = ~functools.reduce(np.logical_or, skips.values(), np.zeros(len(gp.u), bool))
+
+    def row_of(gp, minimal):
+        rows = dict(_all_rows(gp, minimal))
+        if identity_id not in rows:
+            surface_class = "minimal" if minimal else "non-minimal"
+            raise ValueError(f"identity {identity_id!r} does not apply to the "
+                             f"{surface_class} surface {spec.catalog_id!r}")
+        return [(identity_id, rows[identity_id])]
+
+    points, _, _, [(_, fn)] = _grid_rows(spec, grid, margin, row_of)
+    values, skips = _split(fn())
+    evaluated = ~functools.reduce(np.logical_or, skips.values(), np.zeros(len(points.u), bool))
     if not evaluated.any():
         reasons = "; ".join(sorted(skips))
         raise ValueError(f"identity {identity_id!r} skipped at every grid point of "

@@ -18,10 +18,10 @@ import numpy as np
 from . import codazzi, identities
 from .geometry import (
     MINIMAL_TOL,
-    GeomPoint,
+    SampleGrid,
     SurfaceSpec,
     aux_det_sum,
-    grid_geometry,
+    joined,
 )
 from .identities import DEFAULT_GRID, DEFAULT_MARGIN
 from .spaceforms import vecdot
@@ -106,19 +106,23 @@ def _gate(worst: float, bound: float, message: str) -> None:
         raise GateError(message.format(worst=worst, bound=bound))
 
 
-def _k_nonpositive(data: GeomPoint) -> Hypothesis:
-    k_max = float(data.K_val.max())
+def _k_nonpositive(k: np.ndarray) -> Hypothesis:
+    k_max = float(k.max())
     return Hypothesis("K_nonpositive", k_max <= SIGN_SLOP, -k_max)
 
 
-def _k_zero(data: GeomPoint) -> Conclusion:
-    return _claim("K_zero", float(np.abs(data.K_val).max()))
+def _k_zero(k: np.ndarray) -> Conclusion:
+    return _claim("K_zero", float(np.abs(k).max()))
 
 
-def _grid(spec: SurfaceSpec, grid, margin, minimal: bool | None = None) -> GeomPoint:
+def _grid(spec: SurfaceSpec, grid, margin, minimal: bool | None = None) -> SampleGrid:
     """The checker grid at CHECKER_ORDER; ``minimal`` True or False demands a
-    minimal or a nowhere-minimal surface, None leaves it open."""
-    data = grid_geometry(spec, grid[0], grid[1], margin, CHECKER_ORDER)
+    minimal or a nowhere-minimal surface, None leaves it open.
+
+    A checker reads the grid through ``joined(data.map(values))``: the
+    per-point arrays ``values(gp)`` gives on each block, in point order.
+    """
+    data = SampleGrid(spec, grid[0], grid[1], margin, CHECKER_ORDER)
     h_min, h_max = float(data.normH.min()), float(data.normH.max())
     if minimal is True and h_max > MINIMAL_TOL:
         raise GateError(f"non-minimal surface (max |H| = {h_max!r}); "
@@ -158,32 +162,36 @@ def check_codazzi_dichotomy(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0
     """
     data = _grid(spec, grid, margin)
     kind = "angle" if float(data.normH.max()) <= MINIMAL_TOL else "pmc"
-    s = codazzi.operator_jets(data, kind)
-    _gate(float(np.max(codazzi.codazzi_residual(data, s))), CODAZZI_GATE,
-          "operator fails the Codazzi gate: residual {worst!r} > {bound}")
-    _gate(float(np.max(codazzi.trace_residual(s))), CODAZZI_GATE,
-          "operator not traceless: {worst!r}")
 
-    dets = codazzi.det_jet(s).value
-    k_min = float(data.K_val.min())
+    def values(gp):
+        s = codazzi.operator_jets(gp, kind)
+        return (codazzi.codazzi_residual(gp, s), codazzi.trace_residual(s),
+                codazzi.det_jet(s).value, gp.K_val)
+
+    codazzi_res, trace_res, dets, k = joined(data.map(values))
+    _gate(float(np.max(codazzi_res)), CODAZZI_GATE,
+          "operator fails the Codazzi gate: residual {worst!r} > {bound}")
+    _gate(float(np.max(trace_res)), CODAZZI_GATE, "operator not traceless: {worst!r}")
+
+    k_min = float(k.min())
     abs_min, abs_max = float(np.abs(dets).min()), float(np.abs(dets).max())
     det_constant = _claim("detS_constant", float(dets.max() - dets.min()))
     pos_branch = [Hypothesis("K_nonnegative", k_min >= -SIGN_SLOP, k_min),
                   Hypothesis("absdet_at_most_eps", abs_max <= eps + SIGN_SLOP, eps - abs_max)]
-    neg_branch = [_k_nonpositive(data),
+    neg_branch = [_k_nonpositive(k),
                   Hypothesis("absdet_at_least_eps", eps > 0 and abs_min >= eps - SIGN_SLOP,
                              abs_min - eps)]
     return _verdict("1.2", [f"operator kind: {kind}"], [
         (pos_branch, lambda: [det_constant, _claim("K_detS_zero",
-                                                   float(np.abs(data.K_val * dets).max()))]),
-        (neg_branch, lambda: [det_constant, _k_zero(data)])])
+                                                   float(np.abs(k * dets).max()))]),
+        (neg_branch, lambda: [det_constant, _k_zero(k)])])
 
 
 def _flatness(theorem_id: str, spec: SurfaceSpec, grid, eps: float, c: float, margin: float,
-              normal_term) -> TheoremVerdict:
-    """The flatness criteria's shared hypotheses; ``normal_term(data)`` gives the
-    term subtracted from K (one value per grid point, or a grid constant)
-    and any notes about it.
+              pointwise, normal_term) -> TheoremVerdict:
+    """The flatness criteria's shared hypotheses; ``normal_term(pointwise(gp)
+    joined over the grid)`` gives the term subtracted from K (one value per
+    grid point, or a grid constant) and any notes about it.
     """
     kappa = spec.ambient.kappa
     if kappa == 0:
@@ -191,22 +199,25 @@ def _flatness(theorem_id: str, spec: SurfaceSpec, grid, eps: float, c: float, ma
     if not 0 <= c < 1:
         raise GateError(f"c must lie in [0, 1), got {c}")
     data = _grid(spec, grid, margin, minimal=False)
-    _gate(identities.pmc_residual(data, grid).max_abs, PMC_GATE,
+    pmc, point_term, k = joined(data.map(
+        lambda gp: (identities.pmc_values(gp), pointwise(gp), gp.K_val)))
+    _gate(identities.pmc_residual(data, grid, lambda: pmc).max_abs, PMC_GATE,
           "surface fails the PMC gate: max |nabla-perp H| = {worst!r}")
-    aux, notes = normal_term(data)
-    hypotheses = [_k_nonpositive(data)]
+    aux, notes = normal_term(point_term)
+    h = data.normH
+    hypotheses = [_k_nonpositive(k)]
     if kappa < 0:
-        val = float((data.K_val - data.normH ** 2 - kappa - aux).max())
+        val = float((k - h ** 2 - kappa - aux).max())
         hypotheses.append(
             Hypothesis("deficit_at_most_minus_eps", eps > 0 and val <= -eps + SIGN_SLOP,
                        -eps - val)
         )
     else:
-        val1 = float((data.K_val - aux - c * data.normH ** 2).max())
+        val1 = float((k - aux - c * h ** 2).max())
         hypotheses.append(Hypothesis("excess_at_most_c_H2", val1 <= SIGN_SLOP, -val1))
-        val2 = float((4.0 * math.sqrt(1.0 - c) * data.normH ** 2 - kappa).min())
+        val2 = float((4.0 * math.sqrt(1.0 - c) * h ** 2 - kappa).min())
         hypotheses.append(Hypothesis("mean_curvature_dominates", val2 > SIGN_SLOP, val2))
-    return _verdict(theorem_id, notes, [(hypotheses, lambda: [_k_zero(data)])])
+    return _verdict(theorem_id, notes, [(hypotheses, lambda: [_k_zero(k)])])
 
 
 def check_pmc_flatness(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
@@ -217,7 +228,7 @@ def check_pmc_flatness(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
     kappa > 0: K - sum_{i>1} det A_i <= c |H|^2 and 4 sqrt(1-c) |H|^2 - kappa > 0.
     Conclusion when applicable: K == 0 on the grid.
     """
-    return _flatness("3.1", spec, grid, eps, c, margin, lambda data: (aux_det_sum(data), []))
+    return _flatness("3.1", spec, grid, eps, c, margin, aux_det_sum, lambda aux: (aux, []))
 
 
 def check_pmc_flatness_mu(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
@@ -228,11 +239,11 @@ def check_pmc_flatness_mu(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1
     mu = sup(|alpha|^2 - |A_H|^2/|H|^2) replacing the pointwise frame sum:
     kappa < 0: K - |H|^2 - kappa + mu/2 <= -eps; kappa > 0: K + mu/2 <= c |H|^2.
     """
-    def half_mu(data):
-        mu, _cross = identities.mu_estimate(data)
+    def half_mu(integrand):
+        mu = float(np.max(integrand))  # a NaN integrand makes mu NaN
         return -0.5 * mu, [f"mu grid supremum: {mu!r}"]
 
-    return _flatness("1.3", spec, grid, eps, c, margin, half_mu)
+    return _flatness("1.3", spec, grid, eps, c, margin, identities.mu_integrand, half_mu)
 
 
 def check_minimal_angle(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
@@ -248,21 +259,26 @@ def check_minimal_angle(spec: SurfaceSpec, grid=DEFAULT_GRID, eps: float = 0.1,
     """
     data = _grid(spec, grid, margin, minimal=True)
     kappa = spec.ambient.kappa
-    t_min = float(data.normT.min())
-    hypotheses = [_k_nonpositive(data),
+    sig = np.asarray(spec.ambient.signature)
+
+    def values(gp):
+        s_val = codazzi.angle_operator(gp)
+        s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
+        eta2 = vecdot(sig * gp.eta_val, gp.eta_val)
+        return (gp.K_val, gp.normT, np.abs(s2 - gp.normT2.value ** 2 / 2.0),
+                np.sqrt(np.maximum(eta2, 0.0)))
+
+    k, t, norm_defect, eta = joined(data.map(values))
+    t_min = float(t.min())
+    hypotheses = [_k_nonpositive(k),
                   Hypothesis("normT_above_eps", t_min > eps, t_min - eps)]
-    s_val = codazzi.angle_operator(data)
-    s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
-    norm_identity = float(np.max(np.abs(s2 - data.normT2.value ** 2 / 2.0), initial=0.0))
+    norm_identity = float(np.max(norm_defect, initial=0.0))
 
     def conclusions():
-        claims = [_k_zero(data),
-                  _claim("normT_constant", float(data.normT.max() - data.normT.min()))]
+        claims = [_k_zero(k), _claim("normT_constant", float(t.max() - t.min()))]
         if kappa < 0:
-            sig = np.asarray(spec.ambient.signature)
-            eta2 = vecdot(sig * data.eta_val, data.eta_val)
             claims.append(_claim("vertical_cylinder_eta_zero",
-                                 float(np.max(np.sqrt(np.maximum(eta2, 0.0)), initial=0.0))))
+                                 float(np.max(eta, initial=0.0))))
         return claims
 
     verdict = _verdict("cor", [], [(hypotheses, conclusions)],

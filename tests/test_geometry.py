@@ -533,15 +533,20 @@ class TestBatchedGeometry:
                          "--grid", "9x9", "--output", os.devnull]) == 0
         assert counts == dict.fromkeys(unread, 0)
 
-    @pytest.mark.parametrize("quantity,want", [("K", 0.0), ("normT", 1.0)])
-    def test_dense_field_is_one_evaluation(self, quantity, want, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("quantity,want,blocks", [("K", 0.0, 2), ("normT", 1.0, 1)])
+    def test_dense_field_evaluates_each_point_once(self, quantity, want, blocks, monkeypatch,
+                                                   tmp_path):
+        # consecutive blocks of equal size within the coefficient budget, the last one
+        # short: the order-3 K splits and the order-1 normT stays one batch
         calls = _count_evaluations(monkeypatch)
         out = tmp_path / "field.csv"
         assert cli_main(["field", "--surface", "circle_cylinder", "--param", "kappa=1",
                          "--param", "r=0.7", "--param", "warp=0.3",
                          "--quantity", quantity, "--grid", "51x51",
                          "--output", str(out)]) == 0
-        assert calls == [2601]
+        size = min(2601, geometry.BLOCK_COEFFS // (4 * jets._NCOEF[cli.FIELD_ORDER[quantity]]))
+        assert len(calls) == blocks and sum(calls) == 2601
+        assert calls[:-1] == [size] * (blocks - 1) and 0 < calls[-1] <= size
         values = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
         assert len(values) == 2601
         assert max(abs(x - want) for x in values) <= 1e-9

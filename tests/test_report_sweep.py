@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 from prodsurf import cli
@@ -50,3 +51,11 @@ def test_compare_reports_moves_and_flags(tmp_path, capsys):
     assert "FLAGS ['pmc']" in lines[0]
     assert lines[1] == "moved: pmc 1e-16 -> 3e-16 (|change| 2e-16)"
     assert lines[2].startswith("1 of 3 common commands identical; 1 changed")
+
+
+def test_sweep_prints_its_peak_rss_and_wall_time(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "commands", lambda: [CYLINDER])
+    path = tmp_path / "sweep.json"
+    assert sweep.sweep(str(path)) == 0
+    assert re.fullmatch(r"sweep peak RSS \d+\.\d MiB, wall \d+\.\d s\n", capsys.readouterr().err)
+    assert list(json.loads(path.read_text())) == [" ".join(CYLINDER)]

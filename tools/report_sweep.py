@@ -12,7 +12,8 @@ certifies to ``[value, flag]``: a verify row to its ``max_abs`` and
 ``passed``, a checker's hypotheses and claims to their margins and outcomes
 (and its ``status``), a field to its sampled values.  A command that raises
 instead of returning an exit code is recorded as ``"uncaught <name>"``, and
-the sweep then exits 1.
+the sweep then exits 1.  Last, the sweep prints its peak RSS (``ru_maxrss``)
+and wall time on stderr; they are not part of the JSON.
 
 ``--compare`` lists every command whose output moved, with the largest change
 of a certified number, and exits 1 if any exit code or flag changed.
@@ -27,7 +28,9 @@ import hashlib
 import io
 import json
 import math
+import resource
 import sys
+import time
 
 PI4 = repr(math.pi / 4)
 
@@ -94,12 +97,28 @@ CHECKER_BRANCHES = [
      "--grid", "9x9", "--theorem", "cor", "--eps", "0.5"],
 ]
 
-# Full reports on the largest grids: jet memory per point shows most here.
+# The two surfaces of the dense commands: the warped pad=2 cylinder (non-minimal,
+# the widest flat space) and cor32 (minimal).
+_DENSE_CYLINDER = ["--surface", "circle_cylinder", "--param", "kappa=-1", "--param", "r=0.4",
+                   "--param", "warp=-0.2", "--param", "pad=2"]
+_DENSE_COR32 = ["--surface", "cor32_flat_minimal", "--param", "kappa=1",
+                "--param", f"theta={PI4}"]
+
+# Full reports on the largest grids, where a grid spans many evaluation blocks:
+# the suite, the checkers of each class, every field quantity (``mu_integrand``
+# exits 2 on cor32) and one residual field, each at 129x129, and a 67x61 suite
+# whose last block is short.
 DENSE = [
-    ["verify", "--surface", "circle_cylinder", "--param", "kappa=-1", "--param", "r=0.4",
-     "--param", "warp=-0.2", "--param", "pad=2", "--grid", "129x129"],
-    ["verify", "--surface", "cor32_flat_minimal", "--param", "kappa=1",
-     "--param", f"theta={PI4}", "--grid", "129x129"],
+    *(["verify", *base, "--grid", "129x129"] for base in (_DENSE_CYLINDER, _DENSE_COR32)),
+    *(["hypothesis", *_DENSE_CYLINDER, "--grid", "129x129", "--theorem", t]
+      for t in ("3.1", "1.3")),
+    *(["hypothesis", *_DENSE_COR32, "--grid", "129x129", "--theorem", t]
+      for t in ("1.2", "cor")),
+    *(["field", *base, "--grid", "129x129", "--quantity", q,
+       *(tilde if q in ("normS", "detS") else [])]
+      for base, tilde in ((_DENSE_CYLINDER, []), (_DENSE_COR32, ["--tilde"]))
+      for q in ("K", "normT", "normS", "detS", "mu_integrand", "residual:ambient_codazzi")),
+    ["verify", *_DENSE_CYLINDER, "--grid", "67x61"],
 ]
 
 
@@ -176,13 +195,17 @@ def run_one(argv: list[str]) -> list:
 
 
 def sweep(path: str) -> int:
+    start = time.perf_counter()
     results = {" ".join(argv): run_one(argv) for argv in commands()}
+    wall = time.perf_counter() - start
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
     raised = [argv for argv, rec in results.items() if not isinstance(rec[0], int)]
     for argv in raised:
         print(f"{argv}: {results[argv][0]}")
     print(f"{len(results)} commands, {len(raised)} uncaught exceptions -> {path}")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"sweep peak RSS {peak:.1f} MiB, wall {wall:.1f} s", file=sys.stderr)
     return 1 if raised else 0
 
 
