@@ -8,6 +8,7 @@ errors (degenerate metric, constraint violation).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -205,14 +206,12 @@ def cmd_field(args) -> int:
             "detS": lambda gp: codazzi.det_jet(codazzi.operator_jets(gp, kind)).value,
         }[quantity]
         (values,) = joined(points.map(lambda gp: (value(gp),)))
-    # Point k takes the (k // nv)-th u and the (k % nv)-th v: format each once.
-    nv = grid[1]
-    u_txt = ["%.17g," % u for u in us]
+    # Point k takes the (k // nv)-th u and the (k % nv)-th v: one "u,v," prefix each.
     v_txt = ["%.17g," % v for v in vs]
-    value_txt = ["%.17g" % x for x in values.tolist()]
-    rows = ["u,v,value"] + [u_txt[k // nv] + v_txt[k % nv] + value_txt[k]
-                            for k in np.flatnonzero(keep).tolist()]
-    _emit("\n".join(rows) + "\n", args.output)
+    prefix = [u_txt + v for u_txt in ("%.17g," % u for u in us) for v in v_txt]
+    kept = itertools.compress(zip(prefix, values.tolist()), keep.tolist())
+    rows = ["%s%.17g" % row for row in kept]
+    _emit("\n".join(["u,v,value", *rows]) + "\n", args.output)
     return 0
 
 

@@ -75,7 +75,8 @@ def pmc_operator_jets(gp: GeomPoint) -> list[list[Jet2]]:
     first_bad(gp.normH <= MINIMAL_TOL,
               "PMC operator undefined at minimal point: |H| =", gp.normH, MinimalSurfaceError)
     model = gp.spec.ambient
-    m = [[flat_inner(model, gp.alpha_flat[a][b], gp.H) for b in range(2)] for a in range(2)]
+    uu, uv, vv = flat_inner(model, gp.alpha_flat, gp.H)
+    m = [[uu, uv], [uv, vv]]
     a_h = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
            for a in range(2)]
     t_low = [gp.g[b][0] * gp.T_up[0] + gp.g[b][1] * gp.T_up[1] for b in range(2)]

@@ -117,16 +117,19 @@ class GeomPoint:
     A GeomPoint holds N points, N = 1 for a float point: its jets are
     batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
     length N, the other value arrays carry a leading axis of length N, and
-    ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  Every
-    coefficient and value array is read-only.
+    ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  A flat
+    vector is one jet of component shape (flat_dim,): ``f``, ``fu``, ``fv``,
+    ``H``, ``T_flat``, ``eta``; ``alpha_flat`` stacks alpha(d_u, d_u),
+    alpha(d_u, d_v) and alpha(d_v, d_v).  Every coefficient and value array
+    is read-only.
     """
 
     spec: SurfaceSpec
     u: np.ndarray
     v: np.ndarray
-    f: list[Jet2]
-    fu: list[Jet2]
-    fv: list[Jet2]
+    f: Jet2
+    fu: Jet2
+    fv: Jet2
     g: list[list[Jet2]]
     ginv: list[list[Jet2]]
     detg: Jet2
@@ -145,11 +148,11 @@ class GeomPoint:
 
     @property
     def f_val(self) -> np.ndarray:
-        return _stack([c.value for c in self.f])
+        return _values(self.f)
 
     @property
     def tangent_vals(self) -> tuple[np.ndarray, np.ndarray]:
-        return (_stack([c.value for c in self.fu]), _stack([c.value for c in self.fv]))
+        return _values(self.fu), _values(self.fv)
 
     def chart_norm(self, w):
         """g-norm of chart-components vectors, one per point."""
@@ -228,18 +231,20 @@ def _too_degenerate(det):
 def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
     """Intrinsic Gaussian curvature from the metric alone (Brioschi formula).
 
-    Input metric entries must carry order >= 2; the result loses two orders.
+    Input metric entries must carry order >= 2; the result loses two orders,
+    so every term is cut to the result's order first (a cut keeps a
+    coefficient prefix, so no bit moves).
     """
     E, F, G = g[0][0], g[0][1], g[1][1]
-    det = E * G - F * F
-    first_bad(_too_degenerate(det.value), "det g too small for the curvature: det g =",
-              det.value, DegenerateMetricError)
     Eu, Ev = E.d_u(), E.d_v()
     Gu, Gv = G.d_u(), G.d_v()
     Fu, Fv = F.d_u(), F.d_v()
-    Evv = Ev.d_v()
-    Guu = Gu.d_u()
-    Fuv = Fu.d_v()
+    Evv, Guu, Fuv = Ev.d_v(), Gu.d_u(), Fu.d_v()
+    E, F, G, Eu, Ev, Gu, Gv, Fu, Fv = (x.truncate(Evv.order)
+                                       for x in (E, F, G, Eu, Ev, Gu, Gv, Fu, Fv))
+    det = E * G - F * F
+    first_bad(_too_degenerate(det.value), "det g too small for the curvature: det g =",
+              det.value, DegenerateMetricError)
     m1 = [
         [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
         [Fv - 0.5 * Gu, E, F],
@@ -311,14 +316,19 @@ def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
     return w - (c0 * fu_val + c1 * fv_val)
 
 
-def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> list[Jet2]:
-    """Normal part of a flat jet vector inside the product tangent space."""
+def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
+    """Normal part of flat jet vectors inside the product tangent space.
+
+    ``w`` holds its vectors on its last component axis, any shape before it,
+    and each product acts on all of them: the projection, the inner products
+    c_b = <w, f_b>, the chart components t_a = g^{ab} c_b of the tangent
+    part, and the tangent part, subtracted f_u term first.
+    """
     w = project_to_product_tangent(model, f, w)
-    c0 = flat_inner(model, w, fu)
-    c1 = flat_inner(model, w, fv)
-    t0 = ginv[0][0] * c0 + ginv[0][1] * c1
-    t1 = ginv[1][0] * c0 + ginv[1][1] * c1
-    return [w[i] - t0 * fu[i] - t1 * fv[i] for i in range(model.flat_dim)]
+    c = (flat_inner(model, w, fu), flat_inner(model, w, fv))
+    t = [ginv[a][0] * c[0] + ginv[a][1] * c[1] for a in range(2)]
+    w = w - t[0][..., None] * fu
+    return w - t[1][..., None] * fv
 
 
 def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
@@ -362,9 +372,10 @@ def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
     return frame
 
 
-def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
+def normal_frame_jets(gp: GeomPoint) -> Jet2:
     """Jet-valued normal frame: each vector of the float frame ``gp.xi``, held
-    constant in the flat space and projected onto the normal space.
+    constant in the flat space and projected onto the normal space, as one
+    jet of component shape (n - 1, flat_dim).
 
     The projection is a smooth normal field through the frame vector, so its
     jets give honest derivatives, and the frame's values and sign rules come
@@ -375,15 +386,16 @@ def normal_frame_jets(gp: GeomPoint) -> list[list[Jet2]]:
     derivatives elsewhere go through projections, never through frame
     differences.
     """
-    model = gp.spec.ambient
-    comps = gp.xi.T  # comps[i][j]: component i of vector j, per point
-    return [_normal_part_jets(model, gp.f, gp.fu, gp.fv, gp.ginv,
-                              [Jet2.constant(c[j], FRAME_ORDER) for c in comps])
-            for j in range(model.n - 1)]
+    return _normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
+                             Jet2.constant(gp.xi, FRAME_ORDER))
 
 
 def _values(x) -> np.ndarray:
-    """Constant terms of a nested list of batched jets, the point axis first."""
+    """Constant terms of a jet or of a nested list of scalar jets, the point
+    axis first, C-contiguous."""
+    if isinstance(x, Jet2):
+        return np.ascontiguousarray(x.value)
+
     def strip(y):
         return y.value if isinstance(y, Jet2) else [strip(z) for z in y]
 
@@ -421,19 +433,17 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
         raise ValueError(f"({ua[bad]}, {va[bad]}) outside chart domain {spec.domain}")
     model = spec.ambient
 
-    # A constant coordinate comes back as a single-point jet: repeat it over the batch.
-    f = [Jet2(np.broadcast_to(c.c, (len(ua), c.c.shape[-1])), c.order)
-         for c in spec.chart(Jet2.variable("u", ua, order), Jet2.variable("v", va, order))]
+    # A constant coordinate comes back as a single-point jet: stack repeats it.
+    f = jets.stack(spec.chart(Jet2.variable("u", ua, order), Jet2.variable("v", va, order)))
     if model.kappa != 0:
-        res = constraint_residual(model, _values(f).T)
+        res = constraint_residual(model, f.truncate(0)).value
         bad = first_where(abs(res) > 1e-10)
         if bad is not None:
             raise ConstraintError(
                 f"chart point off the model by {float(res[bad])!r} at ({ua[bad]}, {va[bad]})")
 
-    fu = [c.d_u() for c in f]
-    fv = [c.d_v() for c in f]
-    tu, tv = ([c.truncate(METRIC_ORDER) for c in x] for x in (fu, fv))
+    fu, fv = f.d_u(), f.d_v()
+    tu, tv = fu.truncate(METRIC_ORDER), fv.truncate(METRIC_ORDER)
     g01 = flat_inner(model, tu, tv)
     g = [[flat_inner(model, tu, tu), g01], [g01, flat_inner(model, tv, tv)]]
     detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
@@ -461,29 +471,27 @@ def _christoffel_stage(gp: GeomPoint):
 
 
 def _second_form_stage(gp: GeomPoint):
-    """The surface-normal part of the projected second derivatives, and H.
-
-    Each derivative list is dropped once it is projected.
-    """
-    model, f, fu, fv, ginv = gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv
-    alpha_flat = [[None, None], [None, None]]
-    for a, b, first in ((0, 0, fu), (0, 1, fu), (1, 1, fv)):
-        alpha_flat[a][b] = alpha_flat[b][a] = _normal_part_jets(
-            model, f, fu, fv, ginv, [c.d(b) for c in first])
-    H = [0.5 * (ginv[0][0] * alpha_flat[0][0][i] + 2.0 * ginv[0][1] * alpha_flat[0][1][i]
-                + ginv[1][1] * alpha_flat[1][1][i]) for i in range(model.flat_dim)]
+    """The surface-normal part of the projected second derivatives, and H."""
+    model, ginv = gp.spec.ambient, gp.ginv
+    alpha_flat = _normal_part_jets(model, gp.f, gp.fu, gp.fv, ginv,
+                                   jets.stack([gp.fu.d_u(), gp.fu.d_v(), gp.fv.d_v()]))
+    weights = jets.stack([ginv[0][0], 2.0 * ginv[0][1], ginv[1][1]])
+    H = 0.5 * jets.component_sum(weights[..., None] * alpha_flat, axis=0)
     normH2 = flat_inner(model, H, H)
-    return (alpha_flat, _values(alpha_flat), H, _values(H), normH2,
+    alpha_val = np.ascontiguousarray(_values(alpha_flat)[:, [0, 1, 1, 2]]).reshape(
+        len(gp.u), 2, 2, model.flat_dim)
+    return (alpha_flat, alpha_val, H, _values(H), normH2,
             np.sqrt(np.maximum(normH2.value, 0.0)))
 
 
 def _vertical_stage(gp: GeomPoint):
     """Vertical field split: T^a = g^{ab} <e_t, f_b>; eta = e_t - T."""
     model, fu, fv, ginv = gp.spec.ambient, gp.fu, gp.fv, gp.ginv
-    tcomp = (fu[model.t_index], fv[model.t_index])
-    T_up = [ginv[a][0] * tcomp[0] + ginv[a][1] * tcomp[1] for a in range(2)]
-    T_flat = [T_up[0] * fu[i] + T_up[1] * fv[i] for i in range(model.flat_dim)]
-    eta = [-T_flat[i] if i != model.t_index else 1.0 - T_flat[i] for i in range(model.flat_dim)]
+    t = model.t_index
+    T_up = [ginv[a][0] * fu[t] + ginv[a][1] * fv[t] for a in range(2)]
+    T_flat = T_up[0] * fu + T_up[1] * fv
+    eta = -T_flat
+    eta.c[:, t, 0] += 1.0
     normT2 = flat_inner(model, T_flat, T_flat)
     return (T_up, T_flat, eta, normT2, np.sqrt(np.maximum(normT2.value, 0.0)),
             _values(T_up), _values(eta))
@@ -538,7 +546,7 @@ def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
 
 def normal_connection_derivative(
     gp: GeomPoint,
-    normal_field: Callable[[GeomPoint], list[Jet2]],
+    normal_field: Callable[[GeomPoint], Jet2],
     direction: str,
 ) -> np.ndarray:
     """Normal-connection derivative of a normal field along a chart direction.
@@ -551,13 +559,12 @@ def normal_connection_derivative(
     if direction not in ("u", "v"):
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
     w = normal_field(gp)
-    for comp, tangential in _tangential_parts(gp, _stack([c.value for c in w])):
+    for comp, tangential in _tangential_parts(gp, _values(w)):
         bad = first_where(tangential)
         if bad is not None:
             raise NotNormalError(f"field not normal at ({float(gp.u[bad])}, "
                                  f"{float(gp.v[bad])}): component {float(comp[bad])!r}")
-    dw = _stack([c.du if direction == "u" else c.dv for c in w])
-    return _normal_part(gp, dw)
+    return _normal_part(gp, np.ascontiguousarray(w.du if direction == "u" else w.dv))
 
 
 def _tangential_parts(gp: GeomPoint, w: np.ndarray):

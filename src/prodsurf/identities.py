@@ -28,6 +28,7 @@ from .geometry import (
     SurfaceSpec,
     _normal_part,
     _stack,
+    _values,
     aux_det_sum,
     first_bad,
     laplace_at,
@@ -160,26 +161,27 @@ def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
     """
     model = gp.spec.ambient
     sig = np.asarray(model.signature)
-    frame = normal_frame_jets(gp) if normal_field is None else [normal_field(gp)]
+    frame = normal_frame_jets(gp) if normal_field is None else normal_field(gp)[None]
     gam = gp.gamma_val
     t_low = np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
     wedge = np.stack([t_low[:, 1], -t_low[:, 0]], axis=-1)
+    # <alpha(d_a, d_b), xi> of every frame vector: alpha is symmetric, so uv serves vu
+    uu, uv, vv = (flat_inner(model, alpha, frame) for alpha in gp.alpha_flat)
+    m = [[uu, uv], [uv, vv]]
+    a_xi = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
+            for a in range(2)]
+    a_vals = codazzi.matrix_values(a_xi)
     worst = np.zeros(len(gp.u))
-    for xi in frame:
-        m01 = flat_inner(model, gp.alpha_flat[0][1], xi)  # alpha is symmetric
-        m = [[flat_inner(model, gp.alpha_flat[0][0], xi), m01],
-             [m01, flat_inner(model, gp.alpha_flat[1][1], xi)]]
-        a_xi = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
-                for a in range(2)]
-        a_val = codazzi.matrix_values(a_xi)
-        xi_val = _stack([c.value for c in xi])
-        nperp = (_normal_part(gp, _stack([c.du for c in xi])),
-                 _normal_part(gp, _stack([c.dv for c in xi])))
+    for j, xi in enumerate(frame):
+        a_val = a_vals[:, j]
+        xi_val = _values(xi)
+        nperp = (_normal_part(gp, np.ascontiguousarray(xi.du)),
+                 _normal_part(gp, np.ascontiguousarray(xi.dv)))
 
         def cov(xdir: int, ycol: int) -> np.ndarray:
             out = np.empty((len(gp.u), 2))
             for a in range(2):
-                d = a_xi[a][ycol].du if xdir == 0 else a_xi[a][ycol].dv
+                d = (a_xi[a][ycol].du if xdir == 0 else a_xi[a][ycol].dv)[:, j]
                 d = d + (gam[:, a, xdir, 0] * a_val[:, 0, ycol]
                          + gam[:, a, xdir, 1] * a_val[:, 1, ycol])
                 d = d - (a_val[:, a, 0] * gam[:, 0, xdir, ycol]

@@ -15,25 +15,24 @@ truncation keeps a prefix, and operands of two orders meet at the lower
 order's prefix.  ``coeff`` past the order reads 0.0; reading a first
 (second) derivative of a jet of order below 1 (2) raises ``ValueError``.
 
-The coefficient array may carry one leading batch axis, shape ``(N, w)``
-for ``w = _NCOEF[m]``: the jet then holds the Taylor data of N points and
-every operation acts on all of them at once (the vector mode of Taylor
-propagation).  A batch is stored coefficient-major (``c.T`` is
-C-contiguous), so ``c.T[k]`` is coefficient k of every point as one
-contiguous row.  A jet built from a float keeps a plain ``(w,)`` array, and
-every operation treats it as a column against a batch; all jets run the
-same NumPy code.
+The coefficient array may carry a leading batch axis and a component shape,
+``(N, *shape, w)`` for ``w = _NCOEF[m]``: N points of a scalar (shape ``()``)
+or of a flat vector (``(d,)``) or a stack of them, all computed at once (the
+vector mode of Taylor propagation).  It is stored coefficient-major (``c.T``
+is C-contiguous, the points innermost).  Component shapes broadcast as
+NumPy's do, and indexing a jet indexes its components, as a view.  A jet
+built from a float keeps a plain ``(w,)`` array, one point against a batch.
 
 A product has one summation order: each coefficient sums its terms left to
-right from 0.0, in multiplication-table order.  It runs the slot kernel
-(:func:`_slot_table`), which gathers consecutive slots together while a
-gathered operand stays within ``_GATHER_BYTES``: at order 4, 289 points take
-two gathers per operand instead of nine, and 4225 points still take one per
-slot.  A product, ``sin``, ``cos`` or ``exp`` of a point therefore gives the
-bits of that point's row in any batch.  ``log``, ``sqrt``, ``powf`` and
-reciprocals do too for a batch of one, but not always for a float-built jet:
-they raise the constant term to a power, and NumPy's scalar power can differ
-from its array power in the last bit.
+right from 0.0, in multiplication-table order; :func:`component_sum` sums
+components the same way.  A product runs the slot kernel (:func:`_slot_table`)
+over chunks of points, gathering consecutive slots together while a gathered
+operand stays within ``_GATHER_BYTES``: at order 4, 289 scalar points take two
+gathers per operand instead of nine.  A product, ``sin``, ``cos`` or ``exp`` of
+a point therefore gives the bits of that point's row in any batch.  ``log``,
+``sqrt``, ``powf`` and reciprocals do too for a batch of one, but not always
+for a float-built jet: they raise the constant term to a power, and NumPy's
+scalar power can differ from its array power in the last bit.
 """
 
 from __future__ import annotations
@@ -122,8 +121,9 @@ def _gather_groups(m: int):
 
 
 _SLOT_TABLES = [_gather_groups(m) for m in range(MAX_ORDER + 1)]
-# Bytes of one gathered operand, (rows, N) floats: consecutive slots share a
-# gather up to this size.  Fewer, larger gathers cut the NumPy calls of a
+# Bytes of one gathered operand, (rows, lanes) floats: consecutive slots share a
+# gather up to this size, and a product runs its points in chunks whose widest
+# slot stays within it.  Fewer, larger gathers cut the NumPy calls of a
 # product of a few hundred points, but a fresh temporary above 128 KiB is
 # handed back to the OS and faulted in again on the next product.  A sweep of
 # 32-256 KiB over 169-4225 points (2-vCPU machine) found 128 KiB the largest
@@ -162,46 +162,95 @@ def first_where(mask):
 
 
 def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Order-m product of operands of ``_NCOEF[m]`` or more coefficients; a 1-D one
-    acts as a column against a batch, and two give a 1-D result.
+    """Order-m product of coefficient arrays of ``_NCOEF[m]`` or more coefficients
+    and equal ndim, whose other axes broadcast.
 
     Each coefficient sums its terms left to right from 0.0 in table order
-    (``+= 0.0`` turns a first term of -0.0 into 0.0).
+    (``+= 0.0`` turns a first term of -0.0 into 0.0), in chunks of points
+    whose widest gather stays within ``_GATHER_BYTES``.
     """
     order, pick, groupings = _SLOT_TABLES[m]
-    at, bt = a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]).T
-    swap = at.shape[1] == 1
-    if swap:  # gather the batch first, so that it is scaled in place
-        at, bt = bt, at
-    n = at.shape[1]
-    groups = groupings[pick[min(_GATHER_BYTES // (8 * n), len(pick) - 1)]][swap]
-    acc = None
-    for ia, ib, adds in groups:
-        x = at[ia]
-        x *= bt[ib]
-        if acc is None:
-            acc = x[:len(order)]
-            acc += 0.0
-        for rows, w in adds:
-            acc[:w] += x[rows]
-    out = np.empty((len(order), n))
-    out[order] = acc  # order is a permutation: every row is written
-    return out.T if a.ndim > 1 or b.ndim > 1 else out[:, 0]
+    shape = a.shape[:-1]
+    if shape != b.shape[:-1]:
+        shape = tuple(map(max, shape, b.shape[:-1]))
+    swap = a.shape[:-1] != shape
+    inplace = not swap or b.shape[:-1] == shape  # the gathered operand is full: scale it
+    at, bt = (b.T, a.T) if swap else (a.T, b.T)
+    points, lanes = (shape[0], math.prod(shape[1:])) if shape else (1, 1)
+    step = max(1, _GATHER_BYTES // (8 * len(order) * lanes))
+    step = -(-points // -(-points // step))  # chunks of equal size
+    cap = _GATHER_BYTES // (8 * min(step, points) * lanes)
+    groups = groupings[pick[min(cap, len(pick) - 1)]][swap]
+    out = np.empty((len(order),) + shape[::-1])
+    for start in range(0, points, step):
+        chunk = (Ellipsis, slice(start, start + step)) if points > step else ()
+        ac, bc = [x[chunk] if chunk and x.shape[-1] > 1 else x for x in (at, bt)]
+        acc = None
+        for ia, ib, adds in groups:
+            x = ac[ia]
+            if inplace:
+                x *= bc[ib]
+            else:
+                x = x * bc[ib]
+            if acc is None:
+                acc = x[:len(order)]
+                acc += 0.0
+            for rows, w in adds:
+                acc[:w] += x[rows]
+        out[(order,) + chunk] = acc  # order is a permutation: every row is written
+    return out.T
+
+
+def _aligned(a: np.ndarray, b: np.ndarray):
+    """Two coefficient arrays with equal ndim: the component shapes aligned at
+    the right, a float-built jet as one point."""
+    if a.ndim == b.ndim:
+        return a, b
+    nd = max(a.ndim, b.ndim)
+    return [c if c.ndim == nd else c.reshape((c.shape[:1] if c.ndim > 1 else (1,))
+                                             + (1,) * (nd - max(c.ndim, 2)) + c.shape[c.ndim > 1:])
+            for c in (a, b)]
+
+
+def component_sum(x: "Jet2", axis: int = -1) -> "Jet2":
+    """The sum of x over one component axis (the last by default).
+
+    Each coefficient of each point sums its components left to right from
+    0.0, as a product sums its terms.  NumPy adds whole rows in turn when the
+    summed axis is not the innermost of its loop, which holds when the
+    points are contiguous and two or more; otherwise it could sum pairwise,
+    so the points get zero companions first.
+    """
+    m, k = x.c.T, x.c.ndim - 2
+    n = m.shape[-1]
+    if n < 2 or m.strides[-1] != m.itemsize:
+        m = np.concatenate([m, np.zeros_like(m)], axis=-1)
+    return Jet2(np.add.reduce(m, axis=k - axis % k)[..., :n].T, x.order)
+
+
+def stack(parts) -> "Jet2":
+    """Jets of one component shape as one jet with a new first component axis,
+    at their lowest order; a jet of one point (or built from a float) is
+    repeated over the batch."""
+    m = min(p.order for p in parts)
+    cs = np.broadcast_arrays(*(np.atleast_2d(p.c[..., :_NCOEF[m]]).T for p in parts))
+    return Jet2(np.stack(cs, axis=-2).T, m)
 
 
 def _common(a: "Jet2", b: "Jet2"):
-    """Two jets' coefficients at their lower order m, and m: a prefix is a view."""
+    """Two jets' aligned coefficients at their lower order m, and m: a prefix is a view."""
     if a.order == b.order:
-        return a.c, b.c, a.order
+        return (*_aligned(a.c, b.c), a.order)
     m = min(a.order, b.order)
-    return a.c[..., :_NCOEF[m]], b.c[..., :_NCOEF[m]], m
+    return (*_aligned(a.c[..., :_NCOEF[m]], b.c[..., :_NCOEF[m]]), m)
 
 
 class Jet2:
     """Bivariate truncated Taylor polynomial at a point, order <= 4.
 
-    The accessors return a NumPy float for a float-built jet and one value
-    per point, an array, for a batch.
+    The accessors return a NumPy float for a float-built jet and, for a
+    batch, an array of shape ``(N, *shape)``: one value per point and
+    component.
     """
 
     __slots__ = ("c", "order")
@@ -214,11 +263,12 @@ class Jet2:
 
     @staticmethod
     def constant(x, order: int = MAX_ORDER) -> "Jet2":
-        """Constant jet; an array ``x`` gives one constant per point."""
+        """Constant jet; an array ``x`` of shape ``(N, *shape)`` gives one constant
+        per point and component."""
         _check_order(order)
         x = np.asarray(x, dtype=float)
-        c = np.zeros((_NCOEF[order],) + x.shape).T
-        c.T[0] = x
+        c = np.zeros((_NCOEF[order],) + x.shape[::-1]).T
+        c[..., 0] = x
         return Jet2(c, order)
 
     @staticmethod
@@ -234,8 +284,19 @@ class Jet2:
     # -- accessors ----------------------------------------------------------
 
     @property
+    def shape(self) -> tuple:
+        """The component shape: ``()`` for a scalar."""
+        return self.c.shape[1:-1]
+
+    def __getitem__(self, key) -> "Jet2":
+        """Components as a jet of the same order: ``key`` indexes the component
+        axes, as NumPy's indexing does, and the result is a view."""
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet2(self.c[(slice(None),) + key + (slice(None),)], self.order)
+
+    @property
     def value(self) -> float | np.ndarray:
-        return self.c.T[0]
+        return self.c.T[0].T
 
     def _need(self, order: int, what: str) -> None:
         """Raise unless the jet holds ``what``: past its order it holds zeros."""
@@ -245,38 +306,38 @@ class Jet2:
     @property
     def du(self) -> float | np.ndarray:
         self._need(1, "du")
-        return self.c.T[1]
+        return self.c.T[1].T
 
     @property
     def dv(self) -> float | np.ndarray:
         self._need(1, "dv")
-        return self.c.T[2]
+        return self.c.T[2].T
 
     @property
     def duu(self) -> float | np.ndarray:
         self._need(2, "duu")
-        return 2.0 * self.c.T[3]
+        return 2.0 * self.c.T[3].T
 
     @property
     def duv(self) -> float | np.ndarray:
         self._need(2, "duv")
-        return self.c.T[4]
+        return self.c.T[4].T
 
     @property
     def dvv(self) -> float | np.ndarray:
         self._need(2, "dvv")
-        return 2.0 * self.c.T[5]
+        return 2.0 * self.c.T[5].T
 
     def deriv(self, i: int, j: int) -> float | np.ndarray:
         """Partial derivative d^{i+j} / du^i dv^j at the point."""
         if i + j > self.order:
             raise ValueError(f"derivative ({i},{j}) exceeds jet order {self.order}")
-        return self.c.T[_IDX[(i, j)]] * math.factorial(i) * math.factorial(j)
+        return self.c.T[_IDX[(i, j)]].T * math.factorial(i) * math.factorial(j)
 
     def coeff(self, i: int, j: int) -> float | np.ndarray:
         """Taylor coefficient of u^i v^j: 0.0 past the jet's order."""
         k = _IDX[(i, j)]
-        return self.c.T[k] if k < self.c.shape[-1] else np.zeros(self.c.shape[:-1])[()]
+        return self.c.T[k].T if k < self.c.shape[-1] else np.zeros(self.c.shape[:-1])[()]
 
     def truncate(self, order: int) -> "Jet2":
         """The jet to at most ``order``: itself, or a view of its coefficient prefix."""
@@ -313,7 +374,7 @@ class Jet2:
             a, b, m = _common(self, other)
             return Jet2(a + b, m)
         c = self.c.copy("K")
-        c.T[0] += other
+        c[..., 0] += other
         return Jet2(c, self.order)
 
     __radd__ = __add__
@@ -323,12 +384,12 @@ class Jet2:
             a, b, m = _common(self, other)
             return Jet2(a - b, m)
         c = self.c.copy("K")
-        c.T[0] -= other
+        c[..., 0] -= other
         return Jet2(c, self.order)
 
     def __rsub__(self, other):
         c = -self.c
-        c.T[0] += other
+        c[..., 0] += other
         return Jet2(c, self.order)
 
     def __neg__(self):
@@ -336,9 +397,8 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            a, b = self.c, other.c
             m = self.order if self.order <= other.order else other.order
-            return Jet2(_batch_product(a, b, m), m)
+            return Jet2(_batch_product(*_aligned(self.c, other.c), m), m)
         return Jet2(self.c * other, self.order)
 
     __rmul__ = __mul__
@@ -399,7 +459,7 @@ def _compose(a: Jet2, coeffs: list) -> Jet2:
     out = Jet2.constant(coeffs[-1], a.order)
     for k in range(len(coeffs) - 2, -1, -1):
         out = out * w
-        out.c.T[0] += coeffs[k]  # the product is a fresh array
+        out.c[..., 0] += coeffs[k]  # the product is a fresh array
     return out
 
 

@@ -109,15 +109,38 @@ def polar(kappa: float, rho, w) -> list:
     return circle + [pole] if kappa > 0 else [pole] + circle
 
 
-def flat_inner(model: AmbientModel, x, y):
-    """Signed inner product sum_i sig_i x_i y_i; works on floats or jets."""
-    if len(x) != model.flat_dim or len(y) != model.flat_dim:
+def _vectors(*xs) -> list[Jet2]:
+    """Flat vectors as jets: float components (floats, or arrays of one value
+    per point) become a constant jet of the others' order, 0 without one."""
+    order = min((x.order for x in xs if isinstance(x, Jet2)), default=0)
+    return [x if isinstance(x, Jet2) else
+            Jet2.constant(np.asarray(x, dtype=float).reshape(len(x), -1).T, order) for x in xs]
+
+
+def _floats(r: Jet2, x):
+    """The values of ``r`` laid out as the float vector ``x``."""
+    return r.value.T if np.ndim(x) > 1 else r.value.T[..., 0][()]
+
+
+def _inner(model: AmbientModel, x, y, dims: slice):
+    """sum_i sig_i x_i y_i over the flat components ``dims``: one product, and
+    one sum left to right with the timelike terms negated."""
+    xj, yj = _vectors(x, y)
+    if xj.shape[-1] != model.flat_dim or yj.shape[-1] != model.flat_dim:
         raise ValueError("vector length does not match flat dimension")
-    acc = None
-    for s, xi, yi in zip(model.signature, x, y):
-        term = xi * yi if s > 0 else -(xi * yi)
-        acc = term if acc is None else acc + term
-    return acc
+    p = xj[..., dims] * yj[..., dims]
+    for k in [k for k, s in enumerate(model.signature[dims]) if s < 0]:
+        np.negative(p.c[..., k, :], out=p.c[..., k, :])  # a + (-t) is a - t in IEEE
+    out = jets.component_sum(p)
+    return out if isinstance(x, Jet2) or isinstance(y, Jet2) else _floats(out, x)
+
+
+def flat_inner(model: AmbientModel, x, y):
+    """Signed inner product sum_i sig_i x_i y_i of flat vectors: jets with the
+    components on their last component axis, the other axes broadcasting, or
+    float components (floats or arrays of one value per point), giving floats.
+    """
+    return _inner(model, x, y, slice(None))
 
 
 def vecdot(x, y):
@@ -133,22 +156,17 @@ def vecdot(x, y):
 
 def space_inner(model: AmbientModel, x, y):
     """Inner product of the space-form block only (line coordinate dropped)."""
-    acc = None
-    for k in range(model.flat_dim - 1):
-        term = x[k] * y[k] if model.signature[k] > 0 else -(x[k] * y[k])
-        acc = term if acc is None else acc + term
-    return acc
+    return _inner(model, x, y, slice(None, -1))
 
 
-def constraint_residual(model: AmbientModel, p) -> float:
+def constraint_residual(model: AmbientModel, p):
     """<p_M, p_M> - 1/kappa, zero exactly on the model; kappa must be nonzero.
 
-    Coordinates may be arrays over a batch of points (one residual per point).
+    ``p`` is a flat vector as :func:`flat_inner` takes it; a batch gives one
+    residual per point.
     """
     if model.kappa == 0:
         raise ValueError("flat model has no membership constraint")
-    if len(p) != model.flat_dim:
-        raise ValueError("vector length does not match flat dimension")
     return space_inner(model, p, p) - 1.0 / model.kappa
 
 
@@ -156,20 +174,19 @@ def project_to_product_tangent(model: AmbientModel, p, w):
     """Project w onto the tangent space of the product at p.
 
     Strips the component along the space-form position normal: on the block,
-    w - kappa <w, p_M> p_M; the line component passes through.  Accepts float
-    vectors (validated against the constraint) or jet vectors (validated at
-    the constant term); entries may be batched, one value per point, and an
-    error then reports the first point off the model.
+    w - kappa <w, p_M> p_M; the line component passes through.  Takes flat
+    vectors as :func:`flat_inner` does, ``w`` possibly a stack of them, and
+    validates ``p`` against the constraint at its constant term; an error
+    reports the first point off the model.
     """
     if model.kappa == 0:
-        return list(w)
-    inner = space_inner(model, w, p)
-    pos_val = [c.value if isinstance(c, Jet2) else c for c in p]
-    res = np.asarray(constraint_residual(model, pos_val))
+        return w
+    pj, wj = _vectors(p, w)
+    res = np.asarray(constraint_residual(model, pj.truncate(0)).value)
     bad = first_where(abs(res) > CONSTRAINT_TOL)
     if bad is not None:
         raise ConstraintError(f"point off the model by {float(res[bad])!r}")
-    k = model.kappa
-    out = [w[i] - (k * inner) * p[i] for i in range(model.flat_dim - 1)]
-    out.append(w[model.t_index])
-    return out
+    q = (model.kappa * space_inner(model, wj, pj))[..., None] * pj[..., :-1]
+    c = wj.c[..., :jets._NCOEF[q.order]].copy("K")
+    c[..., :-1, :] -= q.c
+    return Jet2(c, q.order) if isinstance(w, Jet2) else _floats(Jet2(c, q.order), w)

@@ -69,9 +69,10 @@ class TestPmcOperator:
         one = Jet2.constant(1.0, order)
         zero = Jet2.constant(0.0, order)
         h_norm = 0.7
-        h_vec = [zero, zero, Jet2.constant(h_norm, order), zero]
-        alpha = [[[c * (1.0 if a == b else 0.0) for c in h_vec] for b in range(2)]
-                 for a in range(2)]
+        h_vec = Jet2.constant([[0.0, 0.0, h_norm, 0.0]], order)
+        # alpha(d_u, d_u), alpha(d_u, d_v), alpha(d_v, d_v): H on the diagonal
+        alpha = Jet2.constant([[[0.0, 0.0, h_norm * (a == b), 0.0]
+                                for a, b in ((0, 0), (0, 1), (1, 1))]], order)
         gp = SimpleNamespace(
             spec=SimpleNamespace(ambient=model),
             normH=h_norm,

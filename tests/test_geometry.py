@@ -605,7 +605,7 @@ class TestBatchedGeometry:
         with pytest.raises(ValueError):
             gp.K.c[0] = 1.0
         with pytest.raises(ValueError):
-            gp.alpha_flat[0][1][2].c[3] = 1.0
+            gp.alpha_flat[1][2].c[3] = 1.0
         with pytest.raises(ValueError):
             gp.g_val[0, 0] = 2.0
         with pytest.raises(ValueError):
@@ -643,7 +643,7 @@ def test_every_geometry_jet_stores_exactly_its_order(order):
             continue
         for jet in _jets_in(value):
             seen += 1
-            assert jet.c.shape == (25, jets._NCOEF[jet.order]), name
+            assert (jet.c.shape[0], jet.c.shape[-1]) == (25, jets._NCOEF[jet.order]), name
             # coefficient-major: each coefficient a contiguous row, or a broadcast constant
             assert jet.c.strides[0] in (0, jet.c.itemsize), name
     assert seen >= 12

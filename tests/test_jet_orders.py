@@ -181,9 +181,8 @@ def test_geometry_names_keep_their_table_orders():
 
 def _order_four_frame(gp):
     """The normal frame's jets as projections of order-4 constants."""
-    return [geometry._normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
-                                       [Jet2.constant(c) for c in gp.xi[:, j].T])
-            for j in range(gp.xi.shape[1])]
+    return geometry._normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
+                                      Jet2.constant(gp.xi))
 
 
 @pytest.mark.parametrize("sid,params,minimal", SURFACES + [WARPED_PAD2],

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodsurf import jets
 from prodsurf.jets import Jet2, JetDomainError
+from prodsurf.spaceforms import AmbientModel, flat_inner
 
 
 def coeff_array(j: Jet2) -> np.ndarray:
@@ -337,15 +338,16 @@ class TestOrderGuard:
 
 
 def _reference_products(a, b, m):
-    """Per point: each output sums left to right from 0.0 in table order.
+    """Per point and component: each output sums left to right from 0.0 in
+    table order.
 
-    One term per step, taken for every point at once; the order-m product
-    is the first ``_NCOEF[m]`` columns.
+    One term per step, taken for every point at once; the other axes
+    broadcast, and the order-m product is the first ``_NCOEF[m]`` columns.
     """
-    out = np.zeros((len(a), jets.NCOEF))
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (jets.NCOEF,))
     for i, j, k in zip(*jets._mul_table(m)):
-        out[:, k] += a[:, i] * b[:, j]
-    return out[:, :jets._NCOEF[m]]
+        out[..., k] += a[..., i] * b[..., j]
+    return out[..., :jets._NCOEF[m]]
 
 
 def _grouping_edges():
@@ -405,6 +407,61 @@ class TestBatchProductKernel:
         assert {int(x) for x in np.flatnonzero(np.isinf(got[5]))} == reached
         assert not np.isnan(got).any()
         assert np.isfinite(np.delete(got, 5, axis=0)).all()
+
+
+def _same_bits(got, want):
+    """Equal shapes and bits, signs of zero included; any NaN matches a NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _special_coefficients(rng, shape):
+    """Coefficients across five decades, close enough that a sum's rounding
+    depends on its order, with about one in twelve of them ±0.0, ±inf or NaN."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 3, shape)
+    special = rng.random(shape) < 1 / 12
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    return x
+
+
+class TestVectorJets:
+    """A vector jet computes what its components compute as scalar jets."""
+
+    @given(st.integers(2, 12), st.booleans(), st.integers(0, jets.MAX_ORDER),
+           st.sampled_from([1, 2, 289, 4225]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(12, False, 4, 1, True, 0)  # a lone point, where NumPy would sum pairwise
+    @example(9, False, 2, 1, False, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_products_and_flat_inner_match_the_scalar_path(self, d, stacked, order, n,
+                                                          timelike, seed):
+        rng = np.random.default_rng(seed)
+        shape = (3, min(d, 4) if n > 289 else d) if stacked else (d,)
+        d = shape[-1]
+        w = jets._NCOEF[order]
+        x, y = (Jet2(_coefficient_major(_special_coefficients(rng, (n, *shape, w))), order)
+                for _ in range(2))
+        scale = Jet2(_special_coefficients(rng, w), order)  # a float-built scalar
+        for a, b in ((x, y), (scale, x), (x, scale)):
+            got = (a * b).c
+            assert _same_bits(got, _reference_products(a.c, b.c, order))
+            assert got.T.flags.c_contiguous  # coefficient-major
+        product = (x * y).c
+        for i in np.ndindex(*shape):
+            assert _same_bits(product[(slice(None), *i)], (x[i] * y[i]).c)
+
+        # flat_inner against the scalar loop: sum_k sig_k x_k y_k, left to right
+        sig = (-1.0 if timelike else 1.0,) + (1.0,) * (d - 1)
+        model = AmbientModel(-1.0 if timelike else 1.0, d - 2, d, sig, d - 1)
+        inner = flat_inner(model, x, y).c
+        for i in np.ndindex(*shape[:-1]):
+            acc = None
+            for k, s in enumerate(sig):
+                t = x[(*i, k)] * y[(*i, k)]
+                t = t if s > 0 else -t
+                acc = t if acc is None else acc + t
+            assert _same_bits(inner[(slice(None), *i)], acc.c)
 
 
 class TestDomainErrorMessages:

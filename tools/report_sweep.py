@@ -123,7 +123,7 @@ DENSE = [
 
 
 def commands() -> list[list[str]]:
-    """The fixed sweep: fifteen commands per surface, then :data:`DENSE`,
+    """The fixed sweep: sixteen commands per surface, then :data:`DENSE`,
     :data:`CHECKER_BRANCHES` and :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
@@ -142,7 +142,7 @@ def commands() -> list[list[str]]:
                 for t in ("1.2", "1.3", "3.1", "cor")]
         tilde = ["--tilde"] if sid in MINIMAL_IDS else []
         out += [["field", *base, "--grid", "7x7", "--quantity", q]
-                for q in ("K", "normT", "residual:pmc", "residual:gauss_equation",
+                for q in ("K", "normT", "mu_integrand", "residual:pmc", "residual:gauss_equation",
                           "residual:ambient_codazzi", "residual:inverse_operator_codazzi")]
         out += [["field", *base, "--grid", "7x7", "--quantity", q, *tilde]
                 for q in ("normS", "detS")]
