@@ -123,11 +123,12 @@ DENSE = [
 
 
 def commands() -> list[list[str]]:
-    """The fixed sweep: sixteen commands per surface, then :data:`DENSE`,
+    """The fixed sweep: twenty commands per surface, then :data:`DENSE`,
     :data:`CHECKER_BRANCHES` and :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
-    minimal entries, which have no PMC operator.  The first surface of each
+    minimal entries, which have no PMC operator, and the per-point Codazzi
+    residual is the row of the surface's class.  The first surface of each
     catalog id also samples ``K`` and ``normT`` at 65x65.
     """
     out, dense = [], set()
@@ -146,6 +147,9 @@ def commands() -> list[list[str]]:
                           "residual:ambient_codazzi", "residual:inverse_operator_codazzi")]
         out += [["field", *base, "--grid", "7x7", "--quantity", q, *tilde]
                 for q in ("normS", "detS")]
+        codazzi_row = "codazzi_angle" if sid in MINIMAL_IDS else "codazzi_pmc"
+        out += [["field", *base, "--grid", "7x7", "--quantity", f"residual:{q}"]
+                for q in (codazzi_row, "simons_sq", "metric_change", "t_field_grad")]
         if sid not in dense:
             dense.add(sid)
             out += [["field", *base, "--grid", "65x65", "--quantity", q] for q in ("K", "normT")]
