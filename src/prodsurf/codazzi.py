@@ -1,7 +1,7 @@
 """Traceless Codazzi operators and the identities they satisfy.
 
-Two operators are provided as 2x2 chart-basis matrices with jet-valued
-entries:
+Two operators are provided as 2x2 chart-basis matrices, each one jet of
+component shape (2, 2):
 
 * the PMC operator ``2 A_H - kappa <T,.> T + (kappa |T|^2 / 2) Id - 2|H|^2 Id``
   attached to a non-minimal surface with parallel mean curvature, and
@@ -31,13 +31,19 @@ import numpy as np
 
 from . import jets
 from .geometry import (
+    DegenerateMetricError,
     GeomPoint,
     MinimalSurfaceError,
     SurfaceSpec,
+    _values,
     christoffels,
+    column_derivatives,
+    covariant_derivative,
+    det_jet,
     first_bad,
     gauss_curvature_brioschi,
     grad_norm_sq,
+    inverse_jet,
     laplace_at,
     quad_form,
     MINIMAL_TOL,
@@ -57,8 +63,8 @@ class OperatorShapeError(ValueError):
 class CodazziField:
     """A candidate Codazzi operator as a field of chart-basis matrices.
 
-    ``matrix_at(u, v)`` gives the 2x2 jet matrix over the points of the
-    coordinate arrays ``u``, ``v``, with one row per point in every entry,
+    ``matrix_at(u, v)`` gives the matrix jet, of component shape (2, 2), over
+    the points of the coordinate arrays ``u``, ``v``, with one row per point,
     also where the field is constant.  The evaluators below take that matrix
     itself, and no package path builds a field: it stays while the benchmark
     tracer (``perfbench/tracer.py``) wraps :func:`field_for` and the tests'
@@ -67,59 +73,46 @@ class CodazziField:
 
     kind: str
     spec: SurfaceSpec
-    matrix_at: Callable[[float, float], list[list[Jet2]]]
+    matrix_at: Callable[[float, float], Jet2]
 
 
-def pmc_operator_jets(gp: GeomPoint) -> list[list[Jet2]]:
-    """Chart-basis matrix (jet entries) of the PMC operator at a point or batch."""
+def _plus_diagonal(m: Jet2, d: Jet2) -> Jet2:
+    """m + d Id, adding d to the diagonal entries alone: adding d Id would turn
+    an off-diagonal -0.0 into 0.0."""
+    return jets.matrix(m[0, 0] + d, m[0, 1], m[1, 0], m[1, 1] + d)
+
+
+def _vertical_outer(gp: GeomPoint) -> Jet2:
+    """T^a T_b, with T_b = g_be T^e lowered by the metric."""
+    t_low = jets.matmul(gp.g, gp.T_up)
+    return gp.T_up[:, None] * t_low[None]
+
+
+def pmc_operator_jets(gp: GeomPoint) -> Jet2:
+    """Chart-basis matrix jet of the PMC operator at a point or batch."""
     first_bad(gp.normH <= MINIMAL_TOL,
               "PMC operator undefined at minimal point: |H| =", gp.normH, MinimalSurfaceError)
     model = gp.spec.ambient
     uu, uv, vv = flat_inner(model, gp.alpha_flat, gp.H)
-    m = [[uu, uv], [uv, vv]]
-    a_h = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
-           for a in range(2)]
-    t_low = [gp.g[b][0] * gp.T_up[0] + gp.g[b][1] * gp.T_up[1] for b in range(2)]
+    a_h = jets.matmul(gp.ginv, jets.matrix(uu, uv, uv, vv))
     diag = 0.5 * model.kappa * gp.normT2 - 2.0 * gp.normH2
-    out = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            entry = 2.0 * a_h[a][b] - model.kappa * (gp.T_up[a] * t_low[b])
-            if a == b:
-                entry = entry + diag
-            out[a][b] = entry
-    return out
+    return _plus_diagonal(2.0 * a_h - model.kappa * _vertical_outer(gp), diag)
 
 
-def angle_operator_jets(gp: GeomPoint) -> list[list[Jet2]]:
-    """Chart-basis matrix (jet entries) of the angle operator at a point or batch."""
-    t_low = [gp.g[b][0] * gp.T_up[0] + gp.g[b][1] * gp.T_up[1] for b in range(2)]
-    half = 0.5 * gp.normT2
-    out = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            entry = -(gp.T_up[a] * t_low[b])
-            if a == b:
-                entry = entry + half
-            out[a][b] = entry
-    return out
-
-
-def matrix_values(s: list[list[Jet2]]) -> np.ndarray:
-    """Constant terms of a jet matrix: (2, 2), or (points, 2, 2) for a batch."""
-    return np.stack([np.stack([s[0][0].value, s[0][1].value], axis=-1),
-                     np.stack([s[1][0].value, s[1][1].value], axis=-1)], axis=-2)
+def angle_operator_jets(gp: GeomPoint) -> Jet2:
+    """Chart-basis matrix jet of the angle operator at a point or batch."""
+    return _plus_diagonal(-_vertical_outer(gp), 0.5 * gp.normT2)
 
 
 def pmc_operator(gp: GeomPoint) -> np.ndarray:
-    return matrix_values(pmc_operator_jets(gp))
+    return _values(pmc_operator_jets(gp))
 
 
 def angle_operator(gp: GeomPoint) -> np.ndarray:
-    return matrix_values(angle_operator_jets(gp))
+    return _values(angle_operator_jets(gp))
 
 
-def operator_jets(gp: GeomPoint, kind: str) -> list[list[Jet2]]:
+def operator_jets(gp: GeomPoint, kind: str) -> Jet2:
     """The operator of ``kind``, 'pmc' or 'angle', over the points of ``gp``."""
     if kind == "pmc":
         return pmc_operator_jets(gp)
@@ -137,33 +130,25 @@ def field_for(spec: SurfaceSpec, kind: str) -> CodazziField:
     return CodazziField(kind, spec, lambda u, v: operator_jets(spec.geom(u, v), kind))
 
 
-def norm_sq_jet(s: list[list[Jet2]]) -> Jet2:
+def norm_sq_jet(s: Jet2) -> Jet2:
     """|S|^2 = trace(S S) for a g-self-adjoint endomorphism (basis-free)."""
-    return s[0][0] * s[0][0] + 2.0 * (s[0][1] * s[1][0]) + s[1][1] * s[1][1]
+    return s[0, 0] * s[0, 0] + 2.0 * (s[0, 1] * s[1, 0]) + s[1, 1] * s[1, 1]
 
 
-def det_jet(s: list[list[Jet2]]) -> Jet2:
-    return s[0][0] * s[1][1] - s[0][1] * s[1][0]
-
-
-def _codazzi_defect(gam: np.ndarray, s: list[list[Jet2]]) -> np.ndarray:
+def _codazzi_defect(gamma: Jet2, s: Jet2) -> np.ndarray:
     """nabla_u (S d_v) - nabla_v (S d_u) per point in chart components, from the
-    Christoffel values ``gam[:, a, b, c]`` = Gamma^a_bc (coordinate fields commute)."""
-    res = np.empty((len(gam), 2))
-    for a in range(2):
-        cov_u = s[a][1].du + (gam[:, a, 0, 0] * s[0][1].value + gam[:, a, 0, 1] * s[1][1].value)
-        cov_v = s[a][0].dv + (gam[:, a, 1, 0] * s[0][0].value + gam[:, a, 1, 1] * s[1][0].value)
-        res[:, a] = cov_u - cov_v
-    return res
+    Christoffel jet (coordinate fields commute)."""
+    cols = column_derivatives(gamma, s)
+    return (cols[0, :, 1] - cols[1, :, 0]).T
 
 
-def codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
+def codazzi_residual(gp: GeomPoint, s: Jet2) -> np.ndarray:
     """g-norm of the antisymmetrized covariant derivative of the operator,
     | nabla_u (S d_v) - nabla_v (S d_u) |_g."""
-    return gp.chart_norm(_codazzi_defect(gp.gamma_val, s))
+    return gp.chart_norm(_codazzi_defect(gp.gamma, s))
 
 
-def grad_tensor_norm_sq(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
+def grad_tensor_norm_sq(gp: GeomPoint, s: Jet2) -> np.ndarray:
     """Full covariant-gradient norm |nabla S|^2 of the operator.
 
     (nabla_a S)^b_c = d_a S^b_c + Gamma^b_{ae} S^e_c - Gamma^e_{ac} S^b_e,
@@ -171,16 +156,7 @@ def grad_tensor_norm_sq(gp: GeomPoint, s: list[list[Jet2]]) -> np.ndarray:
     on a surface this equals 2 |grad |S||^2 away from zeros of |S| (the Kato
     equality), but it is polynomial in the entries and therefore global.
     """
-    s_val = matrix_values(s)
-    gam = gp.gamma_val
-    nabla = np.empty((len(gp.u), 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                val = s[b][c].du if a == 0 else s[b][c].dv
-                val = val + (gam[:, b, a, 0] * s_val[:, 0, c] + gam[:, b, a, 1] * s_val[:, 1, c])
-                val = val - (gam[:, 0, a, c] * s_val[:, b, 0] + gam[:, 1, a, c] * s_val[:, b, 1])
-                nabla[:, a, b, c] = val
+    nabla = np.ascontiguousarray(np.moveaxis(covariant_derivative(gp.gamma, s), -1, 0))
     return np.einsum("nabc,nxyz,nax,nby,ncz->n", nabla, nabla, gp.ginv_val, gp.g_val,
                      gp.ginv_val)
 
@@ -234,44 +210,38 @@ def s_norm_det_identity(s_val: np.ndarray, g_val: np.ndarray):
     return np.abs(square + 2.0 * np.linalg.det(s_val))
 
 
-def new_metric_jets(gp: GeomPoint, s: list[list[Jet2]]) -> list[list[Jet2]]:
-    """Entries of the changed metric <S . , S .> as batched jets."""
-    out = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(a, 2):
-            acc = None
-            for c in range(2):
-                for d in range(2):
-                    term = s[c][a] * s[d][b] * gp.g[c][d]
-                    acc = term if acc is None else acc + term
-            out[a][b] = acc
-            out[b][a] = acc
-    return out
+def new_metric_jets(gp: GeomPoint, s: Jet2) -> Jet2:
+    """The changed metric <S . , S .> as a batched matrix jet: entry (a, b) sums
+    s[c, a] s[d, b] g[c, d] over (c, d) = (0, 0), (0, 1), (1, 0), (1, 1) left
+    to right, and entry (1, 0) is entry (0, 1)."""
+    # terms[d + 2c, a, b] = s[c, a] s[d, b], whose g[c, d] is g's entry d + 2c: g is symmetric
+    terms = (s[None, :, :, None] * s[:, None, None, :]).reshape((4, 2, 2))
+    out = jets.component_sum(terms * gp.g.reshape((4,))[:, None, None], axis=0)
+    return jets.matrix(out[0, 0], out[0, 1], out[0, 1], out[1, 1])
 
 
-def _nonsingular(s: list[list[Jet2]]):
+def _nonsingular(s: Jet2):
     """The operator with the identity at its singular points, det S, and the singular mask."""
     det = det_jet(s).value
     singular = np.abs(det) <= SINGULAR_TOL
     if singular.any():
-        s = [[jets.where(singular, 1.0 if a == b else 0.0, s[a][b]) for b in range(2)]
-             for a in range(2)]
+        s = jets.where(singular, Jet2.constant(np.eye(2)[None]), s)
     return s, det, singular
 
 
-def _unit_det(gs: list[list[Jet2]]):
+def _unit_det(gs: Jet2):
     """The changed metric scaled at each point by c to a determinant in [1/2, 2), and c.
 
     det <S., S.> = det(S)^2 det g is tiny where S is nearly singular, below the
     absolute floors of Brioschi's K and of the metric inverse.  K(c g) = K(g) / c,
     c g has the Christoffels of g, and c a power of two keeps this exact.
     """
-    _, exponent = np.frexp(np.linalg.det(matrix_values(gs)))
+    _, exponent = np.frexp(np.linalg.det(_values(gs)))
     c = np.ldexp(1.0, -(exponent // 2))
-    return [[Jet2(x.c * c[:, None], x.order) for x in row] for row in gs], c
+    return Jet2(gs.c * c[:, None, None, None], gs.order), c
 
 
-def metric_change(gp: GeomPoint, s: list[list[Jet2]]):
+def metric_change(gp: GeomPoint, s: Jet2):
     """Changed metric, its intrinsic curvature, and the curvature-law residual.
 
     The new curvature is computed from the changed metric through the same
@@ -289,7 +259,7 @@ def metric_change(gp: GeomPoint, s: list[list[Jet2]]):
     return gs, np.ma.masked_array(ktilde, singular), np.ma.masked_array(residual, singular)
 
 
-def inverse_codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ma.MaskedArray:
+def inverse_codazzi_residual(gp: GeomPoint, s: Jet2) -> np.ma.MaskedArray:
     """Codazzi residual of S^{-1} with respect to the changed metric.
 
     The connection of the changed metric is recomputed independently from its
@@ -297,16 +267,18 @@ def inverse_codazzi_residual(gp: GeomPoint, s: list[list[Jet2]]) -> np.ma.Masked
     checks that S^{-1} really is Codazzi for the new geometry.  S is cut to
     order 1: first derivatives of S^{-1} and of <S., S.> are all it reads.
     """
-    s, _, singular = _nonsingular([[x.truncate(1) for x in row] for row in s])
-    r = 1.0 / det_jet(s)
-    p = [[s[1][1] * r, -s[0][1] * r], [-s[1][0] * r, s[0][0] * r]]
+    s, _, singular = _nonsingular(s.truncate(1))
+    p = inverse_jet(s, det_jet(s))
     gs = new_metric_jets(gp, s)
-    gam = christoffels(_unit_det(gs)[0])
-    res = _codazzi_defect(np.stack([matrix_values(row) for row in gam], axis=1), p)
-    norm = np.sqrt(np.maximum(quad_form(res, matrix_values(gs)), 0.0))
+    unit = _unit_det(gs)[0]
+    det = det_jet(unit)
+    first_bad(det.value <= 1e-12, "det g =", det.value, DegenerateMetricError)
+    res = _codazzi_defect(christoffels(unit, inverse_jet(unit, det)), p)
+    norm = np.sqrt(np.maximum(quad_form(np.ascontiguousarray(res), _values(gs)), 0.0))
     return np.ma.masked_array(norm, singular)
 
 
-def trace_residual(s: list[list[Jet2]]) -> np.ndarray:
+def trace_residual(s: Jet2) -> np.ndarray:
     """|trace S| per point; the trace needs no geometry."""
-    return np.abs(s[0][0].value + s[1][1].value)
+    val = s.value
+    return np.abs(val[:, 0, 0] + val[:, 1, 1])

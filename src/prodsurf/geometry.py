@@ -120,8 +120,10 @@ class GeomPoint:
     ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  A flat
     vector is one jet of component shape (flat_dim,): ``f``, ``fu``, ``fv``,
     ``H``, ``T_flat``, ``eta``; ``alpha_flat`` stacks alpha(d_u, d_u),
-    alpha(d_u, d_v) and alpha(d_v, d_v).  Every coefficient and value array
-    is read-only.
+    alpha(d_u, d_v) and alpha(d_v, d_v).  A chart tensor is one jet too:
+    ``g`` and ``ginv`` of shape (2, 2), ``gamma`` of shape (2, 2, 2) indexed
+    [k, i, j], ``T_up`` of shape (2,).  Every coefficient and value array is
+    read-only.
     """
 
     spec: SurfaceSpec
@@ -130,8 +132,8 @@ class GeomPoint:
     f: Jet2
     fu: Jet2
     fv: Jet2
-    g: list[list[Jet2]]
-    ginv: list[list[Jet2]]
+    g: Jet2
+    ginv: Jet2
     detg: Jet2
     g_val: np.ndarray
     ginv_val: np.ndarray
@@ -142,7 +144,8 @@ class GeomPoint:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         stage, names = _STAGE_OF[name]
         values = list(stage(self))
-        _freeze(values)
+        for x in values:
+            _freeze(x)
         self.__dict__.update(zip(names, values))
         return self.__dict__[name]
 
@@ -156,12 +159,8 @@ class GeomPoint:
 
     def chart_norm(self, w):
         """g-norm of chart-components vectors, one per point."""
-        return np.sqrt(np.maximum(quad_form(np.asarray(w, dtype=float), self.g_val), 0.0))
-
-
-def _stack(values) -> np.ndarray:
-    """Components as the last axis: one vector per point."""
-    return np.stack(values, axis=-1)
+        return np.sqrt(np.maximum(quad_form(np.ascontiguousarray(w, dtype=float), self.g_val),
+                                  0.0))
 
 
 def quad_form(w, m, z=None):
@@ -180,47 +179,28 @@ def first_bad(mask, what: str, values, error=ValueError):
         raise error(f"{what} {float(np.asarray(values)[bad])!r}")
 
 
-def christoffels(g: list[list[Jet2]], ginv: list[list[Jet2]] | None = None):
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) as jets."""
-    if ginv is None:
-        ginv = invert_metric_jets(g)
-    dg = [[[g[i][j].d(l) for j in range(2)] for i in range(2)] for l in range(2)]
-    gamma = [[[None, None], [None, None]], [[None, None], [None, None]]]
-    for k in range(2):
-        for i in range(2):
-            for j in range(i, 2):
-                acc = None
-                for l in range(2):
-                    term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                gamma[k][i][j] = 0.5 * acc
-                gamma[k][j][i] = gamma[k][i][j]
-    return gamma
+def det_jet(m: Jet2) -> Jet2:
+    """m00 m11 - m01 m10 of a 2x2 matrix jet."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def invert_metric_jets(g: list[list[Jet2]]):
-    det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
-    first_bad(det.value <= 1e-12, "det g =", det.value, DegenerateMetricError)
-    r = 1.0 / det
-    return [[g[1][1] * r, -g[0][1] * r], [-g[0][1] * r, g[0][0] * r]]
+def inverse_jet(m: Jet2, det: Jet2) -> Jet2:
+    """The inverse of a 2x2 matrix jet of determinant ``det``: the adjugate,
+    its off-diagonal entries negated, times 1/det in one product."""
+    c = m.c
+    adj = np.empty(c.shape[::-1]).T  # coefficient-major, as a product's operand
+    adj[:, 0, 0], adj[:, 1, 1] = c[:, 1, 1], c[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -c[:, 0, 1], -c[:, 1, 0]
+    return Jet2(adj, m.order) * (1.0 / det)
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _det3_zero_corner(m):
-    """``_det3`` of a matrix whose corner ``m[0][0]`` is zero (and is not read).
-
-    The corner's term, 0.0 times its minor, is +0.0 in every coefficient where
-    the minor is finite, so the sum starts from 0.0, coefficientwise, instead.
-    """
-    y = m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-    return Jet2(0.0 - y.c, y.order) + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+def christoffels(g: Jet2, ginv: Jet2) -> Jet2:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) as one jet
+    indexed [k, i, j], symmetric in i, j bit for bit when g is."""
+    dg = jets.stack([g.d_u(), g.d_v()])  # dg[a, b, c] = d_a g_bc
+    c = dg.c  # terms[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    terms = Jet2(c.transpose(0, 3, 1, 2, 4) + c.transpose(0, 3, 2, 1, 4) - c, dg.order)
+    return 0.5 * jets.matmul(ginv, terms)
 
 
 def _too_degenerate(det):
@@ -228,34 +208,36 @@ def _too_degenerate(det):
     return (det <= 0.0) | (det * det <= jets.DOMAIN_TOL)
 
 
-def gauss_curvature_brioschi(g: list[list[Jet2]]) -> Jet2:
+def gauss_curvature_brioschi(g: Jet2) -> Jet2:
     """Intrinsic Gaussian curvature from the metric alone (Brioschi formula).
 
-    Input metric entries must carry order >= 2; the result loses two orders,
-    so every term is cut to the result's order first (a cut keeps a
-    coefficient prefix, so no bit moves).
+    K det(g)^2 = det M1 - det M2 for 3x3 matrices M1, M2 whose lower-right
+    block is g and whose first rows and columns hold first and second
+    derivatives of g; M2's corner is zero.  Each determinant expands along
+    its first row: the corner's minor is det g, and the other two read the
+    column below the corner, (c, d): c G - F d and c F - E d, one product for
+    both matrices.  M2's sum leaves its zero corner out and starts from 0.0,
+    coefficientwise.  Input metric entries must carry order >= 2; the result
+    loses two orders, so every term is cut to the result's order first (a
+    cut keeps a coefficient prefix, so no bit moves).
     """
-    E, F, G = g[0][0], g[0][1], g[1][1]
+    E, F, G = g[0, 0], g[0, 1], g[1, 1]
     Eu, Ev = E.d_u(), E.d_v()
     Gu, Gv = G.d_u(), G.d_v()
     Fu, Fv = F.d_u(), F.d_v()
     Evv, Guu, Fuv = Ev.d_v(), Gu.d_u(), Fu.d_v()
     E, F, G, Eu, Ev, Gu, Gv, Fu, Fv = (x.truncate(Evv.order)
                                        for x in (E, F, G, Eu, Ev, Gu, Gv, Fu, Fv))
-    det = E * G - F * F
+    det = det_jet(g.truncate(Evv.order))
     first_bad(_too_degenerate(det.value), "det g too small for the curvature: det g =",
               det.value, DegenerateMetricError)
-    m1 = [
-        [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-        [Fv - 0.5 * Gu, E, F],
-        [0.5 * Gv, F, G],
-    ]
-    m2 = [
-        [None, 0.5 * Ev, 0.5 * Gu],
-        [0.5 * Ev, E, F],
-        [0.5 * Gu, F, G],
-    ]
-    return (_det3(m1) - _det3_zero_corner(m2)) / (det * det)
+    # per matrix, M1 then M2: the column below the corner and the row right of it
+    c, d = jets.stack([Fv - 0.5 * Gu, 0.5 * Ev]), jets.stack([0.5 * Gv, 0.5 * Gu])
+    right1 = jets.stack([0.5 * Eu, 0.5 * Ev]) * (c * G - F * d)
+    right2 = jets.stack([Fu - 0.5 * Ev, 0.5 * Gu]) * (c * F - E * d)
+    det1 = (-0.5 * Evv + Fuv - 0.5 * Guu) * det - right1[0] + right2[0]
+    det2 = Jet2(0.0 - right1[1].c, right1.order) + right2[1]
+    return (det1 - det2) / (det * det)
 
 
 def laplace_beltrami_values(phi: Jet2, ginv_val: np.ndarray, gamma_val: np.ndarray):
@@ -274,6 +256,39 @@ def laplace_beltrami_values(phi: Jet2, ginv_val: np.ndarray, gamma_val: np.ndarr
     return acc
 
 
+def _points_last(x: np.ndarray) -> np.ndarray:
+    """A view of a value array with its point axis moved last: the points of
+    a coefficient-major jet then run innermost and contiguous."""
+    return x.transpose((*range(1, x.ndim), 0))
+
+
+def column_derivatives(gamma: Jet2, s: Jet2) -> np.ndarray:
+    """nabla_a (S d_c)^b = d_a S^b_c + Gamma^b_ae S^e_c, indexed [a, b, c, ..., n]
+    with the points last: the covariant derivatives of the columns of a
+    (1,1)-tensor, or of a vector field S^b, indexed [a, b, n], from the
+    Christoffel jet ``gamma``.
+
+    Component axes of S after c (one per normal vector, say) are carried
+    along.  Each element sums d + (Gamma S_0 + Gamma S_1) in that order.
+    """
+    val = _points_last(s.value)  # [b, c, ..., n]
+    gam = gamma.value.transpose(2, 1, 3, 0)  # [a, b, e, n] = Gamma^b_ae
+    gam = gam.reshape(gam.shape[:3] + (1,) * (val.ndim - 2) + gam.shape[3:])
+    grad = s.gradient  # [n, b, c, ..., a] = d_a S^b_c
+    d = grad.transpose((grad.ndim - 1, *range(1, grad.ndim - 1), 0))
+    return d + (gam[:, :, 0] * val[0] + gam[:, :, 1] * val[1])
+
+
+def covariant_derivative(gamma: Jet2, s: Jet2) -> np.ndarray:
+    """(nabla_a S)^b_c = nabla_a (S d_c)^b - Gamma^e_ac S^b_e of a (1,1)-tensor,
+    indexed [a, b, c, ..., n] as :func:`column_derivatives`."""
+    val = _points_last(s.value)  # [b, e, ..., n]
+    gam = _points_last(gamma.value)  # [e, a, c, n] = Gamma^e_ac
+    gam = gam.reshape(gam.shape[:2] + (1,) + gam.shape[2:3] + (1,) * (val.ndim - 3)
+                      + gam.shape[3:])
+    return column_derivatives(gamma, s) - (gam[0] * val[:, 0, None] + gam[1] * val[:, 1, None])
+
+
 def laplace_at(phi: Jet2, gp: "GeomPoint"):
     """Laplacian of a scalar jet using the chart point's metric data."""
     return laplace_beltrami_values(phi, gp.ginv_val, gp.gamma_val)
@@ -281,7 +296,7 @@ def laplace_at(phi: Jet2, gp: "GeomPoint"):
 
 def grad_norm_sq(phi: Jet2, ginv_val: np.ndarray):
     """Squared gradient norm g^{ab} d_a phi d_b phi from inverse-metric values."""
-    return quad_form(_stack([phi.du, phi.dv]), np.asarray(ginv_val, dtype=float))
+    return quad_form(np.ascontiguousarray(phi.gradient), np.asarray(ginv_val, dtype=float))
 
 
 def _sign_flips(unit: np.ndarray) -> np.ndarray:
@@ -325,8 +340,7 @@ def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
     part, and the tangent part, subtracted f_u term first.
     """
     w = project_to_product_tangent(model, f, w)
-    c = (flat_inner(model, w, fu), flat_inner(model, w, fv))
-    t = [ginv[a][0] * c[0] + ginv[a][1] * c[1] for a in range(2)]
+    t = jets.matmul(ginv, jets.stack([flat_inner(model, w, fu), flat_inner(model, w, fv)]))
     w = w - t[0][..., None] * fu
     return w - t[1][..., None] * fv
 
@@ -390,16 +404,9 @@ def normal_frame_jets(gp: GeomPoint) -> Jet2:
                              Jet2.constant(gp.xi, FRAME_ORDER))
 
 
-def _values(x) -> np.ndarray:
-    """Constant terms of a jet or of a nested list of scalar jets, the point
-    axis first, C-contiguous."""
-    if isinstance(x, Jet2):
-        return np.ascontiguousarray(x.value)
-
-    def strip(y):
-        return y.value if isinstance(y, Jet2) else [strip(z) for z in y]
-
-    return np.ascontiguousarray(np.moveaxis(np.array(strip(x)), -1, 0))
+def _values(x: Jet2) -> np.ndarray:
+    """Constant terms of a jet, the point axis first, C-contiguous."""
+    return np.ascontiguousarray(x.value)
 
 
 def _freeze(x) -> None:
@@ -407,9 +414,6 @@ def _freeze(x) -> None:
         x.c.flags.writeable = False
     elif isinstance(x, np.ndarray):
         x.flags.writeable = False
-    elif isinstance(x, list):
-        for y in x:
-            _freeze(y)
 
 
 def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarray,
@@ -445,15 +449,13 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     fu, fv = f.d_u(), f.d_v()
     tu, tv = fu.truncate(METRIC_ORDER), fv.truncate(METRIC_ORDER)
     g01 = flat_inner(model, tu, tv)
-    g = [[flat_inner(model, tu, tu), g01], [g01, flat_inner(model, tv, tv)]]
-    detg = g[0][0] * g[1][1] - g[0][1] * g[0][1]
+    g = jets.matrix(flat_inner(model, tu, tu), g01, g01, flat_inner(model, tv, tv))
+    detg = det_jet(g)
     bad = first_where(_too_degenerate(detg.value))
     if bad is not None:
         raise DegenerateMetricError(
             f"det g = {float(detg.value[bad])!r} at ({ua[bad]}, {va[bad]})")
-    inv_det = 1.0 / detg
-    off = -g01 * inv_det
-    ginv = [[g[1][1] * inv_det, off], [off, g[0][0] * inv_det]]
+    ginv = inverse_jet(g, detg)
 
     gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg,
                    g_val=_values(g), ginv_val=_values(ginv))
@@ -475,7 +477,7 @@ def _second_form_stage(gp: GeomPoint):
     model, ginv = gp.spec.ambient, gp.ginv
     alpha_flat = _normal_part_jets(model, gp.f, gp.fu, gp.fv, ginv,
                                    jets.stack([gp.fu.d_u(), gp.fu.d_v(), gp.fv.d_v()]))
-    weights = jets.stack([ginv[0][0], 2.0 * ginv[0][1], ginv[1][1]])
+    weights = jets.stack([ginv[0, 0], 2.0 * ginv[0, 1], ginv[1, 1]])
     H = 0.5 * jets.component_sum(weights[..., None] * alpha_flat, axis=0)
     normH2 = flat_inner(model, H, H)
     alpha_val = np.ascontiguousarray(_values(alpha_flat)[:, [0, 1, 1, 2]]).reshape(
@@ -488,7 +490,7 @@ def _vertical_stage(gp: GeomPoint):
     """Vertical field split: T^a = g^{ab} <e_t, f_b>; eta = e_t - T."""
     model, fu, fv, ginv = gp.spec.ambient, gp.fu, gp.fv, gp.ginv
     t = model.t_index
-    T_up = [ginv[a][0] * fu[t] + ginv[a][1] * fv[t] for a in range(2)]
+    T_up = jets.matmul(ginv, jets.stack([fu[t], fv[t]]))
     T_flat = T_up[0] * fu + T_up[1] * fv
     eta = -T_flat
     eta.c[:, t, 0] += 1.0

@@ -27,9 +27,10 @@ from .geometry import (
     SampleGrid,
     SurfaceSpec,
     _normal_part,
-    _stack,
     _values,
     aux_det_sum,
+    column_derivatives,
+    covariant_derivative,
     first_bad,
     laplace_at,
     normal_connection_derivative,
@@ -37,6 +38,7 @@ from .geometry import (
     quad_form,
     shape_operator,
 )
+from .jets import matmul, matrix
 from .spaceforms import flat_inner, vecdot
 
 log = logging.getLogger("prodsurf")
@@ -162,34 +164,18 @@ def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
     model = gp.spec.ambient
     sig = np.asarray(model.signature)
     frame = normal_frame_jets(gp) if normal_field is None else normal_field(gp)[None]
-    gam = gp.gamma_val
     t_low = np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
     wedge = np.stack([t_low[:, 1], -t_low[:, 0]], axis=-1)
     # <alpha(d_a, d_b), xi> of every frame vector: alpha is symmetric, so uv serves vu
     uu, uv, vv = (flat_inner(model, alpha, frame) for alpha in gp.alpha_flat)
-    m = [[uu, uv], [uv, vv]]
-    a_xi = [[gp.ginv[a][0] * m[0][b] + gp.ginv[a][1] * m[1][b] for b in range(2)]
-            for a in range(2)]
-    a_vals = codazzi.matrix_values(a_xi)
+    # (nabla_x A_xi)^a_y, indexed [x, a, y, j, n] for frame vector j
+    nabla = covariant_derivative(gp.gamma, matmul(gp.ginv, matrix(uu, uv, uv, vv)))
     worst = np.zeros(len(gp.u))
     for j, xi in enumerate(frame):
-        a_val = a_vals[:, j]
         xi_val = _values(xi)
-        nperp = (_normal_part(gp, np.ascontiguousarray(xi.du)),
-                 _normal_part(gp, np.ascontiguousarray(xi.dv)))
-
-        def cov(xdir: int, ycol: int) -> np.ndarray:
-            out = np.empty((len(gp.u), 2))
-            for a in range(2):
-                d = (a_xi[a][ycol].du if xdir == 0 else a_xi[a][ycol].dv)[:, j]
-                d = d + (gam[:, a, xdir, 0] * a_val[:, 0, ycol]
-                         + gam[:, a, xdir, 1] * a_val[:, 1, ycol])
-                d = d - (a_val[:, a, 0] * gam[:, 0, xdir, ycol]
-                         + a_val[:, a, 1] * gam[:, 1, xdir, ycol])
-                out[:, a] = d
-            return out - shape_operator(gp, nperp[xdir])[:, :, ycol]
-
-        lhs = cov(0, 1) - cov(1, 0)
+        a_u = shape_operator(gp, _normal_part(gp, np.ascontiguousarray(xi.du)))
+        a_v = shape_operator(gp, _normal_part(gp, np.ascontiguousarray(xi.dv)))
+        lhs = (nabla[0, :, 1, j].T - a_u[:, :, 1]) - (nabla[1, :, 0, j].T - a_v[:, :, 0])
         rhs = (model.kappa * vecdot(sig * xi_val, gp.eta_val))[:, None] * wedge
         worst = np.maximum(worst, gp.chart_norm(lhs - rhs))
     return worst
@@ -206,7 +192,7 @@ def curvature_formula_terms(gp: GeomPoint, s) -> dict:
     first_bad(gp.normH <= MINIMAL_TOL, "curvature formula needs |H| > 0: |H| =",
               gp.normH, MinimalSurfaceError)
     kappa = gp.spec.ambient.kappa
-    s_val = codazzi.matrix_values(s)
+    s_val = _values(s)
     h2 = gp.normH ** 2
     t2 = gp.normT2.value
     s2 = np.trace(np.matmul(s_val, s_val), axis1=-2, axis2=-1)
@@ -256,17 +242,13 @@ def gauss_equation_residual(gp: GeomPoint) -> np.ndarray:
     """
     n = len(gp.u)
     kappa = gp.spec.ambient.kappa
-    gam = gp.gamma
-    gam_val = gp.gamma_val
-    # R^a_{b c d} with b = v (W), c = u (X), d = v (Y)
-    intrinsic = np.empty((n, 2))
-    for a in range(2):
-        val = gam[a][1][1].du - gam[a][0][1].dv
-        val = val + (gam_val[:, a, 0, 0] * gam_val[:, 0, 1, 1]
-                     + gam_val[:, a, 0, 1] * gam_val[:, 1, 1, 1])
-        val = val - (gam_val[:, a, 1, 0] * gam_val[:, 0, 0, 1]
-                     + gam_val[:, a, 1, 1] * gam_val[:, 1, 0, 1])
-        intrinsic[:, a] = val
+    gam = gp.gamma_val
+    # R^a_{b c d} with b = v (W), c = u (X), d = v (Y), per a
+    intrinsic = gp.gamma.du[:, :, 1, 1] - gp.gamma.dv[:, :, 0, 1]
+    intrinsic = intrinsic + (gam[:, :, 0, 0] * gam[:, None, 0, 1, 1]
+                             + gam[:, :, 0, 1] * gam[:, None, 1, 1, 1])
+    intrinsic = intrinsic - (gam[:, :, 1, 0] * gam[:, None, 0, 0, 1]
+                             + gam[:, :, 1, 1] * gam[:, None, 1, 0, 1])
 
     x = np.broadcast_to([1.0, 0.0], (n, 2))
     y = np.broadcast_to([0.0, 1.0], (n, 2))
@@ -292,14 +274,11 @@ def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
     grad: nabla_X T = A_eta X;  alpha: alpha(X, T) = - nabla^perp_X eta.
     """
     a_eta = shape_operator(gp, gp.eta_val)
-    gam = gp.gamma_val
     t_val = gp.T_val
+    grad_t = column_derivatives(gp.gamma, gp.T_up)  # (nabla_a T)^b, indexed [a, b, n]
     res_grad = np.zeros(len(gp.u))
     for a in range(2):
-        grad_t = _stack([gp.T_up[b].du if a == 0 else gp.T_up[b].dv for b in range(2)])
-        grad_t = grad_t + _stack([gam[:, b, a, 0] * t_val[:, 0] + gam[:, b, a, 1] * t_val[:, 1]
-                                  for b in range(2)])
-        res_grad = np.maximum(res_grad, gp.chart_norm(grad_t - a_eta[:, :, a]))
+        res_grad = np.maximum(res_grad, gp.chart_norm(grad_t[a].T - a_eta[:, :, a]))
     res_alpha = np.zeros(len(gp.u))
     sig = np.asarray(gp.spec.ambient.signature)
     for a, direction in enumerate("uv"):
@@ -402,7 +381,7 @@ def suite_rows(gp: GeomPoint, minimal: bool):
         (f"codazzi_{kind}", lambda: codazzi.codazzi_residual(gp, s)),
         ("operator_trace", lambda: codazzi.trace_residual(s)),
         ("operator_norm_det",
-         lambda: codazzi.s_norm_det_identity(codazzi.matrix_values(s), gp.g_val)),
+         lambda: codazzi.s_norm_det_identity(_values(s), gp.g_val)),
         ("simons_sq", lambda: codazzi.simons_quadratic_residual(gp, s)),
         ("simons_reduced", lambda: skipping(
             skip_floor, codazzi.simons_reduced_residual(gp, s))),

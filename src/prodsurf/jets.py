@@ -233,8 +233,30 @@ def stack(parts) -> "Jet2":
     at their lowest order; a jet of one point (or built from a float) is
     repeated over the batch."""
     m = min(p.order for p in parts)
-    cs = np.broadcast_arrays(*(np.atleast_2d(p.c[..., :_NCOEF[m]]).T for p in parts))
-    return Jet2(np.stack(cs, axis=-2).T, m)
+    cs = [p.c.T if p.order == m else p.c[..., :_NCOEF[m]].T for p in parts]
+    shape = cs[0].shape
+    if len(shape) < 2 or any(c.shape != shape for c in cs):
+        cs = np.broadcast_arrays(*(np.atleast_2d(c.T).T for c in cs))
+        shape = cs[0].shape
+    out = np.empty(shape[:-1] + (len(cs),) + shape[-1:])
+    for k, c in enumerate(cs):
+        out[..., k, :] = c
+    return Jet2(out.T, m)
+
+
+def matrix(a, b, c, d) -> "Jet2":
+    """The 2x2 matrix [[a, b], [c, d]] of jets of one component shape, as one
+    jet of component shape (2, 2) followed by theirs: one stack, viewed."""
+    m = stack([a, c, b, d])
+    return m.reshape((2, 2) + m.shape[1:])
+
+
+def matmul(x: "Jet2", y: "Jet2") -> "Jet2":
+    """sum_e x[a, e] y[e, ...]: a matrix jet times a jet whose first component
+    axis is e, in one product, each sum left to right from 0.0 as
+    :func:`component_sum` sums (a product is never -0.0, so that is p0 + p1)."""
+    return component_sum(x[(slice(None),) * 2 + (None,) * (len(y.shape) - 1)] * y[None],
+                         axis=1)
 
 
 def _common(a: "Jet2", b: "Jet2"):
@@ -314,6 +336,12 @@ class Jet2:
         return self.c.T[2].T
 
     @property
+    def gradient(self) -> np.ndarray:
+        """(du, dv) of every component, on a last axis: a view."""
+        self._need(1, "gradient")
+        return self.c[..., 1:3]
+
+    @property
     def duu(self) -> float | np.ndarray:
         self._need(2, "duu")
         return 2.0 * self.c.T[3].T
@@ -338,6 +366,12 @@ class Jet2:
         """Taylor coefficient of u^i v^j: 0.0 past the jet's order."""
         k = _IDX[(i, j)]
         return self.c.T[k].T if k < self.c.shape[-1] else np.zeros(self.c.shape[:-1])[()]
+
+    def reshape(self, shape: tuple) -> "Jet2":
+        """The components in ``shape``, the first index running fastest: a view
+        of the coefficient-major array, whose transpose keeps C order."""
+        t = self.c.T
+        return Jet2(t.reshape(t.shape[:1] + tuple(shape)[::-1] + t.shape[-1:]).T, self.order)
 
     def truncate(self, order: int) -> "Jet2":
         """The jet to at most ``order``: itself, or a view of its coefficient prefix."""

@@ -130,7 +130,9 @@ def _inner(model: AmbientModel, x, y, dims: slice):
         raise ValueError("vector length does not match flat dimension")
     p = xj[..., dims] * yj[..., dims]
     for k in [k for k, s in enumerate(model.signature[dims]) if s < 0]:
-        np.negative(p.c[..., k, :], out=p.c[..., k, :])  # a + (-t) is a - t in IEEE
+        # a + (-t) is a - t in IEEE.  Not np.negative(..., out=...): NumPy 2.4
+        # writes a lone point's 8-component view wrongly through ``out``.
+        p.c[..., k, :] = -p.c[..., k, :]
     out = jets.component_sum(p)
     return out if isinstance(x, Jet2) or isinstance(y, Jet2) else _floats(out, x)
 

@@ -16,7 +16,7 @@ import pytest
 from prodsurf import catalog, codazzi, identities, theorems
 from prodsurf.cli import main as cli_main
 from prodsurf.geometry import evaluate_chart, grid_geometry, grid_points, shape_operator
-from prodsurf.jets import Jet2
+from prodsurf.jets import Jet2, matrix
 from prodsurf.spaceforms import constraint_residual
 
 from conftest import laplace_beltrami
@@ -134,7 +134,7 @@ def test_criterion_04_metric_change():
             assert np.abs(det).min() > 1e-8, (sid, np.abs(det).min())
             gs, _ktilde, residual = codazzi.metric_change(gp, s)
             assert residual.max() < 1e-8, (sid, residual.max())
-            gs_val = codazzi.matrix_values(gs)
+            gs_val = gs.value
             assert (gs_val[:, 0, 0] > 0).all() and (np.linalg.det(gs_val) > 0).all()
 
 
@@ -250,7 +250,7 @@ def test_criterion_08_finite_difference_cross_checks():
                 e = 1.0 + 0.3 * jets.cos(uj) ** 2
                 f = 0.1 * jets.sin(uj + vj)
                 g = 1.2 + 0.3 * jets.sin(vj) ** 2
-                return [[e, f], [f, g]]
+                return matrix(e, f, f, g)
 
             lap_jet = laplace_beltrami(
                 expr(Jet2.variable("u", u0, 4), Jet2.variable("v", v0, 4), jet_lib),

@@ -46,8 +46,8 @@ def _evaluators(minimal):
         "t_laplacian": lambda gp, s: identities.t_laplacian_residual(gp),
         "t_field_grad": lambda gp, s: identities.t_field_residuals(gp)[0],
         "t_field_alpha": lambda gp, s: identities.t_field_residuals(gp)[1],
-        "operator": lambda gp, s: codazzi.matrix_values(s),
-        "s_norm_det": lambda gp, s: codazzi.s_norm_det_identity(codazzi.matrix_values(s),
+        "operator": lambda gp, s: s.value,
+        "s_norm_det": lambda gp, s: codazzi.s_norm_det_identity(np.ascontiguousarray(s.value),
                                                                 gp.g_val),
         "pmc_u": lambda gp, s: normal_connection_derivative(gp, lambda g: g.H, "u"),
     }
@@ -64,10 +64,8 @@ def _evaluators(minimal):
 
 
 def _frozen(s):
-    """The jet matrix ``s`` made read-only, so a reader that wrote into it fails."""
-    for row in s:
-        for x in row:
-            x.c.flags.writeable = False
+    """The matrix jet ``s`` made read-only, so a reader that wrote into it fails."""
+    s.c.flags.writeable = False
     return s
 
 

@@ -14,7 +14,6 @@ from prodsurf.codazzi import (
     codazzi_residual,
     field_for,
     inverse_codazzi_residual,
-    matrix_values,
     metric_change,
     operator_jets,
     pmc_operator,
@@ -24,7 +23,7 @@ from prodsurf.codazzi import (
     trace_residual,
 )
 from prodsurf.geometry import MinimalSurfaceError, SurfaceSpec, evaluate_chart
-from prodsurf.jets import Jet2
+from prodsurf.jets import Jet2, matrix
 from prodsurf.spaceforms import make_ambient
 
 from conftest import get_surface
@@ -78,13 +77,13 @@ class TestPmcOperator:
             normH=h_norm,
             normH2=Jet2.constant(h_norm ** 2, order),
             normT2=zero,
-            T_up=[zero, zero],
-            g=[[one, zero], [zero, one]],
-            ginv=[[one, zero], [zero, one]],
+            T_up=Jet2.constant([[0.0, 0.0]], order),
+            g=matrix(one, zero, zero, one),
+            ginv=matrix(one, zero, zero, one),
             alpha_flat=alpha,
             H=h_vec,
         )
-        s = matrix_values(pmc_operator_jets(gp))
+        s = pmc_operator_jets(gp).value
         assert np.abs(s).max() < 1e-14
 
     def test_minimal_point_rejected(self):
@@ -230,7 +229,7 @@ def _varying_norm_codazzi_field():
         vj = Jet2.variable("v", v, 4)
         a = uj * uj - vj * vj
         b = -2.0 * uj * vj
-        return [[a, b], [b, -1.0 * a]]
+        return matrix(a, b, b, -1.0 * a)
 
     return spec, codazzi.CodazziField("holomorphic", spec, matrix_at)
 
@@ -335,7 +334,7 @@ class TestMetricChange:
         gs, ktilde, residual = metric_change(gp, pmc_operator_jets(gp))
         assert _worst(residual) < 1e-8
         assert _worst(np.abs(ktilde)) < 1e-10
-        gs_val = matrix_values(gs)[0]
+        gs_val = gs.value[0]
         assert np.linalg.det(gs_val) > 0 and gs_val[0, 0] > 0
 
     def test_vertical_cylinder_angle(self):
@@ -347,7 +346,7 @@ class TestMetricChange:
         # constant traceless diag(2,-2) on a flat chart: new metric 4*Id,
         # curvature stays zero = K / det S
         gp = evaluate_chart(_flat_chart(), 0.2, 0.1)
-        s = [[Jet2.constant(np.full(1, x), 2) for x in row] for row in ((2.0, 0.0), (0.0, -2.0))]
+        s = Jet2.constant([[[2.0, 0.0], [0.0, -2.0]]], 2)
         gs, ktilde, residual = metric_change(gp, s)
         assert gs[0][0].value == pytest.approx(4.0)
         assert gs[1][1].value == pytest.approx(4.0)

@@ -30,7 +30,8 @@ from oracles import fd_laplace_beltrami
 def _metric_jets(e_fn, f_fn, g_fn, u0, v0, order=4):
     u = Jet2.variable("u", u0, order)
     v = Jet2.variable("v", v0, order)
-    return [[e_fn(u, v), f_fn(u, v)], [f_fn(u, v), g_fn(u, v)]]
+    f = f_fn(u, v)
+    return jets.matrix(e_fn(u, v), f, f, g_fn(u, v))
 
 
 def _const(x):
@@ -163,23 +164,40 @@ class TestBrioschi:
         (None, {}),
     ])
     def test_zero_corner_determinant_matches_the_full_expansion(self, catalog_id, params, n):
-        """The second Brioschi determinant no longer multiplies its zero corner through."""
-        if catalog_id is None:  # random jets, with -0.0 entries
+        """K from both determinants at once, the second without its zero corner,
+        has the bits of the full 3x3 expansion of each matrix."""
+        if catalog_id is None:  # random jets, with -0.0 entries past a safe metric value
             rng = np.random.default_rng(n)
             c = rng.standard_normal((3, n * n, jets.NCOEF))
             c[rng.random(c.shape) < 0.2] = -0.0
+            c[:, :, 0] = [[2.0], [0.5], [3.0]]
             E, F, G = (Jet2(np.ascontiguousarray(x.T).T, 4) for x in c)
+            g = jets.matrix(E, F, F, G)
         else:
             g = grid_geometry(get_surface(catalog_id, **params), n, n).g
-            E, F, G = g[0][0], g[0][1], g[1][1]
-        Ev, Gu = E.d_v(), G.d_u()
+        E, F, G = g[0, 0], g[0, 1], g[1, 1]
+        Eu, Ev, Gu, Gv, Fu, Fv = E.d_u(), E.d_v(), G.d_u(), G.d_v(), F.d_u(), F.d_v()
+        Evv, Guu, Fuv = Ev.d_v(), Gu.d_u(), Fu.d_v()
+        E, F, G, Eu, Ev, Gu, Gv, Fu, Fv = (x.truncate(Evv.order)
+                                           for x in (E, F, G, Eu, Ev, Gu, Gv, Fu, Fv))
+        m1 = [[-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
+              [Fv - 0.5 * Gu, E, F],
+              [0.5 * Gv, F, G]]
         m2 = [[Jet2.constant(0.0, E.order), 0.5 * Ev, 0.5 * Gu],
               [0.5 * Ev, E, F],
               [0.5 * Gu, F, G]]
-        want = geometry._det3(m2).c
-        got = geometry._det3_zero_corner(m2).c
+        det = E * G - F * F
+        want = ((_det3(m1) - _det3(m2)) / (det * det)).c
+        got = gauss_curvature_brioschi(g).c
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _det3(m):
+    """The full first-row expansion of a 3x3 matrix of scalar jets."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 class TestShapeOperator:
@@ -240,7 +258,7 @@ class TestNormalConnection:
         with pytest.raises(NotNormalError):
             normal_connection_derivative(
                 evaluate_chart(spec, 1.0, 0.0),
-                lambda gp: [f + h for f, h in zip(gp.fu, gp.H)], "u"
+                lambda gp: gp.fu + gp.H, "u"
             )
 
 
@@ -618,32 +636,31 @@ class TestBatchedGeometry:
         assert (gp.K * 2.0).value == pytest.approx(2.0 * gp.K_val)
 
 
-def _jets_in(x):
-    """Every jet in a nested list or tuple."""
-    if isinstance(x, Jet2):
-        yield x
-    elif isinstance(x, (list, tuple)):
-        for y in x:
-            yield from _jets_in(y)
-
-
 @pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
 def test_every_geometry_jet_stores_exactly_its_order(order):
     """Each jet a grid geometry reaches stores _NCOEF[m] coefficients for its
-    order m, coefficient-major; a name the chart order cannot give raises."""
+    order m, coefficient-major; a name the chart order cannot give raises, and
+    the names that hold a jet are exactly those the chart order gives."""
     spec = catalog.instantiate("circle_cylinder",
                                {"kappa": 1.0, "r": math.pi / 4, "warp": 0.3, "pad": 2})
     gp = grid_geometry(spec, 5, 5, order=order)
-    seen = 0
+    held = set()
     for name in geometry.GEOMETRY_NAMES:
         try:
             value = getattr(gp, name)
         except ValueError:  # the order guard: this name needs a higher chart order
             assert order < jets.MAX_ORDER, name
             continue
-        for jet in _jets_in(value):
-            seen += 1
-            assert (jet.c.shape[0], jet.c.shape[-1]) == (25, jets._NCOEF[jet.order]), name
+        if isinstance(value, Jet2):
+            held.add(name)
+            assert (value.c.shape[0], value.c.shape[-1]) == (25, jets._NCOEF[value.order]), name
             # coefficient-major: each coefficient a contiguous row, or a broadcast constant
-            assert jet.c.strides[0] in (0, jet.c.itemsize), name
-    assert seen >= 12
+            assert value.c.strides[0] in (0, value.c.itemsize), name
+    # the metric and vertical split need first derivatives of the chart, the
+    # Christoffels and the second fundamental form second ones, Brioschi's K third ones
+    expected = {"f", "fu", "fv", "g", "ginv", "detg", "T_up", "T_flat", "eta", "normT2"}
+    if order >= 2:
+        expected |= {"gamma", "alpha_flat", "H", "normH2"}
+    if order >= 3:
+        expected.add("K")
+    assert held == expected

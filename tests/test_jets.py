@@ -433,6 +433,7 @@ class TestVectorJets:
            st.sampled_from([1, 2, 289, 4225]), st.booleans(), st.integers(0, 2 ** 32 - 1))
     @example(12, False, 4, 1, True, 0)  # a lone point, where NumPy would sum pairwise
     @example(9, False, 2, 1, False, 1)
+    @example(8, False, 1, 1, True, 1)  # a lone point's timelike term, 8 components
     @settings(max_examples=60, deadline=None)
     def test_products_and_flat_inner_match_the_scalar_path(self, d, stacked, order, n,
                                                           timelike, seed):
