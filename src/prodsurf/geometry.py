@@ -185,13 +185,14 @@ def det_jet(m: Jet2) -> Jet2:
 
 
 def inverse_jet(m: Jet2, det: Jet2) -> Jet2:
-    """The inverse of a 2x2 matrix jet of determinant ``det``: the adjugate,
-    its off-diagonal entries negated, times 1/det in one product."""
-    c = m.c
-    adj = np.empty(c.shape[::-1]).T  # coefficient-major, as a product's operand
-    adj[:, 0, 0], adj[:, 1, 1] = c[:, 1, 1], c[:, 0, 0]
-    adj[:, 0, 1], adj[:, 1, 0] = -c[:, 0, 1], -c[:, 1, 0]
-    return Jet2(adj, m.order) * (1.0 / det)
+    """The inverse of a 2x2 matrix jet of determinant ``det``: one product of
+    1/det and the view [[m11, m01], [m10, m00]] of m, then 0.0 - x on the
+    off-diagonal entries, which gives the bits of (-m01) / det because a
+    product never returns -0.0."""
+    out = Jet2(m.c[:, ::-1, ::-1].swapaxes(1, 2), m.order) * (1.0 / det)
+    for off in (out.c[:, 0, 1], out.c[:, 1, 0]):
+        off[...] = 0.0 - off
+    return out
 
 
 def christoffels(g: Jet2, ginv: Jet2) -> Jet2:

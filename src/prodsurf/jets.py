@@ -128,8 +128,13 @@ _SLOT_TABLES = [_gather_groups(m) for m in range(MAX_ORDER + 1)]
 # handed back to the OS and faulted in again on the next product.  A sweep of
 # 32-256 KiB over 169-4225 points (2-vCPU machine) found 128 KiB the largest
 # budget with no size slower than one slot per gather: 192 KiB ran 3x slower
-# at 729 points, 256 KiB at 468-1089.
-_GATHER_BYTES = 128 * 1024
+# at 729 points, 256 KiB at 468-1089.  A product gathers both operands, and
+# two gathers just under 128 KiB, freed at the heap top, let glibc trim it
+# (its threshold is 128 KiB while no larger block was freed), so the next
+# product faults the pages in again: with 2x2 matrix jets at 289 points a
+# `checkers` pass took 1100-2000 minor faults at 128 KiB, 780-880 at 96 KiB
+# (580-860 with scalar entries), and ran as fast as with scalar entries.
+_GATHER_BYTES = 96 * 1024
 
 # d/du and d/dv as gather tables over the order-3 monomials: coefficient k of the
 # derivative of an order-m jet, k < _NCOEF[m - 1], is SRC[k] times FACT[k].
