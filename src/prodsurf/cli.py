@@ -20,7 +20,6 @@ from . import __version__, codazzi, identities, theorems
 from .catalog import CatalogError, catalog_list, instantiate
 from .geometry import (
     DegenerateMetricError,
-    FrameError,
     MinimalSurfaceError,
     SampleGrid,
     grid_axes,
@@ -34,7 +33,6 @@ NUMERICAL_ERRORS = (
     DegenerateMetricError,
     ConstraintError,
     JetDomainError,
-    FrameError,
     codazzi.OperatorShapeError,
 )
 USAGE_ERRORS = (CatalogError, GateError, MinimalSurfaceError, ValueError)

@@ -4,8 +4,9 @@ Everything is derived from jets of the flat coordinates of the immersion,
 of order 4 unless the caller reads fewer derivatives: first fundamental
 form, Christoffel symbols, second fundamental form (as the surface-normal
 part of projected flat second derivatives), mean curvature vector, the
-tangential/normal split of the vertical field, orthonormal normal frames,
-shape operators, and intrinsic Gaussian curvature via the Brioschi formula.
+tangential/normal split of the vertical field, shape operators, and
+intrinsic Gaussian curvature via the Brioschi formula.  An orthonormal
+normal frame is built only on demand: no sum over one needs it.
 
 The intrinsic curvature is computed purely from the metric so that the
 structure equations checked elsewhere (Gauss equation, curvature formula)
@@ -50,7 +51,7 @@ FRAME_DROP_TOL = 1e-10
 NORMALITY_TOL = 1e-10
 # Brioschi's K reads the metric to order 2, every other reader to chart order - 2.
 METRIC_ORDER = 2
-# The normal frame's one reader, ambient Codazzi, differentiates xi and <alpha, xi> once.
+# normal_frame_jets differentiates xi once; no row reads the frame.
 FRAME_ORDER = 1
 # Chart-jet coefficients of one evaluation block of a grid (see SampleGrid): a
 # 65x65 order-3 K field splits into 2-3 blocks, an order-1 normT field and every
@@ -106,8 +107,8 @@ class GeomPoint:
     - vertical split: ``T_up``, ``T_flat``, ``eta``, ``normT2``, ``normT``,
       ``T_val``, ``eta_val``;
     - Brioschi curvature: ``K``, ``K_val``;
-    - normal frame: ``xi``, ``h``, ``A``.  A :class:`FrameError` surfaces on
-      the first read of one of these.
+    - normal frame, read by no row or checker: ``xi``, ``h``, ``A``.  A
+      :class:`FrameError` surfaces on the first read of one of these.
 
     Jets keep the orders their readers use, for a chart of order m (the
     ``order`` of :func:`evaluate_chart`, 4 by default): ``fu``, ``fv`` m - 1,
@@ -134,7 +135,6 @@ class GeomPoint:
     fv: Jet2
     g: Jet2
     ginv: Jet2
-    detg: Jet2
     g_val: np.ndarray
     ginv_val: np.ndarray
 
@@ -318,10 +318,10 @@ def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
 
     Strips the space-form radial component, then the surface tangent part.
     Every argument carries a leading point axis, except that ``w`` may be
-    one vector for every point.
+    one vector for every point, or carry further leading axes.
     """
     sig = np.asarray(model.signature)
-    w = np.array(np.broadcast_to(w, f_val.shape), dtype=float)
+    w = np.array(np.broadcast_to(w, np.broadcast_shapes(np.shape(w), f_val.shape)), dtype=float)
     if model.kappa != 0:
         inner = (sig[:-1] * w[..., :-1] * f_val[..., :-1]).sum(axis=-1)
         w[..., :-1] -= (model.kappa * inner)[..., None] * f_val[..., :-1]
@@ -388,18 +388,9 @@ def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
 
 
 def normal_frame_jets(gp: GeomPoint) -> Jet2:
-    """Jet-valued normal frame: each vector of the float frame ``gp.xi``, held
+    """Jet-valued normal frame, on demand: each vector of ``gp.xi``, held
     constant in the flat space and projected onto the normal space, as one
-    jet of component shape (n - 1, flat_dim).
-
-    The projection is a smooth normal field through the frame vector, so its
-    jets give honest derivatives, and the frame's values and sign rules come
-    from :func:`_normal_frames` alone; the jets are of order
-    :data:`FRAME_ORDER`.  Any smooth normal extension serves the Codazzi
-    equation: (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) is tensorial in xi.
-    Used only where an explicit normal field is needed; covariant normal
-    derivatives elsewhere go through projections, never through frame
-    differences.
+    jet of component shape (n - 1, flat_dim) and order :data:`FRAME_ORDER`.
     """
     return _normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
                              Jet2.constant(gp.xi, FRAME_ORDER))
@@ -458,7 +449,7 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
             f"det g = {float(detg.value[bad])!r} at ({ua[bad]}, {va[bad]})")
     ginv = inverse_jet(g, detg)
 
-    gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, ginv=ginv, detg=detg,
+    gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, ginv=ginv,
                    g_val=_values(g), ginv_val=_values(ginv))
     for f_ in fields(gp):
         if f_.name != "spec":
@@ -543,8 +534,14 @@ def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
                   "vector has radial component", radial, NotNormalError)
     for comp, bad in _tangential_parts(gp, xi):
         first_bad(bad, "vector has tangential component", comp, NotNormalError)
-    m = vecdot(sig * gp.alpha_val, xi[..., None, None, :])
-    return np.matmul(gp.ginv_val, m)
+    return shape_matrix(gp, xi)
+
+
+def shape_matrix(gp: GeomPoint, w: np.ndarray) -> np.ndarray:
+    """:func:`shape_operator` without its checks, for vectors normal by
+    construction: H, eta and values of alpha."""
+    sig = np.asarray(gp.spec.ambient.signature)
+    return np.matmul(gp.ginv_val, vecdot(sig * gp.alpha_val, w[..., None, None, :]))
 
 
 def normal_connection_derivative(
@@ -586,16 +583,15 @@ def _normal_part(gp: GeomPoint, w_val: np.ndarray) -> np.ndarray:
 
 
 def aux_det_sum(gp: GeomPoint):
-    """Sum of det A_i over the auxiliary normal directions (frame minus H/|H|).
-
-    Requires non-minimal points, where the first frame vector is H/|H|.
-    """
+    """Sum of det A_i over an orthonormal frame of the normals orthogonal to
+    H, at non-minimal points: (<a_uu, a_vv> - <a_uv, a_uv>)/det g, the sum
+    over a whole frame, less det A_H / |H|^2, the term of H/|H|."""
     first_bad(gp.normH <= MINIMAL_TOL, "|H| below threshold:", gp.normH, MinimalSurfaceError)
-    dets = np.linalg.det(gp.A[:, 1:])
-    total = np.zeros(len(gp.normH))
-    for i in range(dets.shape[-1]):
-        total = total + dets[:, i]
-    return total
+    sig = np.asarray(gp.spec.ambient.signature)
+    a, g = gp.alpha_val, gp.g_val
+    whole = vecdot(sig * a[:, 0, 0], a[:, 1, 1]) - vecdot(sig * a[:, 0, 1], a[:, 0, 1])
+    det_g = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    return whole / det_g - np.linalg.det(shape_matrix(gp, gp.H_val)) / gp.normH ** 2
 
 
 def grid_axes(spec: SurfaceSpec, nu: int, nv: int, margin: float = 0.02):

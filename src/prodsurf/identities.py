@@ -30,16 +30,13 @@ from .geometry import (
     _values,
     aux_det_sum,
     column_derivatives,
-    covariant_derivative,
     first_bad,
     laplace_at,
     normal_connection_derivative,
-    normal_frame_jets,
     quad_form,
-    shape_operator,
+    shape_matrix,
 )
-from .jets import matmul, matrix
-from .spaceforms import flat_inner, vecdot
+from .spaceforms import vecdot
 
 log = logging.getLogger("prodsurf")
 
@@ -153,32 +150,45 @@ def grid_report(gp: GeomPoint, identity_id: str, fn, nu: int, nv: int,
 
 # -- residual evaluators -------------------------------------------------------
 
-def ambient_codazzi_residual(gp: GeomPoint, normal_field=None) -> np.ndarray:
-    """Residual of the fundamental Codazzi equation of the product ambient.
+def _g_trace(gp: GeomPoint, x: np.ndarray) -> np.ndarray:
+    """g^{cd} <x_c, x_d> of flat vectors x of shape (N, 2, flat_dim)."""
+    sig = np.asarray(gp.spec.ambient.signature)
+    return np.einsum("ncd,ncd->n", gp.ginv_val, vecdot(sig * x[:, :, None], x[:, None]))
 
-    (nabla_X A)(Y, xi) - (nabla_Y A)(X, xi) = kappa <xi, eta> (X ^ Y) T
-    with X = d_u, Y = d_v, (X ^ Y)T = <Y,T> X - <X,T> Y, and the covariant
-    derivative of A carrying the normal-connection correction on xi.  With no
-    field supplied, the maximum residual over the normal frame is returned.
+
+def _alpha_t(gp: GeomPoint) -> np.ndarray:
+    """alpha(T, d_b) = T^a alpha_ab per point, (N, 2, flat_dim)."""
+    t, a = gp.T_val, gp.alpha_val
+    return t[:, 0, None, None] * a[:, 0] + t[:, 1, None, None] * a[:, 1]
+
+
+def ambient_codazzi_defect(gp: GeomPoint) -> np.ndarray:
+    """Codazzi defect of alpha in M^n(kappa) x R, zero on every immersion
+    (Daniel, Trans. AMS 361, 2009): per point and chart direction c the
+    normal vector, shape (N, 2, flat_dim), with T_a = g_ab T^b,
+
+    R_c = (d_u alpha_vc - d_v alpha_uc)^perp - Gamma^e_uc alpha_ve
+          + Gamma^e_vc alpha_ue - kappa (g_uc T_v - g_vc T_u) eta.
+
+    g^{ac} <R_c, xi> is the frame form (nabla_u A_xi) d_v - (nabla_v A_xi) d_u
+    - kappa <xi, eta> (d_u ^ d_v) T for a normal vector xi.
     """
-    model = gp.spec.ambient
-    sig = np.asarray(model.signature)
-    frame = normal_frame_jets(gp) if normal_field is None else normal_field(gp)[None]
-    t_low = np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
-    wedge = np.stack([t_low[:, 1], -t_low[:, 0]], axis=-1)
-    # <alpha(d_a, d_b), xi> of every frame vector: alpha is symmetric, so uv serves vu
-    uu, uv, vv = (flat_inner(model, alpha, frame) for alpha in gp.alpha_flat)
-    # (nabla_x A_xi)^a_y, indexed [x, a, y, j, n] for frame vector j
-    nabla = covariant_derivative(gp.gamma, matmul(gp.ginv, matrix(uu, uv, uv, vv)))
-    worst = np.zeros(len(gp.u))
-    for j, xi in enumerate(frame):
-        xi_val = _values(xi)
-        a_u = shape_operator(gp, _normal_part(gp, np.ascontiguousarray(xi.du)))
-        a_v = shape_operator(gp, _normal_part(gp, np.ascontiguousarray(xi.dv)))
-        lhs = (nabla[0, :, 1, j].T - a_u[:, :, 1]) - (nabla[1, :, 0, j].T - a_v[:, :, 0])
-        rhs = (model.kappa * vecdot(sig * xi_val, gp.eta_val))[:, None] * wedge
-        worst = np.maximum(worst, gp.chart_norm(lhs - rhs))
-    return worst
+    du, dv = gp.alpha_flat.du, gp.alpha_flat.dv  # [n, (uu, uv, vv), :]
+    perp = _normal_part(gp, np.stack([du[:, 1] - dv[:, 0], du[:, 2] - dv[:, 1]]))
+    gam, a = gp.gamma_val, gp.alpha_val
+    # sum_e Gamma^e_xc alpha_ye as (N, c, e) @ (N, e, :)
+    conn = (np.matmul(gam[:, :, 1].swapaxes(1, 2), a[:, 0])
+            - np.matmul(gam[:, :, 0].swapaxes(1, 2), a[:, 1]))
+    g, t_low = gp.g_val, np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
+    wedge = g[:, 0] * t_low[:, 1, None] - g[:, 1] * t_low[:, 0, None]  # [n, c]
+    return (perp.swapaxes(0, 1) + conn
+            - gp.spec.ambient.kappa * wedge[..., None] * gp.eta_val[:, None])
+
+
+def ambient_codazzi_residual(gp: GeomPoint) -> np.ndarray:
+    """sqrt(g^{cd} <R_c, R_d>) of :func:`ambient_codazzi_defect`: the ambient
+    Codazzi residual, with no normal frame and no choice of axes."""
+    return np.sqrt(np.maximum(_g_trace(gp, ambient_codazzi_defect(gp)), 0.0))
 
 
 def curvature_formula_terms(gp: GeomPoint, s) -> dict:
@@ -219,18 +229,15 @@ def t_laplacian_residual(gp: GeomPoint) -> np.ndarray:
     """Residual of the vertical-energy Laplacian identity for PMC charts.
 
     1/2 Lap |T|^2 = |A_eta|^2 + kappa |T|^2 (1 - |T|^2) - sum_i |A_i T|^2,
-    the sum running over the whole normal frame, H/|H| included: for a
-    hypersurface it is the single term |A T|^2.
+    the sum over any orthonormal normal frame, H/|H| included, being
+    g^{bd} <alpha(T, d_b), alpha(T, d_d)>: |A T|^2 on a hypersurface.
     """
     kappa = gp.spec.ambient.kappa
     lhs = 0.5 * laplace_at(gp.normT2, gp)
-    a_eta = shape_operator(gp, gp.eta_val)
+    a_eta = shape_matrix(gp, gp.eta_val)
     rhs = np.trace(np.matmul(a_eta, a_eta), axis1=-2, axis2=-1)
     t2 = gp.normT2.value
-    rhs = rhs + kappa * t2 * (1.0 - t2)
-    for i in range(gp.A.shape[1]):
-        w = np.matmul(gp.A[:, i], gp.T_val[..., None])[..., 0]
-        rhs = rhs - quad_form(w, gp.g_val)
+    rhs = rhs + kappa * t2 * (1.0 - t2) - _g_trace(gp, _alpha_t(gp))
     return np.abs(lhs - rhs)
 
 
@@ -263,8 +270,8 @@ def gauss_equation_residual(gp: GeomPoint) -> np.ndarray:
 
     ambient = wedge(x, y, w) - pair(y, t) * wedge(x, t, w) + pair(x, t) * wedge(y, t, w)
     rhs = kappa * ambient
-    rhs = rhs + np.matmul(shape_operator(gp, gp.alpha_val[:, 1, 1]), x[..., None])[..., 0]
-    rhs = rhs - np.matmul(shape_operator(gp, gp.alpha_val[:, 0, 1]), y[..., None])[..., 0]
+    rhs = rhs + np.matmul(shape_matrix(gp, gp.alpha_val[:, 1, 1]), x[..., None])[..., 0]
+    rhs = rhs - np.matmul(shape_matrix(gp, gp.alpha_val[:, 0, 1]), y[..., None])[..., 0]
     return gp.chart_norm(intrinsic - rhs)
 
 
@@ -273,19 +280,17 @@ def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
 
     grad: nabla_X T = A_eta X;  alpha: alpha(X, T) = - nabla^perp_X eta.
     """
-    a_eta = shape_operator(gp, gp.eta_val)
-    t_val = gp.T_val
+    a_eta = shape_matrix(gp, gp.eta_val)
     grad_t = column_derivatives(gp.gamma, gp.T_up)  # (nabla_a T)^b, indexed [a, b, n]
     res_grad = np.zeros(len(gp.u))
     for a in range(2):
         res_grad = np.maximum(res_grad, gp.chart_norm(grad_t[a].T - a_eta[:, :, a]))
     res_alpha = np.zeros(len(gp.u))
     sig = np.asarray(gp.spec.ambient.signature)
+    alpha_t = _alpha_t(gp)
     for a, direction in enumerate("uv"):
-        alpha_at = (t_val[:, 0, None] * gp.alpha_val[:, a, 0]
-                    + t_val[:, 1, None] * gp.alpha_val[:, a, 1])
         nperp = normal_connection_derivative(gp, lambda g: g.eta, direction)
-        diff = alpha_at + nperp
+        diff = alpha_t[:, a] + nperp
         res_alpha = np.maximum(res_alpha,
                                np.sqrt(np.maximum(vecdot(sig * diff, diff), 0.0)))
     return res_grad, res_alpha
@@ -321,26 +326,27 @@ def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None) -> ResidualR
 
 
 def mu_integrand(gp: GeomPoint) -> np.ndarray:
-    """|alpha|^2 - |A_H|^2 / |H|^2 at non-minimal points."""
+    """|alpha|^2 - |A_H|^2 / |H|^2 at non-minimal points; |alpha|^2, the sum of
+    tr A_i^2 over any orthonormal normal frame, is g^{ac} g^{bd} <alpha_ab, alpha_cd>."""
     bad = np.flatnonzero(gp.normH <= MINIMAL_TOL)
     if bad.size:
         k = bad[0]
         raise MinimalSurfaceError(
             f"|H| = {float(gp.normH[k])!r} below threshold at ({gp.u[k]}, {gp.v[k]})")
-    traces = np.trace(np.matmul(gp.A, gp.A), axis1=-2, axis2=-1)
-    alpha2 = functools.reduce(np.add, traces.T, np.zeros(len(gp.u)))
     sig = np.asarray(gp.spec.ambient.signature)
-    m = vecdot(sig * gp.alpha_val, gp.H_val[:, None, None, :])
-    a_h = np.matmul(gp.ginv_val, m)
-    a_h2 = np.trace(np.matmul(a_h, a_h), axis1=-2, axis2=-1)
-    return alpha2 - a_h2 / gp.normH ** 2
+    a, ginv = gp.alpha_val, gp.ginv_val
+    alpha2 = np.einsum("nac,nbd,nabcd->n", ginv, ginv,
+                       vecdot(sig * a[:, :, :, None, None], a[:, None, None]))
+    a_h = shape_matrix(gp, gp.H_val)
+    return alpha2 - np.trace(np.matmul(a_h, a_h), axis1=-2, axis2=-1) / gp.normH ** 2
 
 
 def mu_estimate(gp: GeomPoint) -> tuple[float, float]:
     """Grid supremum of the mu integrand, with its frame cross-check residual.
 
     The cross-check compares the integrand against -2 sum_{i>1} det A_i
-    pointwise; the returned pair is (sup, max cross residual).  A NaN
+    pointwise (both frame-free, so it checks |alpha|^2 + 2 sum_i det A_i
+    = 4 |H|^2); the returned pair is (sup, max cross residual).  A NaN
     integrand at any point makes both NaN.
     """
     val = mu_integrand(gp)

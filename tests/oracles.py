@@ -92,10 +92,11 @@ def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
     return out
 
 
-def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float:
+def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> float:
     """Fundamental-equation residual with A_xi and its normal field differenced.
 
-    The normal field is the centre's frame vector ``gp.xi[0, frame_index]``
+    The normal field is ``xi_val``, a flat vector normal to the surface at
+    the centre (a frame vector ``gp.xi[0, i]``, or ``gp.eta_val[0]``),
     projected onto the normal space at each probe point.  Both the A_xi matrix
     and that field are differenced by central differences; Christoffels and
     the normal part of the field's derivative are taken at the centre.  No
@@ -107,7 +108,6 @@ def fd_ambient_codazzi_residual(spec, u, v, frame_index: int, h: float) -> float
     model = spec.ambient
     sig = np.asarray(model.signature)
     gam = gp.gamma_val[0]
-    xi_val = gp.xi[0, frame_index]
 
     def probe(uu: float, vv: float) -> tuple[np.ndarray, np.ndarray]:
         g = spec.geom(uu, vv)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 from types import SimpleNamespace
@@ -5,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from prodsurf import catalog, cli, geometry, jets
+from prodsurf import catalog, cli, geometry, jets, theorems
 from prodsurf.cli import main as cli_main
 from prodsurf.geometry import (
     DegenerateMetricError,
@@ -477,6 +479,14 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _point(batch, k):
     """Point k of a batched GeomPoint field by field, as a batch of one."""
     def take(x):
@@ -533,12 +543,23 @@ class TestBatchedGeometry:
         assert cli_main(argv + surface + ["--grid", "9x9", "--output", os.devnull]) == 0
         assert calls == [81]
 
-    def test_verify_builds_one_normal_frame_per_grid(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "_normal_frames")
-        assert cli_main(["verify", "--surface", "circle_cylinder", "--param", "kappa=1",
-                         "--param", "r=0.6", "--param", "pad=2", "--grid", "9x9",
-                         "--output", os.devnull]) == 0
-        assert counts == {"_normal_frames": 1}
+    @pytest.mark.parametrize("surface", [
+        ["circle_cylinder", "--param", "kappa=1", "--param", "r=0.6", "--param", "pad=2"],
+        ["circle_cylinder", "--param", "kappa=-1", "--param", "r=0.5", "--param", "pad=2"],
+        ["cor32_flat_minimal", "--param", "kappa=1", "--param", f"theta={math.pi / 4!r}"],
+    ], ids=["pad2_kappa1", "pad2_kappa-1", "cor32"])
+    def test_no_command_builds_a_normal_frame(self, surface, monkeypatch):
+        # verify and every checker print the same bytes when a frame build raises
+        commands = [["verify"], *(["hypothesis", "--theorem", t] for t in theorems.CHECKERS)]
+        argvs = [[*command, "--surface", *surface, "--grid", "9x9"] for command in commands]
+        free = [_run_cli(argv) for argv in argvs]
+
+        def no_frame(*args):
+            raise AssertionError("a normal frame was built")
+
+        monkeypatch.setattr(geometry, "_normal_frames", no_frame)
+        assert [_run_cli(argv) for argv in argvs] == free
+        assert {code for code, _, _ in free} <= {0, 1, 2}
 
     @pytest.mark.parametrize("quantity,unread", [
         ("K", ("_normal_part_jets", "_normal_frames", "christoffels")),
@@ -658,7 +679,7 @@ def test_every_geometry_jet_stores_exactly_its_order(order):
             assert value.c.strides[0] in (0, value.c.itemsize), name
     # the metric and vertical split need first derivatives of the chart, the
     # Christoffels and the second fundamental form second ones, Brioschi's K third ones
-    expected = {"f", "fu", "fv", "g", "ginv", "detg", "T_up", "T_flat", "eta", "normT2"}
+    expected = {"f", "fu", "fv", "g", "ginv", "T_up", "T_flat", "eta", "normT2"}
     if order >= 2:
         expected |= {"gamma", "alpha_flat", "H", "normH2"}
     if order >= 3:

@@ -7,26 +7,31 @@ from prodsurf import codazzi, identities
 from prodsurf.geometry import (
     MinimalSurfaceError,
     SurfaceSpec,
+    aux_det_sum,
     evaluate_chart,
     grid_geometry,
     grid_points,
 )
-from prodsurf.spaceforms import make_ambient, polar, sn_cs
+from prodsurf.spaceforms import make_ambient, polar, sn_cs, vecdot
 from prodsurf.identities import (
     ResidualReport,
+    _alpha_t,
+    _g_trace,
+    ambient_codazzi_defect,
     ambient_codazzi_residual,
     curvature_formula_residual,
     curvature_formula_terms,
     gauss_equation_residual,
     grid_report,
     mu_estimate,
+    mu_integrand,
     pmc_residual,
     run_suite,
     t_field_residuals,
     t_laplacian_residual,
 )
 
-from conftest import get_surface
+from conftest import generic_chart, get_surface
 from oracles import fd1, fd_ambient_codazzi_residual
 
 
@@ -57,10 +62,51 @@ def _pmc_at(spec):
     return gp, codazzi.pmc_operator_jets(gp)
 
 
+def _paired(gp, xi):
+    """g^{ac} <R_c, xi> of the ambient Codazzi defect and a flat vector per
+    point: the chart vector the Codazzi equation gives for that normal."""
+    sig = np.asarray(gp.spec.ambient.signature)
+    low = vecdot(sig * ambient_codazzi_defect(gp), xi[:, None, :])
+    return np.matmul(gp.ginv_val, low[..., None])[..., 0]
+
+
+# The finite-difference pairing's surfaces: cor32 and perturbed_control, where the
+# curvature term is non-zero, and the pad=2 cylinders, with three normal directions.
+FD_SURFACES = [
+    ("cor32_flat_minimal", {"kappa": 1.0, "theta": math.pi / 4}),
+    ("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2}),
+    ("circle_cylinder", {"kappa": -1.0, "r": 0.5, "pad": 2}),
+    ("perturbed_control", {"kappa": 1.0, "r": math.pi / 4}),
+]
+
+
 class TestAmbientCodazzi:
     def test_slice_parallel_normal(self):
-        spec = get_surface("slice", kappa=1.0)
-        assert ambient_codazzi_residual(_at(spec), lambda gp: gp.eta) < 1e-12
+        gp = _at(get_surface("slice", kappa=1.0))
+        assert gp.chart_norm(_paired(gp, gp.eta_val))[0] < 1e-12
+
+    @pytest.mark.parametrize("sid,params", FD_SURFACES, ids=[s[0] for s in FD_SURFACES])
+    def test_pairing_matches_the_fd_oracle(self, sid, params):
+        # per frame vector and for eta: g^{-1} <R, xi> against the finite-difference
+        # frame form, which differences A_xi and xi and agrees at O(h^2)
+        spec = get_surface(sid, **params)
+        gp = _at(spec)
+        u, v = float(gp.u[0]), float(gp.v[0])
+        for xi in [*gp.xi[0], gp.eta_val[0]]:
+            paired = gp.chart_norm(_paired(gp, xi[None]))[0]
+            assert paired < 1e-13
+            err_h, err_h2 = (abs(fd_ambient_codazzi_residual(spec, u, v, xi, h) - paired)
+                             for h in (1e-3, 5e-4))
+            assert err_h < 1e-5
+            if err_h > 1e-10:
+                assert err_h / max(err_h2, 1e-14) > 3.5
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.0])
+    def test_generic_chart(self, kappa):
+        # the curvature term is live: it cancels the rest of the defect
+        gp = grid_geometry(generic_chart(kappa), 9, 9)
+        assert ambient_codazzi_residual(gp).max() < 1e-14
+        assert kappa == 0 or np.abs(vecdot(gp.eta_val, gp.eta_val)).min() > 1e-2
 
     def test_circle_cylinder_horizontal_normal(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
@@ -79,10 +125,9 @@ class TestAmbientCodazzi:
         # covariant derivative must agree at O(h^2)
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
         u, v = _probe(spec)
-        nframe = spec.geom(u, v).xi.shape[1]
-        for idx in range(nframe):
-            err_h = fd_ambient_codazzi_residual(spec, u, v, idx, 1e-3)
-            err_h2 = fd_ambient_codazzi_residual(spec, u, v, idx, 5e-4)
+        for xi in spec.geom(u, v).xi[0]:
+            err_h = fd_ambient_codazzi_residual(spec, u, v, xi, 1e-3)
+            err_h2 = fd_ambient_codazzi_residual(spec, u, v, xi, 5e-4)
             assert err_h < 1e-5
             if err_h > 1e-10:
                 assert err_h / max(err_h2, 1e-14) > 3.5
@@ -96,6 +141,79 @@ class TestAmbientCodazzi:
         spec = SurfaceSpec("graph", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2), chart)
         res = ambient_codazzi_residual(grid_geometry(spec, 9, 9))
         assert np.all(res <= 1e-8)
+
+
+# Non-minimal charts on which every sum over a normal frame is compared with its
+# contraction of alpha: catalog hypersurfaces and pad=2 cylinders, and generic charts
+# in M^4(kappa) x R, where the auxiliary det sum is not zero.
+SUM_CHARTS = [
+    *(get_surface(sid, **params) for sid, params in [
+        ("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2, "warp": 0.3}),
+        ("circle_cylinder", {"kappa": -1.0, "r": 0.4, "warp": -0.2, "pad": 2}),
+        ("circle_cylinder", {"kappa": -1.0, "r": 4.8}),
+        ("perturbed_control", {"kappa": 1.0, "r": math.pi / 4}),
+        ("perturbed_control", {"kappa": -3.0, "r": 0.3}),
+    ]),
+    *(generic_chart(kappa) for kappa in (1.0, -1.0, 0.0)),
+]
+
+
+def _orthogonal_block(spec, seed):
+    """``spec`` with a random orthogonal map applied to its space-form block,
+    an isometry of the ambient space for kappa >= 0."""
+    m = spec.ambient.flat_dim - 1
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+
+    def chart(u, v):
+        f = spec.chart(u, v)
+        return [sum((float(q[i, j]) * f[j] for j in range(1, m)), float(q[i, 0]) * f[0])
+                for i in range(m)] + [f[m]]
+
+    return SurfaceSpec(spec.catalog_id, spec.params, spec.domain, spec.ambient, chart)
+
+
+class TestFrameFreeSums:
+    @pytest.mark.parametrize("spec", SUM_CHARTS,
+                             ids=[f"{s.catalog_id}{s.params}" for s in SUM_CHARTS])
+    def test_contractions_equal_the_frame_sums(self, spec):
+        gp = grid_geometry(spec, 9, 9)
+        a = gp.A  # one matrix per frame vector, H/|H| first
+        at = np.matmul(a, gp.T_val[:, None, :, None])[..., 0]
+        frame = {  # mu: |alpha|^2 less the H/|H| term, the sum over a[:, 1:]
+            "aux_det_sum": (aux_det_sum(gp), np.linalg.det(a[:, 1:]).sum(axis=1)),
+            "mu_integrand": (mu_integrand(gp), np.trace(np.matmul(a, a)[:, 1:], axis1=-2,
+                                                        axis2=-1).sum(axis=1)),
+            "sum |A_i T|^2": (_g_trace(gp, _alpha_t(gp)),
+                              np.einsum("nia,nab,nib->n", at, gp.g_val, at)),
+        }
+        # relative to |alpha|^2 with Euclidean flat products, the size of the terms
+        # that cancel in a Minkowski product (7e3 times |alpha|^2 on the r=4.8 cylinder)
+        alpha = gp.alpha_val
+        flat = np.einsum("nac,nbd,nabk,ncdk->n", gp.ginv_val, gp.ginv_val, alpha, alpha)
+        scale = np.maximum(1.0, flat)
+        for name, (contraction, frame_sum) in frame.items():
+            assert np.all(np.abs(contraction - frame_sum) <= 1e-12 * scale), name
+
+    def test_generic_charts_exercise_every_sum(self):
+        for spec in SUM_CHARTS[-3:]:
+            gp = grid_geometry(spec, 9, 9)
+            assert np.abs(aux_det_sum(gp)).min() > 1e-2
+            assert _g_trace(gp, _alpha_t(gp)).min() > 1e-3
+            assert mu_integrand(gp).min() > 1e-2
+
+    @pytest.mark.parametrize("spec", [
+        get_surface("circle_cylinder", kappa=0.0, r=0.7, pad=2),
+        get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2),
+        generic_chart(0.0), generic_chart(1.0),
+    ], ids=["pad2_R4", "pad2_S4", "generic_R4", "generic_S4"])
+    def test_rows_ignore_a_rotation_of_the_ambient_axes(self, spec):
+        gp = grid_geometry(spec, 9, 9)
+        for seed in (1, 2):
+            turned = grid_geometry(_orthogonal_block(spec, seed), 9, 9)
+            assert np.abs(ambient_codazzi_residual(turned)
+                          - ambient_codazzi_residual(gp)).max() < 1e-13
+            for fn in (aux_det_sum, mu_integrand, t_laplacian_residual):
+                assert np.allclose(fn(turned), fn(gp), rtol=1e-12, atol=1e-13), fn.__name__
 
 
 class TestCurvatureFormula:

@@ -5,13 +5,12 @@ geometry keeps.
 At its table order every command prints the bytes it prints at order 4, and
 one order lower it fails with the jet order guard's message instead of
 reading derivatives the jets do not hold.  Inside a chart, the metric, the
-normal frame and the operator of the ``S^{-1}`` Codazzi row keep only the
+on-demand normal frame and the operator of the ``S^{-1}`` Codazzi row keep only the
 orders their readers use, and ``verify`` prints the bytes it prints with
 those jets at full order.
 """
 
 import contextlib
-import functools
 import io
 import math
 import re
@@ -126,7 +125,6 @@ GEOMETRY_ORDERS = {
     "fv": (0, 1, 2, 3),
     "g": (0, 1, 2, 2),
     "ginv": (0, 1, 2, 2),
-    "detg": (0, 1, 2, 2),
     "g_val": (None, None, None, None),
     "ginv_val": (None, None, None, None),
     "gamma": (RAISES, 0, 1, 1),
@@ -179,22 +177,17 @@ def test_geometry_names_keep_their_table_orders():
             assert got == orders[m - 1], (name, m)
 
 
-def _order_four_frame(gp):
-    """The normal frame's jets as projections of order-4 constants."""
-    return geometry._normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
-                                      Jet2.constant(gp.xi))
-
-
 @pytest.mark.parametrize("sid,params,minimal", SURFACES + [WARPED_PAD2],
                          ids=[s[0] for s in SURFACES] + ["warped_pad2"])
-def test_ambient_codazzi_frame_matches_the_order_four_frame(sid, params, minimal):
-    gp = geometry.grid_geometry(catalog.instantiate(sid, params), 9, 9)
-    frame = _order_four_frame(gp)
-    assert _orders(frame) == {2}  # alpha's order bounds the projection's
-    full = functools.reduce(np.maximum, [
-        identities.ambient_codazzi_residual(gp, normal_field=lambda _, xi=xi: xi)
-        for xi in frame])
-    assert np.array_equal(identities.ambient_codazzi_residual(gp), full)
+def test_ambient_codazzi_reads_first_derivatives_of_alpha_only(sid, params, minimal):
+    # order 3 holds alpha to order 1, the first derivatives the defect reads
+    spec = catalog.instantiate(sid, params)
+    full = identities.ambient_codazzi_defect(geometry.grid_geometry(spec, 9, 9))
+    low = geometry.grid_geometry(spec, 9, 9, order=3)
+    assert low.alpha_flat.order == 1
+    assert np.array_equal(identities.ambient_codazzi_defect(low), full)
+    with pytest.raises(ValueError, match=ORDER_ERROR):
+        identities.ambient_codazzi_defect(geometry.grid_geometry(spec, 9, 9, order=2))
 
 
 @pytest.mark.parametrize("sid,params,minimal", SURFACES + [WARPED_PAD2],
@@ -203,9 +196,8 @@ def test_verify_prints_the_bytes_of_full_order_jets(sid, params, minimal, monkey
     argv = _argv("verify", sid, params, "9x9")
     reduced = _run(argv)
     assert reduced[0] in (0, 1), reduced[2]
-    # full orders: no truncation (metric m - 1, S^{-1} row at S's order), frame order 4
+    # full orders: no truncation (metric m - 1, S^{-1} row at S's order)
     monkeypatch.setattr(Jet2, "truncate", lambda self, order: self)
-    monkeypatch.setattr(geometry, "FRAME_ORDER", jets.MAX_ORDER)
     spec = catalog.instantiate(sid, params)
     assert geometry.grid_geometry(spec, 3, 3).g[0][0].order == 3
     assert reduced == _run(argv)

@@ -52,7 +52,7 @@ def test_traced_verify_restores_the_package():
             "--param", "r=0.6", "--param", "pad=2", "--grid", "5x5", "--output", os.devnull]
     assert t.run_op(0, cli.main, argv) == 0
     names = {span[0] for span in t.spans}
-    assert {"cli.main", "geometry.evaluate_chart", "geometry.normal_frame_jets",
+    assert {"cli.main", "geometry.evaluate_chart", "geometry.normal_connection_derivative",
             "identities.ambient_codazzi"} <= names
     assert t.counts["jets.mul"] > 0
     assert (identities.grid_report, geometry.normal_frame_jets, jets.Jet2.__mul__,
