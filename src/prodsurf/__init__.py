@@ -29,7 +29,6 @@ from .codazzi import (
     codazzi_residual,
     field_for,
     metric_change,
-    pmc_operator,
     s_norm_det_identity,
 )
 from .identities import (

@@ -104,10 +104,6 @@ def angle_operator_jets(gp: GeomPoint) -> Jet2:
     return _plus_diagonal(-_vertical_outer(gp), 0.5 * gp.normT2)
 
 
-def pmc_operator(gp: GeomPoint) -> np.ndarray:
-    return _values(pmc_operator_jets(gp))
-
-
 def angle_operator(gp: GeomPoint) -> np.ndarray:
     return _values(angle_operator_jets(gp))
 

@@ -312,26 +312,6 @@ def _sign_flips(unit: np.ndarray) -> np.ndarray:
     return big.any(axis=-1) & (lead < 0)
 
 
-def _normal_part_values(model: AmbientModel, f_val, fu_val, fv_val, ginv_val,
-                        w) -> np.ndarray:
-    """Normal part of flat vectors inside the product tangent space (values).
-
-    Strips the space-form radial component, then the surface tangent part.
-    Every argument carries a leading point axis, except that ``w`` may be
-    one vector for every point, or carry further leading axes.
-    """
-    sig = np.asarray(model.signature)
-    w = np.array(np.broadcast_to(w, np.broadcast_shapes(np.shape(w), f_val.shape)), dtype=float)
-    if model.kappa != 0:
-        inner = (sig[:-1] * w[..., :-1] * f_val[..., :-1]).sum(axis=-1)
-        w[..., :-1] -= (model.kappa * inner)[..., None] * f_val[..., :-1]
-    sw = sig * w
-    p0, p1 = (sw * fu_val).sum(axis=-1), (sw * fv_val).sum(axis=-1)
-    c0 = (ginv_val[..., 0, 0] * p0 + ginv_val[..., 0, 1] * p1)[..., None]
-    c1 = (ginv_val[..., 1, 0] * p0 + ginv_val[..., 1, 1] * p1)[..., None]
-    return w - (c0 * fu_val + c1 * fv_val)
-
-
 def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
     """Normal part of flat jet vectors inside the product tangent space.
 
@@ -346,31 +326,32 @@ def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
     return w - t[1][..., None] * fv
 
 
-def _normal_frames(model: AmbientModel, f_val, fu_val, fv_val, ginv_val, H_val,
-                   normH) -> np.ndarray:
+def _normal_frames(gp: GeomPoint) -> np.ndarray:
     """Orthonormal frames of the normal spaces inside the product tangent space.
 
-    One frame per point of the leading axis, shape (points, n - 1, flat_dim).
-    Seeded with H/|H| where the point is non-minimal, then canonical flat axes
-    in fixed order; near-dependent candidates are dropped.  Auxiliary vectors
-    get a deterministic sign (first component above threshold made positive).
-    Each point's choices are masks, so every point gets the frame it would get
-    on its own.
+    One frame per point of ``gp``, shape (points, n - 1, flat_dim).  Seeded
+    with H/|H| where the point is non-minimal, then the normal parts of the
+    canonical flat axes in fixed order; near-dependent candidates are
+    dropped.  Auxiliary vectors get a deterministic sign (first component
+    above threshold made positive).  Each point's choices are masks, so every
+    point gets the frame it would get on its own.
     """
-    npts, dim = f_val.shape
+    model, normH = gp.spec.ambient, gp.normH
+    npts, dim = gp.f_val.shape
     need = model.n - 1
     sig = np.asarray(model.signature)
     rows = np.arange(npts)
     frame = np.zeros((npts, need, dim))
     count = np.zeros(npts, dtype=np.intp)
     seeded = normH > MINIMAL_TOL
-    frame[seeded, 0] = H_val[seeded] / normH[seeded, None]
+    frame[seeded, 0] = gp.H_val[seeded] / normH[seeded, None]
     count[seeded] = 1
+    axes = _normal_part(gp, np.eye(dim)[None])  # [n, axis, :]
     for axis in range(dim):
         open_ = count < need
         if not open_.any():
             break
-        w = _normal_part_values(model, f_val, fu_val, fv_val, ginv_val, np.eye(dim)[axis])
+        w = axes[:, axis]
         for j in range(need):
             inner = np.where(j < count, np.sum(sig * w * frame[:, j], axis=-1), 0.0)
             w = w - inner[:, None] * frame[:, j]
@@ -498,9 +479,8 @@ def _curvature_stage(gp: GeomPoint):
 
 def _frame_stage(gp: GeomPoint):
     """Normal frame xi, and per frame vector h_i = <alpha, xi_i> and A_i = g^{-1} h_i."""
-    model = gp.spec.ambient
-    xi = _normal_frames(model, gp.f_val, *gp.tangent_vals, gp.ginv_val, gp.H_val, gp.normH)
-    sig = np.asarray(model.signature)
+    xi = _normal_frames(gp)
+    sig = np.asarray(gp.spec.ambient.signature)
     h = np.sum(gp.alpha_val[:, None] * sig * xi[:, :, None, None, :], axis=-1)
     return xi, h, np.matmul(gp.ginv_val[:, None], h)
 
@@ -520,20 +500,12 @@ GEOMETRY_NAMES = tuple(f.name for f in fields(GeomPoint) if f.name != "spec") + 
 def shape_operator(gp: GeomPoint, xi: np.ndarray) -> np.ndarray:
     """Matrix of A_xi in the chart basis: g^{-1} [ <alpha(d_a, d_b), xi> ].
 
-    xi must be normal to the surface inside the product tangent space: one
-    vector per point, or one vector for every point; the result holds one
-    matrix per point.
+    xi must be normal to the surface inside the product tangent space (see
+    :func:`_check_normal`): one vector per point, or one vector for every
+    point; the result holds one matrix per point.
     """
-    model = gp.spec.ambient
     xi = np.asarray(xi, dtype=float)
-    sig = np.asarray(model.signature)
-    if model.kappa != 0:
-        radial = model.kappa * vecdot(sig[:-1] * xi[..., :-1], gp.f_val[..., :-1])
-        scale = np.maximum(1.0, np.linalg.norm(xi, axis=-1))
-        first_bad(np.abs(radial) > NORMALITY_TOL * scale,
-                  "vector has radial component", radial, NotNormalError)
-    for comp, bad in _tangential_parts(gp, xi):
-        first_bad(bad, "vector has tangential component", comp, NotNormalError)
+    _check_normal(gp, xi)
     return shape_matrix(gp, xi)
 
 
@@ -544,42 +516,44 @@ def shape_matrix(gp: GeomPoint, w: np.ndarray) -> np.ndarray:
     return np.matmul(gp.ginv_val, vecdot(sig * gp.alpha_val, w[..., None, None, :]))
 
 
-def normal_connection_derivative(
-    gp: GeomPoint,
-    normal_field: Callable[[GeomPoint], Jet2],
-    direction: str,
-) -> np.ndarray:
-    """Normal-connection derivative of a normal field along a chart direction.
-
-    Computed as the surface-normal part (inside the product tangent space) of
-    the projected flat derivative of the field; the field is supplied as a
-    jet-valued function of the chart point.  Gives one flat vector per point
-    of ``gp``.
+def normal_connection_derivative(gp: GeomPoint, w: Jet2) -> np.ndarray:
+    """nabla^perp_{d_u} w, then nabla^perp_{d_v} w, of a normal field ``w``: the
+    surface-normal part (inside the product tangent space) of the projected
+    flat derivatives of ``w``, a jet over the points of ``gp``.  Shape
+    (N, 2, flat_dim).
     """
-    if direction not in ("u", "v"):
-        raise ValueError(f"direction must be 'u' or 'v', got {direction!r}")
-    w = normal_field(gp)
-    for comp, tangential in _tangential_parts(gp, _values(w)):
-        bad = first_where(tangential)
-        if bad is not None:
-            raise NotNormalError(f"field not normal at ({float(gp.u[bad])}, "
-                                 f"{float(gp.v[bad])}): component {float(comp[bad])!r}")
-    return _normal_part(gp, np.ascontiguousarray(w.du if direction == "u" else w.dv))
+    _check_normal(gp, _values(w))
+    return _normal_part(gp, w.gradient.swapaxes(-1, -2))
 
 
-def _tangential_parts(gp: GeomPoint, w: np.ndarray):
-    """Per chart direction: the components of flat vectors w along it, and
-    where they exceed the normality tolerance."""
-    sig = np.asarray(gp.spec.ambient.signature)
+def _check_normal(gp: GeomPoint, w: np.ndarray) -> None:
+    """Raise :class:`NotNormalError`, naming the first offending point, unless
+    flat vectors ``w`` (one per point, or one for every point) are normal to
+    the surface inside the product tangent space: their radial part, and their
+    part along each chart direction, within :data:`NORMALITY_TOL` relative to
+    |w| (and |f_a|) above 1."""
+    model = gp.spec.ambient
+    sig = np.asarray(model.signature)
     scale = np.maximum(1.0, np.linalg.norm(w, axis=-1))
-    for t in gp.tangent_vals:
-        comp = vecdot(sig * w, t)
-        yield comp, np.abs(comp) > NORMALITY_TOL * scale * np.maximum(1.0, np.linalg.norm(t, axis=-1))
+    parts = [("tangential", vecdot(sig * w, t), scale * np.maximum(1.0, np.linalg.norm(t, axis=-1)))
+             for t in gp.tangent_vals]
+    if model.kappa != 0:
+        radial = model.kappa * vecdot(sig[:-1] * w[..., :-1], gp.f_val[..., :-1])
+        parts.insert(0, ("radial", radial, scale))
+    for what, comp, size in parts:
+        bad = first_where(np.abs(comp) > NORMALITY_TOL * size)
+        if bad is not None:
+            raise NotNormalError(f"vector has {what} component {float(comp[bad])!r} "
+                                 f"at ({gp.u[bad[0]]}, {gp.v[bad[0]]})")
 
 
-def _normal_part(gp: GeomPoint, w_val: np.ndarray) -> np.ndarray:
-    """Project flat vectors at gp onto the surface-normal space (values)."""
-    return _normal_part_values(gp.spec.ambient, gp.f_val, *gp.tangent_vals, gp.ginv_val, w_val)
+def _normal_part(gp: GeomPoint, w: np.ndarray) -> np.ndarray:
+    """Normal parts of flat vectors at gp (values), by :func:`_normal_part_jets`:
+    ``w`` holds its vectors on its last axis, the point axis first (of length
+    1 for the same vectors at every point), or is one vector for every point."""
+    w = np.asarray(w, dtype=float)
+    w = Jet2.constant(np.broadcast_to(w, gp.u.shape + w.shape[w.ndim > 1:]), 0)
+    return _values(_normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv, w))
 
 
 def aux_det_sum(gp: GeomPoint):

@@ -156,6 +156,13 @@ def _g_trace(gp: GeomPoint, x: np.ndarray) -> np.ndarray:
     return np.einsum("ncd,ncd->n", gp.ginv_val, vecdot(sig * x[:, :, None], x[:, None]))
 
 
+def _worst_norm(gp: GeomPoint, x: np.ndarray) -> np.ndarray:
+    """max(|x_u|, |x_v|) per point of flat vectors x of shape (N, 2, flat_dim)."""
+    sig = np.asarray(gp.spec.ambient.signature)
+    norms = np.sqrt(np.maximum(vecdot(sig * x, x), 0.0))
+    return np.maximum(norms[:, 0], norms[:, 1])
+
+
 def _alpha_t(gp: GeomPoint) -> np.ndarray:
     """alpha(T, d_b) = T^a alpha_ab per point, (N, 2, flat_dim)."""
     t, a = gp.T_val, gp.alpha_val
@@ -174,15 +181,14 @@ def ambient_codazzi_defect(gp: GeomPoint) -> np.ndarray:
     - kappa <xi, eta> (d_u ^ d_v) T for a normal vector xi.
     """
     du, dv = gp.alpha_flat.du, gp.alpha_flat.dv  # [n, (uu, uv, vv), :]
-    perp = _normal_part(gp, np.stack([du[:, 1] - dv[:, 0], du[:, 2] - dv[:, 1]]))
+    perp = _normal_part(gp, np.stack([du[:, 1] - dv[:, 0], du[:, 2] - dv[:, 1]], axis=1))
     gam, a = gp.gamma_val, gp.alpha_val
     # sum_e Gamma^e_xc alpha_ye as (N, c, e) @ (N, e, :)
     conn = (np.matmul(gam[:, :, 1].swapaxes(1, 2), a[:, 0])
             - np.matmul(gam[:, :, 0].swapaxes(1, 2), a[:, 1]))
     g, t_low = gp.g_val, np.matmul(gp.g_val, gp.T_val[..., None])[..., 0]
     wedge = g[:, 0] * t_low[:, 1, None] - g[:, 1] * t_low[:, 0, None]  # [n, c]
-    return (perp.swapaxes(0, 1) + conn
-            - gp.spec.ambient.kappa * wedge[..., None] * gp.eta_val[:, None])
+    return perp + conn - gp.spec.ambient.kappa * wedge[..., None] * gp.eta_val[:, None]
 
 
 def ambient_codazzi_residual(gp: GeomPoint) -> np.ndarray:
@@ -285,25 +291,12 @@ def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
     res_grad = np.zeros(len(gp.u))
     for a in range(2):
         res_grad = np.maximum(res_grad, gp.chart_norm(grad_t[a].T - a_eta[:, :, a]))
-    res_alpha = np.zeros(len(gp.u))
-    sig = np.asarray(gp.spec.ambient.signature)
-    alpha_t = _alpha_t(gp)
-    for a, direction in enumerate("uv"):
-        nperp = normal_connection_derivative(gp, lambda g: g.eta, direction)
-        diff = alpha_t[:, a] + nperp
-        res_alpha = np.maximum(res_alpha,
-                               np.sqrt(np.maximum(vecdot(sig * diff, diff), 0.0)))
-    return res_grad, res_alpha
+    return res_grad, _worst_norm(gp, _alpha_t(gp) + normal_connection_derivative(gp, gp.eta))
 
 
 def pmc_values(gp: GeomPoint) -> np.ndarray:
     """Norm of the normal-connection derivative of H, worst chart direction."""
-    sig = np.asarray(gp.spec.ambient.signature)
-    worst = np.zeros(len(gp.u))
-    for direction in "uv":
-        d = normal_connection_derivative(gp, lambda g: g.H, direction)
-        worst = np.maximum(worst, np.sqrt(np.maximum(vecdot(sig * d, d), 0.0)))
-    return worst
+    return _worst_norm(gp, normal_connection_derivative(gp, gp.H))
 
 
 def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None) -> ResidualReport:

@@ -361,12 +361,6 @@ class Jet2:
         self._need(2, "dvv")
         return 2.0 * self.c.T[5].T
 
-    def deriv(self, i: int, j: int) -> float | np.ndarray:
-        """Partial derivative d^{i+j} / du^i dv^j at the point."""
-        if i + j > self.order:
-            raise ValueError(f"derivative ({i},{j}) exceeds jet order {self.order}")
-        return self.c.T[_IDX[(i, j)]].T * math.factorial(i) * math.factorial(j)
-
     def coeff(self, i: int, j: int) -> float | np.ndarray:
         """Taylor coefficient of u^i v^j: 0.0 past the jet's order."""
         k = _IDX[(i, j)]

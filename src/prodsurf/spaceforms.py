@@ -109,39 +109,22 @@ def polar(kappa: float, rho, w) -> list:
     return circle + [pole] if kappa > 0 else [pole] + circle
 
 
-def _vectors(*xs) -> list[Jet2]:
-    """Flat vectors as jets: float components (floats, or arrays of one value
-    per point) become a constant jet of the others' order, 0 without one."""
-    order = min((x.order for x in xs if isinstance(x, Jet2)), default=0)
-    return [x if isinstance(x, Jet2) else
-            Jet2.constant(np.asarray(x, dtype=float).reshape(len(x), -1).T, order) for x in xs]
-
-
-def _floats(r: Jet2, x):
-    """The values of ``r`` laid out as the float vector ``x``."""
-    return r.value.T if np.ndim(x) > 1 else r.value.T[..., 0][()]
-
-
-def _inner(model: AmbientModel, x, y, dims: slice):
+def _inner(model: AmbientModel, x: Jet2, y: Jet2, dims: slice) -> Jet2:
     """sum_i sig_i x_i y_i over the flat components ``dims``: one product, and
     one sum left to right with the timelike terms negated."""
-    xj, yj = _vectors(x, y)
-    if xj.shape[-1] != model.flat_dim or yj.shape[-1] != model.flat_dim:
+    if x.shape[-1:] != (model.flat_dim,) or y.shape[-1:] != (model.flat_dim,):
         raise ValueError("vector length does not match flat dimension")
-    p = xj[..., dims] * yj[..., dims]
+    p = x[..., dims] * y[..., dims]
     for k in [k for k, s in enumerate(model.signature[dims]) if s < 0]:
         # a + (-t) is a - t in IEEE.  Not np.negative(..., out=...): NumPy 2.4
         # writes a lone point's 8-component view wrongly through ``out``.
         p.c[..., k, :] = -p.c[..., k, :]
-    out = jets.component_sum(p)
-    return out if isinstance(x, Jet2) or isinstance(y, Jet2) else _floats(out, x)
+    return jets.component_sum(p)
 
 
-def flat_inner(model: AmbientModel, x, y):
+def flat_inner(model: AmbientModel, x: Jet2, y: Jet2) -> Jet2:
     """Signed inner product sum_i sig_i x_i y_i of flat vectors: jets with the
-    components on their last component axis, the other axes broadcasting, or
-    float components (floats or arrays of one value per point), giving floats.
-    """
+    components on their last component axis, the other axes broadcasting."""
     return _inner(model, x, y, slice(None))
 
 
@@ -156,39 +139,38 @@ def vecdot(x, y):
     return np.einsum("...i,...i->...", x, y)
 
 
-def space_inner(model: AmbientModel, x, y):
+def space_inner(model: AmbientModel, x: Jet2, y: Jet2) -> Jet2:
     """Inner product of the space-form block only (line coordinate dropped)."""
     return _inner(model, x, y, slice(None, -1))
 
 
-def constraint_residual(model: AmbientModel, p):
+def constraint_residual(model: AmbientModel, p: Jet2) -> Jet2:
     """<p_M, p_M> - 1/kappa, zero exactly on the model; kappa must be nonzero.
 
-    ``p`` is a flat vector as :func:`flat_inner` takes it; a batch gives one
-    residual per point.
+    ``p`` is a flat vector jet as :func:`flat_inner` takes it; a batch gives
+    one residual per point.
     """
     if model.kappa == 0:
         raise ValueError("flat model has no membership constraint")
     return space_inner(model, p, p) - 1.0 / model.kappa
 
 
-def project_to_product_tangent(model: AmbientModel, p, w):
+def project_to_product_tangent(model: AmbientModel, p: Jet2, w: Jet2) -> Jet2:
     """Project w onto the tangent space of the product at p.
 
     Strips the component along the space-form position normal: on the block,
     w - kappa <w, p_M> p_M; the line component passes through.  Takes flat
-    vectors as :func:`flat_inner` does, ``w`` possibly a stack of them, and
-    validates ``p`` against the constraint at its constant term; an error
+    vector jets as :func:`flat_inner` does, ``w`` possibly a stack of them,
+    and validates ``p`` against the constraint at its constant term; an error
     reports the first point off the model.
     """
     if model.kappa == 0:
         return w
-    pj, wj = _vectors(p, w)
-    res = np.asarray(constraint_residual(model, pj.truncate(0)).value)
+    res = np.asarray(constraint_residual(model, p.truncate(0)).value)
     bad = first_where(abs(res) > CONSTRAINT_TOL)
     if bad is not None:
         raise ConstraintError(f"point off the model by {float(res[bad])!r}")
-    q = (model.kappa * space_inner(model, wj, pj))[..., None] * pj[..., :-1]
-    c = wj.c[..., :jets._NCOEF[q.order]].copy("K")
+    q = (model.kappa * space_inner(model, w, p))[..., None] * p[..., :-1]
+    c = w.c[..., :jets._NCOEF[q.order]].copy("K")
     c[..., :-1, :] -= q.c
-    return Jet2(c, q.order) if isinstance(w, Jet2) else _floats(Jet2(c, q.order), w)
+    return Jet2(c, q.order)

@@ -92,6 +92,29 @@ def fd_gauss_intrinsic(spec, u: float, v: float, h: float) -> np.ndarray:
     return out
 
 
+def normal_part_values(gp, w) -> np.ndarray:
+    """Normal parts of flat vectors at the points of ``gp``, from values alone.
+
+    Strips the space-form radial component, then the surface tangent part
+    g^{ab} <w, f_b> f_a.  ``w`` carries the point axis first, any axes after
+    it, or is one vector for every point.
+    """
+    model = gp.spec.ambient
+    sig = np.asarray(model.signature)
+    lead = (1,) * max(np.ndim(w) - 2, 0)  # the axes of w between points and components
+    f_val, fu_val, fv_val, ginv_val = (x.reshape(x.shape[:1] + lead + x.shape[1:]) for x in
+                                       (gp.f_val, *gp.tangent_vals, gp.ginv_val))
+    w = np.array(np.broadcast_to(w, np.broadcast_shapes(np.shape(w), f_val.shape)), dtype=float)
+    if model.kappa != 0:
+        inner = (sig[:-1] * w[..., :-1] * f_val[..., :-1]).sum(axis=-1)
+        w[..., :-1] -= (model.kappa * inner)[..., None] * f_val[..., :-1]
+    sw = sig * w
+    p0, p1 = (sw * fu_val).sum(axis=-1), (sw * fv_val).sum(axis=-1)
+    c0 = (ginv_val[..., 0, 0] * p0 + ginv_val[..., 0, 1] * p1)[..., None]
+    c1 = (ginv_val[..., 1, 0] * p0 + ginv_val[..., 1, 1] * p1)[..., None]
+    return w - (c0 * fu_val + c1 * fv_val)
+
+
 def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> float:
     """Fundamental-equation residual with A_xi and its normal field differenced.
 
@@ -102,7 +125,7 @@ def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> flo
     the normal part of the field's derivative are taken at the centre.  No
     jet enters.
     """
-    from prodsurf.geometry import _normal_part, shape_operator
+    from prodsurf.geometry import shape_operator
 
     gp = spec.geom(u, v)
     model = spec.ambient
@@ -111,7 +134,7 @@ def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> flo
 
     def probe(uu: float, vv: float) -> tuple[np.ndarray, np.ndarray]:
         g = spec.geom(uu, vv)
-        xi = _normal_part(g, xi_val[None])
+        xi = normal_part_values(g, xi_val[None])
         return shape_operator(g, xi)[0], xi[0]
 
     def diff(x_plus, x_minus) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +144,7 @@ def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> flo
     m0 = shape_operator(gp, xi_val)[0]
     d_u, dxi_u = diff((u + h, v), (u - h, v))
     d_v, dxi_v = diff((u, v + h), (u, v - h))
-    nperp = (_normal_part(gp, dxi_u[None]), _normal_part(gp, dxi_v[None]))
+    nperp = (normal_part_values(gp, dxi_u[None]), normal_part_values(gp, dxi_v[None]))
 
     def cov(deriv: np.ndarray, xdir: int, ycol: int) -> np.ndarray:
         out = np.zeros(2)

@@ -49,7 +49,7 @@ def _evaluators(minimal):
         "operator": lambda gp, s: s.value,
         "s_norm_det": lambda gp, s: codazzi.s_norm_det_identity(np.ascontiguousarray(s.value),
                                                                 gp.g_val),
-        "pmc_u": lambda gp, s: normal_connection_derivative(gp, lambda g: g.H, "u"),
+        "nabla_perp_h": lambda gp, s: normal_connection_derivative(gp, gp.H),
     }
     if not minimal:
         rows["curvature_formula"] = identities.curvature_formula_residual

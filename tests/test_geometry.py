@@ -25,8 +25,8 @@ from prodsurf.geometry import (
 from prodsurf.jets import Jet2
 from prodsurf.spaceforms import make_ambient
 
-from conftest import get_surface, laplace_beltrami
-from oracles import fd_laplace_beltrami
+from conftest import generic_chart, get_surface, laplace_beltrami
+from oracles import fd_laplace_beltrami, normal_part_values
 
 
 def _metric_jets(e_fn, f_fn, g_fn, u0, v0, order=4):
@@ -231,37 +231,54 @@ class TestShapeOperator:
 
 class TestNormalConnection:
     def test_slice_vertical_field_parallel(self):
-        spec = get_surface("slice", kappa=1.0)
-        for direction in "uv":
-            d = normal_connection_derivative(evaluate_chart(spec, 1.0, 0.5), lambda gp: gp.eta, direction)
-            assert np.abs(d).max() < 1e-12
+        gp = evaluate_chart(get_surface("slice", kappa=1.0), 1.0, 0.5)
+        assert np.abs(normal_connection_derivative(gp, gp.eta)).max() < 1e-12
 
     def test_pmc_surface_has_parallel_h(self):
-        spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        for direction in "uv":
-            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.H, direction)
-            assert np.abs(d).max() < 1e-9
+        gp = evaluate_chart(get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4), 1.3, 0.2)
+        assert np.abs(normal_connection_derivative(gp, gp.H)).max() < 1e-9
 
     def test_warped_chart_same_surface(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4, warp=0.3)
-        for direction in "uv":
-            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.H, direction)
-            assert np.abs(d).max() < 1e-9
+        gp = evaluate_chart(spec, 1.3, 0.2)
+        assert np.abs(normal_connection_derivative(gp, gp.H)).max() < 1e-9
 
     def test_vanishing_normal_part_of_vertical_field(self):
         # the cylinder's vertical field is tangent, so eta == 0 stays parallel
-        spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        for direction in "uv":
-            d = normal_connection_derivative(evaluate_chart(spec, 1.3, 0.2), lambda gp: gp.eta, direction)
-            assert np.abs(d).max() < 1e-12
+        gp = evaluate_chart(get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4), 1.3, 0.2)
+        assert np.abs(normal_connection_derivative(gp, gp.eta)).max() < 1e-12
 
     def test_non_normal_field_rejected(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
-        with pytest.raises(NotNormalError):
-            normal_connection_derivative(
-                evaluate_chart(spec, 1.0, 0.0),
-                lambda gp: gp.fu + gp.H, "u"
-            )
+        gp = evaluate_chart(spec, 1.0, 0.0)
+        with pytest.raises(NotNormalError, match="tangential"):
+            normal_connection_derivative(gp, gp.fu + gp.H)
+
+    def test_radial_field_rejected(self):
+        # the block part of f is orthogonal to the surface in the flat space,
+        # but is the sphere's position normal: not in the product tangent space
+        gp = grid_geometry(get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4), 3, 3)
+        c = gp.f.c.copy()
+        c[:, gp.spec.ambient.t_index] = 0.0
+        with pytest.raises(NotNormalError, match="radial"):
+            normal_connection_derivative(gp, gp.H + Jet2(c, gp.f.order))
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.0])
+    def test_both_directions_match_the_value_projection(self, kappa):
+        # d_u then d_v, each the value projection of that derivative of the field
+        gp = grid_geometry(generic_chart(kappa), 5, 5)
+        for w in (gp.H, gp.eta):
+            d = normal_connection_derivative(gp, w)
+            assert d.shape == (25, 2, gp.spec.ambient.flat_dim)
+            for a in range(2):
+                assert np.abs(d[:, a] - normal_part_values(gp, w.gradient[..., a])).max() < 1e-15
+
+
+def _normal_part_charts():
+    return [*(catalog.instantiate("circle_cylinder", {"kappa": k, "r": 0.6, "pad": 2})
+              for k in (1.0, -1.0, 0.0)),
+            get_surface("perturbed_control", kappa=1.0, r=math.pi / 4),
+            *(generic_chart(k) for k in (1.0, -1.0, 0.0))]
 
 
 class TestNormalPart:
@@ -274,6 +291,18 @@ class TestNormalPart:
             repeated = np.repeat(w[None], len(gp.u), axis=0)
             assert np.array_equal(geometry._normal_part(gp, w),
                                   geometry._normal_part(gp, repeated))
+
+    @pytest.mark.parametrize("spec", _normal_part_charts(),
+                             ids=lambda s: f"{s.catalog_id}-{s.params['kappa']}")
+    def test_matches_the_value_projection_and_is_idempotent(self, spec):
+        gp = grid_geometry(spec, 5, 5)
+        rng = np.random.default_rng(7)
+        dim = spec.ambient.flat_dim
+        for w in (rng.standard_normal((25, 3, dim)), np.eye(dim)[None], rng.standard_normal(dim)):
+            once = geometry._normal_part(gp, w)
+            scale = np.abs(once).max()
+            assert np.abs(once - normal_part_values(gp, w)).max() <= 1e-14 * scale
+            assert np.abs(geometry._normal_part(gp, once) - once).max() <= 1e-14 * scale
 
 
 class TestLaplaceBeltrami:

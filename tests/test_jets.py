@@ -291,12 +291,7 @@ class TestAccessors:
         assert f.duu == pytest.approx(2.0 * 2.0)   # d2/du2 = 2v
         assert f.duv == pytest.approx(2.0)         # d2/dudv = 2u
         assert f.dvv == pytest.approx(0.0)
-        assert f.deriv(2, 1) == pytest.approx(2.0)
-
-    def test_deriv_beyond_order_raises(self):
-        u = Jet2.variable("u", 1.0, 2)
-        with pytest.raises(ValueError):
-            u.deriv(2, 1)
+        assert f.coeff(2, 1) == pytest.approx(1.0)  # d3/du2dv / (2! 1!) = 2 / 2
 
     def test_truncate(self):
         u = Jet2.variable("u", 1.0, 4)
@@ -587,8 +582,6 @@ class TestStoredWidth:
             got = a.coeff(i, j)
             assert np.shape(got) == ((self.N,) if batched else ())
             assert not np.any(got)
-        with pytest.raises(ValueError, match="exceeds jet order"):
-            a.deriv(order + 1, 0)
 
     def test_derivative_gathers_the_scaled_source_coefficients(self):
         a = self._jet(jets.MAX_ORDER, True, 40)

@@ -19,6 +19,16 @@ from prodsurf.spaceforms import (
 from prodsurf.jets import Jet2
 
 
+def _v(x):
+    """A flat vector as a constant jet of one point."""
+    return Jet2.constant(np.asarray(x, dtype=float)[None], 0)
+
+
+def _at(r):
+    """The value of a one-point jet: a float, or the vector's components."""
+    return r.value[0]
+
+
 class TestMakeAmbient:
     def test_unit_sphere_model(self):
         m = make_ambient(1.0, 2)
@@ -37,7 +47,7 @@ class TestMakeAmbient:
         assert m.flat_dim == 4
         assert m.signature == (1.0,) * 4
         with pytest.raises(ValueError):
-            constraint_residual(m, [0.0, 0.0, 0.0, 0.0])
+            constraint_residual(m, _v([0.0, 0.0, 0.0, 0.0]))
 
     def test_dimension_too_small(self):
         with pytest.raises(ValueError):
@@ -47,43 +57,43 @@ class TestMakeAmbient:
 class TestFlatInner:
     def test_timelike_unit_vector(self):
         m = make_ambient(-1.0, 2)
-        x = [1.0, 0.0, 0.0, 0.0]
-        assert flat_inner(m, x, x) == pytest.approx(-1.0)
+        x = _v([1.0, 0.0, 0.0, 0.0])
+        assert _at(flat_inner(m, x, x)) == pytest.approx(-1.0)
 
     def test_orthogonal_axes(self):
         m = make_ambient(1.0, 2)
-        assert flat_inner(m, [1, 0, 0, 0], [0, 1, 0, 0]) == 0.0
+        assert _at(flat_inner(m, _v([1, 0, 0, 0]), _v([0, 1, 0, 0]))) == 0.0
 
     def test_euclidean(self):
         m = make_ambient(0.0, 3)
-        x = [3.0, 4.0, 0.0, 0.0]
-        assert flat_inner(m, x, x) == pytest.approx(25.0)
+        x = _v([3.0, 4.0, 0.0, 0.0])
+        assert _at(flat_inner(m, x, x)) == pytest.approx(25.0)
 
     def test_length_mismatch(self):
         m = make_ambient(1.0, 2)
         with pytest.raises(ValueError):
-            flat_inner(m, [1.0, 0.0], [1.0, 0.0])
+            flat_inner(m, _v([1.0, 0.0]), _v([1.0, 0.0]))
 
 
 class TestConstraint:
     def test_unit_sphere_point(self):
         m = make_ambient(1.0, 2)
-        assert constraint_residual(m, [1.0, 0.0, 0.0, 5.0]) == pytest.approx(0.0)
+        assert _at(constraint_residual(m, _v([1.0, 0.0, 0.0, 5.0]))) == pytest.approx(0.0)
 
     def test_hyperboloid_vertex(self):
         m = make_ambient(-1.0, 2)
-        assert constraint_residual(m, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.0)
+        assert _at(constraint_residual(m, _v([1.0, 0.0, 0.0, 0.0]))) == pytest.approx(0.0)
 
     def test_off_sphere(self):
         m = make_ambient(1.0, 2)
-        assert constraint_residual(m, [2.0, 0.0, 0.0, 0.0]) == pytest.approx(3.0)
+        assert _at(constraint_residual(m, _v([2.0, 0.0, 0.0, 0.0]))) == pytest.approx(3.0)
 
 
 class TestProjection:
     def test_sphere_strips_radial_part(self):
         m = make_ambient(1.0, 2)
-        p = [0.0, 0.0, 1.0, 7.0]
-        out = project_to_product_tangent(m, p, [1.0, 0.0, 1.0, 0.0])
+        p = _v([0.0, 0.0, 1.0, 7.0])
+        out = _at(project_to_product_tangent(m, p, _v([1.0, 0.0, 1.0, 0.0])))
         assert out == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_hyperboloid_example(self):
@@ -92,22 +102,22 @@ class TestProjection:
         m = make_ambient(-1.0, 2)
         p = [1.0, 0.0, 0.0, 0.0]
         w = [1.0, 1.0, 0.0, 0.0]
-        inner = flat_inner(m, w, [1.0, 0.0, 0.0, 0.0])
+        inner = _at(flat_inner(m, _v(w), _v([1.0, 0.0, 0.0, 0.0])))
         assert inner == pytest.approx(-1.0)
         expected = [w[i] - m.kappa * inner * p[i] for i in range(3)] + [w[3]]
         assert expected == pytest.approx([0.0, 1.0, 0.0, 0.0])
-        out = project_to_product_tangent(m, p, w)
+        out = _at(project_to_product_tangent(m, _v(p), _v(w)))
         assert list(out) == pytest.approx(expected)
 
     def test_off_model_point_rejected(self):
         m = make_ambient(1.0, 2)
         with pytest.raises(ConstraintError):
-            project_to_product_tangent(m, [1.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+            project_to_product_tangent(m, _v([1.5, 0.0, 0.0, 0.0]), _v([0.0, 1.0, 0.0, 0.0]))
 
     def test_flat_model_is_identity(self):
         m = make_ambient(0.0, 2)
         w = [1.0, 2.0, 3.0]
-        assert project_to_product_tangent(m, [9.0, 9.0, 9.0], w) == pytest.approx(w)
+        assert _at(project_to_product_tangent(m, _v([9.0, 9.0, 9.0]), _v(w))) == pytest.approx(w)
 
 
 def _sphere_point(a: float, b: float):
@@ -129,21 +139,22 @@ class TestProjectionProperties:
     def test_idempotent_and_orthogonal(self, a, b, w):
         for kappa, point in [(1.0, _sphere_point(a, b)), (-1.0, _hyperboloid_point(a, b))]:
             m = make_ambient(kappa, 2)
-            once = project_to_product_tangent(m, point, w)
-            twice = project_to_product_tangent(m, point, once)
-            assert np.abs(np.array(twice) - np.array(once)).max() < 1e-14 * (
-                1 + np.abs(np.array(once)).max()
+            once = project_to_product_tangent(m, _v(point), _v(w))
+            twice = project_to_product_tangent(m, _v(point), once)
+            assert np.abs(_at(twice) - _at(once)).max() < 1e-14 * (
+                1 + np.abs(_at(once)).max()
             )
-            p_m = point[:3] + [0.0]
-            assert abs(flat_inner(m, once, p_m)) < 1e-12 * (1 + max(map(abs, w)))
+            p_m = _v(point[:3] + [0.0])
+            assert abs(_at(flat_inner(m, once, p_m))) < 1e-12 * (1 + max(map(abs, w)))
 
     @given(angles, angles, comps)
     @settings(max_examples=60, deadline=None)
     def test_hyperboloid_tangent_metric_positive(self, a, b, w):
         m = make_ambient(-1.0, 2)
         point = _hyperboloid_point(a, b)
-        out = np.array(project_to_product_tangent(m, point, w))
-        norm2 = flat_inner(m, out, out)
+        out = project_to_product_tangent(m, _v(point), _v(w))
+        norm2 = _at(flat_inner(m, out, out))
+        out = _at(out)
         assert norm2 > -1e-13 * (1 + max(map(abs, w))) ** 2
         if np.linalg.norm(out) > 1e-6:
             assert norm2 > 0.0
@@ -151,8 +162,8 @@ class TestProjectionProperties:
 
 def test_vertical_axis():
     m = make_ambient(-1.0, 2)
-    e = np.eye(m.flat_dim)[m.t_index]
-    assert flat_inner(m, e, e) == pytest.approx(1.0)
+    e = _v(np.eye(m.flat_dim)[m.t_index])
+    assert _at(flat_inner(m, e, e)) == pytest.approx(1.0)
 
 
 def _distance_from_pole(kappa: float, p) -> float:
@@ -194,14 +205,14 @@ class TestPolar:
             p, d_w, d_rho = self._at(kappa, rho, w, jet_radius)
             assert len(p) == model.flat_dim - 1
             if kappa:
-                assert abs(constraint_residual(model, p + [0.0])) < 1e-14 * s * s
+                assert abs(_at(constraint_residual(model, _v(p + [0.0])))) < 1e-14 * s * s
             assert _distance_from_pole(kappa, p) == pytest.approx(rho, rel=1e-12)
-            speed_w = math.sqrt(space_inner(model, d_w + [0.0], d_w + [0.0]))
+            speed_w = math.sqrt(_at(space_inner(model, _v(d_w + [0.0]), _v(d_w + [0.0]))))
             assert speed_w == pytest.approx(float(sn_cs(kappa, rho)[0]), rel=1e-13)
             if jet_radius:  # rho is arc length along the radial geodesic
-                assert space_inner(model, d_rho + [0.0], d_rho + [0.0]) == pytest.approx(
-                    1.0, rel=1e-13)
-                assert abs(space_inner(model, d_rho + [0.0], d_w + [0.0])) < 1e-13 * s
+                radial = _v(d_rho + [0.0])
+                assert _at(space_inner(model, radial, radial)) == pytest.approx(1.0, rel=1e-13)
+                assert abs(_at(space_inner(model, radial, _v(d_w + [0.0])))) < 1e-13 * s
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_float_and_jet_radius_agree(self, kappa):
