@@ -551,8 +551,7 @@ def _normal_part(gp: GeomPoint, w: np.ndarray) -> np.ndarray:
     """Normal parts of flat vectors at gp (values), by :func:`_normal_part_jets`:
     ``w`` holds its vectors on its last axis, the point axis first (of length
     1 for the same vectors at every point), or is one vector for every point."""
-    w = np.asarray(w, dtype=float)
-    w = Jet2.constant(np.broadcast_to(w, gp.u.shape + w.shape[w.ndim > 1:]), 0)
+    w = Jet2.constant(np.atleast_2d(w), 0)
     return _values(_normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv, w))
 
 

@@ -4,7 +4,9 @@ Every evaluator is an array function of the chart's batched geometry: it
 takes the :class:`~prodsurf.geometry.GeomPoint` of a block of a grid, which
 each entry point (:func:`run_suite`, :func:`residual_field`) evaluates block
 by block with :class:`prodsurf.geometry.SampleGrid`, and returns one residual
-per point; a single point is a batch of one.  :func:`grid_report` reduces a
+per point; a single point is a batch of one, and an evaluator returns a
+masked array where its identity does not apply at some points.  :data:`ROWS`
+lists the report rows once, in report order.  :func:`grid_report` reduces a
 residual array over the whole grid to a report row, folding left to right so
 reports are bitwise reproducible.  A residual depends only on its point,
 never on the sampling grid or its blocks, which the tests exercise directly.
@@ -43,25 +45,41 @@ log = logging.getLogger("prodsurf")
 DEFAULT_GRID = (33, 33)
 DEFAULT_MARGIN = 0.02
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "codazzi_pmc": 1e-9,
-    "codazzi_angle": 1e-9,
-    "operator_trace": 1e-10,
-    "operator_norm_det": 1e-10,
-    "simons_sq": 1e-7,
-    "simons_reduced": 1e-7,
-    "simons_log": 1e-7,
-    "metric_change": 1e-8,
-    "inverse_operator_codazzi": 1e-9,
-    "ambient_codazzi": 1e-8,
-    "gauss_equation": 1e-8,
-    "curvature_formula": 1e-9,
-    "t_laplacian": 1e-9,
-    "pmc": 1e-9,
-    "t_field_grad": 1e-9,
-    "t_field_alpha": 1e-9,
-    "mu_consistency": 1e-9,
-}
+_FLOOR = f"|S| below the floor {codazzi.S_NORM_FLOOR}"
+_SINGULAR = f"operator singular (|det S| <= {codazzi.SINGULAR_TOL})"
+
+# The suite's rows in report order: (id, default tolerance, the surfaces it
+# applies to ("minimal", "non-minimal" or "both"), the reason for the points
+# its evaluator masks, evaluator).  An evaluator takes a batch ``gp`` and the
+# operator of the surface's class over it (the angle operator on a minimal
+# surface, else the PMC one), and looks its function up when called.
+ROWS = [
+    ("codazzi_pmc", 1e-9, "non-minimal", None, lambda gp, s: codazzi.codazzi_residual(gp, s)),
+    ("codazzi_angle", 1e-9, "minimal", None, lambda gp, s: codazzi.codazzi_residual(gp, s)),
+    ("operator_trace", 1e-10, "both", None, lambda gp, s: codazzi.trace_residual(s)),
+    ("operator_norm_det", 1e-10, "both", None,
+     lambda gp, s: codazzi.s_norm_det_identity(_values(s), gp.g_val)),
+    ("simons_sq", 1e-7, "both", None,
+     lambda gp, s: codazzi.simons_quadratic_residual(gp, s)),
+    ("simons_reduced", 1e-7, "both", _FLOOR,
+     lambda gp, s: codazzi.simons_reduced_residual(gp, s)),
+    ("simons_log", 1e-7, "both", _FLOOR, lambda gp, s: codazzi.simons_log_residual(gp, s)),
+    ("metric_change", 1e-8, "both", _SINGULAR, lambda gp, s: codazzi.metric_change(gp, s)[2]),
+    ("inverse_operator_codazzi", 1e-9, "both", _SINGULAR,
+     lambda gp, s: codazzi.inverse_codazzi_residual(gp, s)),
+    ("ambient_codazzi", 1e-8, "both", None, lambda gp, s: ambient_codazzi_residual(gp)),
+    ("gauss_equation", 1e-8, "both", None, lambda gp, s: gauss_equation_residual(gp)),
+    ("t_laplacian", 1e-9, "both", None, lambda gp, s: t_laplacian_residual(gp)),
+    ("t_field_grad", 1e-9, "both", None, lambda gp, s: t_field_grad_residual(gp)),
+    ("t_field_alpha", 1e-9, "both", None, lambda gp, s: t_field_alpha_residual(gp)),
+    ("curvature_formula", 1e-9, "non-minimal", None,
+     lambda gp, s: curvature_formula_residual(gp, s)),
+    ("mu_consistency", 1e-9, "non-minimal", None,
+     lambda gp, s: mu_integrand(gp) + 2.0 * aux_det_sum(gp)),
+    ("pmc", 1e-9, "both", None, lambda gp, s: pmc_values(gp)),
+]
+DEFAULT_TOLERANCES: dict[str, float] = {row_id: tol for row_id, tol, *_ in ROWS}
+_SKIP_REASONS = {row_id: why for row_id, _, _, why, _ in ROWS if why}
 
 
 @dataclass
@@ -88,49 +106,29 @@ class ResidualReport:
         }
 
 
-def skipping(reason: str, residual: np.ma.MaskedArray):
-    """A masked residual array as the (values, skips) pair of a report row."""
-    return residual.data, {reason: np.ma.getmaskarray(residual)}
-
-
-def _split(result) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """An evaluator's result as absolute residuals and named skip masks.
-
-    The masked points of a masked residual array are skipped, under the
-    reason :func:`skipping` gave them or else a generic one.
-    """
-    values, skips = result if isinstance(result, tuple) else (result, {})
-    masked = np.ma.getmaskarray(values)
-    if masked.any():
-        skips = {**skips, "identity undefined (masked by its evaluator)": masked}
-    return np.abs(np.asarray(np.ma.getdata(values), dtype=float)), skips
-
-
 def grid_report(gp: GeomPoint, identity_id: str, fn, nu: int, nv: int,
                 tolerance: float) -> ResidualReport | None:
     """Reduce an evaluator's residuals over the grid ``gp`` to a report row.
 
-    ``fn()`` returns one residual per point of ``gp``, or a pair (residuals,
-    skips) where ``skips`` maps a reason to the mask of the points where the
-    identity does not apply.  Returns None when every point was skipped (the
-    identity does not apply anywhere on this chart); partial skips become
-    report warnings.  The row's maximum is the first largest value, or the
-    first NaN, which fails the row; the mean folds the values left to right.
-    Each row logs its counts of evaluated and skipped points at INFO.
+    ``fn()`` returns one residual per point of ``gp``, masked where the
+    identity does not apply; the row's skip reason is its :data:`ROWS` entry's
+    (a generic one for an id outside the table).  Returns None when every
+    point was skipped (the identity does not apply anywhere on this chart);
+    partial skips become a report warning.  The row's maximum is the first
+    largest value, or the first NaN, which fails the row; the mean folds the
+    values left to right.  Each row logs its counts of evaluated and skipped
+    points at INFO.
     """
-    vals, skips = _split(fn())
-    npts = len(gp.u)
-    evaluated = np.ones(npts, dtype=bool)
+    result = fn()
+    vals = np.abs(np.asarray(np.ma.getdata(result), dtype=float))
+    evaluated = ~np.ma.getmaskarray(result)
+    npts, n = len(gp.u), int(np.count_nonzero(evaluated))
     warnings = []
-    for reason, mask in sorted(skips.items()):
-        if mask.any():
-            warnings.append(f"skipped at {int(np.count_nonzero(mask))} of {npts} "
-                            f"points: {reason}")
-        evaluated &= ~mask
-    n = int(np.count_nonzero(evaluated))
+    if n < npts:
+        reason = _SKIP_REASONS.get(identity_id, "identity undefined (masked by its evaluator)")
+        warnings.append(f"skipped at {npts - n} of {npts} points: {reason}")
     if not n:
-        log.warning("%s skipped on %s: %s", identity_id, gp.spec.catalog_id,
-                    "; ".join(warnings) or "no evaluable points")
+        log.warning("%s skipped on %s: %s", identity_id, gp.spec.catalog_id, warnings[0])
         return None
     log.info("%s on %s: evaluated %d points, skipped %d", identity_id, gp.spec.catalog_id,
              n, npts - n)
@@ -281,17 +279,19 @@ def gauss_equation_residual(gp: GeomPoint) -> np.ndarray:
     return gp.chart_norm(intrinsic - rhs)
 
 
-def t_field_residuals(gp: GeomPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the vertical-field identities along both chart directions.
-
-    grad: nabla_X T = A_eta X;  alpha: alpha(X, T) = - nabla^perp_X eta.
-    """
+def t_field_grad_residual(gp: GeomPoint) -> np.ndarray:
+    """Residual of nabla_X T = A_eta X, the worse of the two chart directions."""
     a_eta = shape_matrix(gp, gp.eta_val)
     grad_t = column_derivatives(gp.gamma, gp.T_up)  # (nabla_a T)^b, indexed [a, b, n]
-    res_grad = np.zeros(len(gp.u))
+    res = np.zeros(len(gp.u))
     for a in range(2):
-        res_grad = np.maximum(res_grad, gp.chart_norm(grad_t[a].T - a_eta[:, :, a]))
-    return res_grad, _worst_norm(gp, _alpha_t(gp) + normal_connection_derivative(gp, gp.eta))
+        res = np.maximum(res, gp.chart_norm(grad_t[a].T - a_eta[:, :, a]))
+    return res
+
+
+def t_field_alpha_residual(gp: GeomPoint) -> np.ndarray:
+    """Residual of alpha(X, T) = - nabla^perp_X eta, the worse chart direction."""
+    return _worst_norm(gp, _alpha_t(gp) + normal_connection_derivative(gp, gp.eta))
 
 
 def pmc_values(gp: GeomPoint) -> np.ndarray:
@@ -299,7 +299,8 @@ def pmc_values(gp: GeomPoint) -> np.ndarray:
     return _worst_norm(gp, normal_connection_derivative(gp, gp.H))
 
 
-def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None) -> ResidualReport:
+def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None,
+                 tolerance: float = DEFAULT_TOLERANCES["pmc"]) -> ResidualReport:
     """Max norm of the normal-connection derivative of H over the grid ``gp``.
 
     ``values()`` gives that norm at every point, by default from ``gp``
@@ -309,7 +310,7 @@ def pmc_residual(gp: GeomPoint, grid: tuple[int, int], values=None) -> ResidualR
     """
     nu, nv = grid
     report = grid_report(gp, "pmc", values or functools.partial(pmc_values, gp), nu, nv,
-                         DEFAULT_TOLERANCES["pmc"])
+                         tolerance)
     minimal_points = int(np.count_nonzero(gp.normH <= MINIMAL_TOL))
     if minimal_points:
         report.warnings.append(
@@ -364,76 +365,37 @@ def classify_minimality(gp: GeomPoint) -> tuple[bool, list[str]]:
     return max_h <= MINIMAL_TOL, warnings
 
 
-def suite_rows(gp: GeomPoint, minimal: bool):
-    """The suite's rows for the surface's minimality class, in report order.
-
-    Each row is (identity_id, fn) with ``fn()`` a :func:`grid_report`
-    evaluator over the points of ``gp``; the operator of the class is built
-    once for all of them.  The ``pmc`` row is :func:`pmc_residual`'s.
-    """
-    kind = "angle" if minimal else "pmc"
-    s = codazzi.operator_jets(gp, kind)
-    t_field = functools.cache(lambda: t_field_residuals(gp))
-    skip_floor = f"|S| below the floor {codazzi.S_NORM_FLOOR}"
-    skip_singular = f"operator singular (|det S| <= {codazzi.SINGULAR_TOL})"
-    rows = [
-        (f"codazzi_{kind}", lambda: codazzi.codazzi_residual(gp, s)),
-        ("operator_trace", lambda: codazzi.trace_residual(s)),
-        ("operator_norm_det",
-         lambda: codazzi.s_norm_det_identity(_values(s), gp.g_val)),
-        ("simons_sq", lambda: codazzi.simons_quadratic_residual(gp, s)),
-        ("simons_reduced", lambda: skipping(
-            skip_floor, codazzi.simons_reduced_residual(gp, s))),
-        ("simons_log", lambda: skipping(skip_floor, codazzi.simons_log_residual(gp, s))),
-        ("metric_change", lambda: skipping(skip_singular, codazzi.metric_change(gp, s)[2])),
-        ("inverse_operator_codazzi", lambda: skipping(
-            skip_singular, codazzi.inverse_codazzi_residual(gp, s))),
-        ("ambient_codazzi", lambda: ambient_codazzi_residual(gp)),
-        ("gauss_equation", lambda: gauss_equation_residual(gp)),
-        ("t_laplacian", lambda: t_laplacian_residual(gp)),
-        ("t_field_grad", lambda: t_field()[0]),
-        ("t_field_alpha", lambda: t_field()[1]),
-    ]
-    if not minimal:
-        rows.append(("curvature_formula", lambda: curvature_formula_residual(gp, s)))
-        rows.append(("mu_consistency", lambda: mu_integrand(gp) + 2.0 * aux_det_sum(gp)))
-    return rows
-
-
-def _all_rows(gp: GeomPoint, minimal: bool):
-    """:func:`suite_rows`, then the ``pmc`` row's values."""
-    return [*suite_rows(gp, minimal), ("pmc", functools.partial(pmc_values, gp))]
-
-
-def _joined(parts):
-    """One row's (residuals, skips) pairs of consecutive blocks as one pair; a
-    reason missing from a block skips none of its points."""
-    reasons = sorted({reason for _, skips in parts for reason in skips})
-    return (np.concatenate([values for values, _ in parts]),
-            {reason: np.concatenate([skips.get(reason, np.zeros(len(values), bool))
-                                     for values, skips in parts])
-             for reason in reasons})
+def _class_rows(minimal: bool) -> list:
+    """The entries of :data:`ROWS` that apply to a surface of the class."""
+    return [row for row in ROWS if row[2] in ("both", "minimal" if minimal else "non-minimal")]
 
 
 def _grid_rows(spec: SurfaceSpec, grid: tuple[int, int], margin: float, rows_of):
     """The grid, its minimality class and class warnings, and its rows.
 
-    The class is decided on |H| over the whole grid.  Each row is
-    ``(identity_id, fn)`` as ``rows_of(gp, minimal)`` gives it, with ``fn()``
-    the row over the whole grid.  On a grid of one block ``fn`` is the
-    evaluator itself over that batch.  On a larger grid every row is
-    evaluated block by block as the block is evaluated, and only its
-    residuals and skip masks are kept; ``fn()`` joins them.
+    The class is decided on |H| over the whole grid.  ``rows_of(minimal)``
+    gives the entries of :data:`ROWS` to run; each comes back as
+    ``(identity_id, fn)`` with ``fn()`` the row over the whole grid, and the
+    operator of the class is built once per batch for all of them.  On a
+    grid of one block ``fn`` runs the evaluator itself over that batch.  On
+    a larger grid every row is evaluated block by block as the block is
+    evaluated, and only its masked residuals are kept; ``fn()`` joins them
+    in point order.
     """
     points = SampleGrid(spec, grid[0], grid[1], margin)
     minimal, class_warnings = classify_minimality(points)
+    rows = rows_of(minimal)
+
+    def batch_rows(gp):
+        s = codazzi.operator_jets(gp, "angle" if minimal else "pmc")
+        return [functools.partial(row[4], gp, s) for row in rows]
+
     if points.single is not None:
-        return points.single, minimal, class_warnings, rows_of(points.single, minimal)
-    parts = points.map(lambda gp: [(identity_id, _split(fn()))
-                                   for identity_id, fn in rows_of(gp, minimal)])
-    rows = [(identity_id, functools.partial(_joined, [part[k][1] for part in parts]))
-            for k, (identity_id, _) in enumerate(parts[0])]
-    return points, minimal, class_warnings, rows
+        fns = batch_rows(points.single)
+    else:
+        parts = points.map(lambda gp: [fn() for fn in batch_rows(gp)])
+        fns = [functools.partial(np.ma.concatenate, column) for column in zip(*parts)]
+    return points, minimal, class_warnings, [(row[0], fn) for row, fn in zip(rows, fns)]
 
 
 def run_suite(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
@@ -442,29 +404,21 @@ def run_suite(spec: SurfaceSpec, grid: tuple[int, int] = DEFAULT_GRID,
     """Run every identity applicable to the surface's minimality class.
 
     The grid is evaluated in blocks (:class:`~prodsurf.geometry.SampleGrid`):
-    each row keeps its per-point residuals and skip masks, joined in point
-    order, and is reduced once, so the report is the one a single batch gives.
+    each row keeps its per-point masked residuals, joined in point order, and
+    is reduced once, so the report is the one a single batch gives.
     """
     nu, nv = grid
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    points, minimal, class_warnings, rows = _grid_rows(spec, grid, margin, _all_rows)
-    *rows, (_, pmc_fn) = rows
-
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    points, minimal, class_warnings, rows = _grid_rows(spec, grid, margin, _class_rows)
     reports: list[ResidualReport] = []
     for identity_id, fn in rows:
-        report = grid_report(points, identity_id, fn, nu, nv, tol[identity_id])
-        if report is None:
+        if identity_id == "pmc":
+            reports.append(pmc_residual(points, grid, fn, tol["pmc"]))
             continue
-        if class_warnings:
+        report = grid_report(points, identity_id, fn, nu, nv, tol[identity_id])
+        if report is not None:
             report.warnings.extend(class_warnings)
-        reports.append(report)
-
-    pmc_rep = pmc_residual(points, grid, pmc_fn)
-    pmc_rep.tolerance = tol["pmc"]
-    pmc_rep.passed = pmc_rep.max_abs <= pmc_rep.tolerance
-    reports.append(pmc_rep)
+            reports.append(report)
     return reports
 
 
@@ -481,19 +435,18 @@ def residual_field(spec: SurfaceSpec, identity_id: str, grid: tuple[int, int],
         known = ", ".join(sorted(DEFAULT_TOLERANCES))
         raise ValueError(f"unknown identity {identity_id!r}; known: {known}")
 
-    def row_of(gp, minimal):
-        rows = dict(_all_rows(gp, minimal))
-        if identity_id not in rows:
+    def rows_of(minimal):
+        rows = [row for row in _class_rows(minimal) if row[0] == identity_id]
+        if not rows:
             surface_class = "minimal" if minimal else "non-minimal"
             raise ValueError(f"identity {identity_id!r} does not apply to the "
                              f"{surface_class} surface {spec.catalog_id!r}")
-        return [(identity_id, rows[identity_id])]
+        return rows
 
-    points, _, _, [(_, fn)] = _grid_rows(spec, grid, margin, row_of)
-    values, skips = _split(fn())
-    evaluated = ~functools.reduce(np.logical_or, skips.values(), np.zeros(len(points.u), bool))
+    *_, [(_, fn)] = _grid_rows(spec, grid, margin, rows_of)
+    result = fn()
+    evaluated = ~np.ma.getmaskarray(result)
     if not evaluated.any():
-        reasons = "; ".join(sorted(skips))
         raise ValueError(f"identity {identity_id!r} skipped at every grid point of "
-                         f"{spec.catalog_id!r}: {reasons}")
-    return values, evaluated
+                         f"{spec.catalog_id!r}: {_SKIP_REASONS[identity_id]}")
+    return np.abs(np.asarray(np.ma.getdata(result), dtype=float)), evaluated

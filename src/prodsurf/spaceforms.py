@@ -160,9 +160,10 @@ def project_to_product_tangent(model: AmbientModel, p: Jet2, w: Jet2) -> Jet2:
 
     Strips the component along the space-form position normal: on the block,
     w - kappa <w, p_M> p_M; the line component passes through.  Takes flat
-    vector jets as :func:`flat_inner` does, ``w`` possibly a stack of them,
-    and validates ``p`` against the constraint at its constant term; an error
-    reports the first point off the model.
+    vector jets as :func:`flat_inner` does, ``w`` possibly a stack of them
+    and its points broadcasting against those of ``p``, and validates ``p``
+    against the constraint at its constant term; an error reports the first
+    point off the model.
     """
     if model.kappa == 0:
         return w
@@ -171,6 +172,8 @@ def project_to_product_tangent(model: AmbientModel, p: Jet2, w: Jet2) -> Jet2:
     if bad is not None:
         raise ConstraintError(f"point off the model by {float(res[bad])!r}")
     q = (model.kappa * space_inner(model, w, p))[..., None] * p[..., :-1]
-    c = w.c[..., :jets._NCOEF[q.order]].copy("K")
+    shape = q.c.shape[:-2] + w.c.shape[-2:-1] + q.c.shape[-1:]
+    c = np.empty(shape[::-1]).T  # coefficient-major, as every jet is stored
+    c[...] = w.c[..., :jets._NCOEF[q.order]]
     c[..., :-1, :] -= q.c
     return Jet2(c, q.order)

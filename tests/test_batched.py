@@ -34,33 +34,21 @@ def _same(batch, one, what):
 
 
 def _evaluators(minimal):
-    """The rows as functions of a geometry batch and its operator matrix; the
-    second dict's rows mask the points where their identity is undefined."""
-    rows = {
-        "codazzi": codazzi.codazzi_residual,
-        "trace": lambda gp, s: codazzi.trace_residual(s),
+    """The suite's rows of the class (:data:`identities.ROWS`) and a few more
+    per-point quantities, as functions of a geometry batch and its operator
+    matrix; the second dict's rows mask the points where their identity is
+    undefined."""
+    class_rows = identities._class_rows(minimal)
+    rows = {row_id: fn for row_id, _, _, reason, fn in class_rows if reason is None}
+    rows.update({
         "grad_tensor": codazzi.grad_tensor_norm_sq,
-        "simons_sq": codazzi.simons_quadratic_residual,
-        "ambient_codazzi": lambda gp, s: identities.ambient_codazzi_residual(gp),
-        "gauss": lambda gp, s: identities.gauss_equation_residual(gp),
-        "t_laplacian": lambda gp, s: identities.t_laplacian_residual(gp),
-        "t_field_grad": lambda gp, s: identities.t_field_residuals(gp)[0],
-        "t_field_alpha": lambda gp, s: identities.t_field_residuals(gp)[1],
         "operator": lambda gp, s: s.value,
-        "s_norm_det": lambda gp, s: codazzi.s_norm_det_identity(np.ascontiguousarray(s.value),
-                                                                gp.g_val),
         "nabla_perp_h": lambda gp, s: normal_connection_derivative(gp, gp.H),
-    }
+    })
     if not minimal:
-        rows["curvature_formula"] = identities.curvature_formula_residual
         rows["mu_integrand"] = lambda gp, s: identities.mu_integrand(gp)
-    skipping = {
-        "simons_reduced": codazzi.simons_reduced_residual,
-        "simons_log": codazzi.simons_log_residual,
-        "metric_change": lambda gp, s: codazzi.metric_change(gp, s)[2],
-        "inverse_codazzi": codazzi.inverse_codazzi_residual,
-    }
-    return rows, skipping
+    masking = {row_id: fn for row_id, _, _, reason, fn in class_rows if reason}
+    return rows, masking
 
 
 def _frozen(s):
@@ -75,17 +63,17 @@ def test_batch_equals_one_point_calls(sid, params):
     gp = grid_geometry(spec, 9, 9)
     minimal, _ = identities.classify_minimality(gp)
     kind = "angle" if minimal else "pmc"
-    rows, skipping = _evaluators(minimal)
+    rows, masking = _evaluators(minimal)
     s = codazzi.operator_jets(gp, kind)
     batch = {name: fn(gp, s) for name, fn in rows.items()}
-    masked = {name: fn(gp, s) for name, fn in skipping.items()}
+    masked = {name: fn(gp, s) for name, fn in masking.items()}
     for k in range(len(gp.u)):
         # each point's geometry and operator are built once and read by every row
         one = evaluate_chart(spec, gp.u[k], gp.v[k])
         s_one = _frozen(codazzi.operator_jets(one, kind))
         for name, fn in rows.items():
             _same(batch[name][k], fn(one, s_one), (name, k))
-        for name, fn in skipping.items():
+        for name, fn in masking.items():
             got = fn(one, s_one)
             assert np.ma.getmaskarray(got)[0] == np.ma.getmaskarray(masked[name])[k], (name, k)
             if not np.ma.getmaskarray(got)[0]:
@@ -109,8 +97,8 @@ def test_mixed_frame_choices_match_one_point_calls():
         "ambient_codazzi": identities.ambient_codazzi_residual,
         "gauss": identities.gauss_equation_residual,
         "t_laplacian": identities.t_laplacian_residual,
-        "t_field_grad": lambda gp: identities.t_field_residuals(gp)[0],
-        "t_field_alpha": lambda gp: identities.t_field_residuals(gp)[1],
+        "t_field_grad": identities.t_field_grad_residual,
+        "t_field_alpha": identities.t_field_alpha_residual,
     }
     batch = {name: fn(gp) for name, fn in rows.items()}
     for k in range(len(gp.u)):

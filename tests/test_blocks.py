@@ -102,11 +102,21 @@ def _tail_graph():
         lambda u, v: [u, v, 1e-11 * (u + 1.0) ** 8])
 
 
+def _enneper():
+    """Enneper's minimal surface over the flat plane: K lies in [-4, -0.88]
+    on the chart, and |T| vanishes only at its centre."""
+    return geometry.SurfaceSpec(
+        "enneper", {}, ((-0.5, 0.5), (-0.5, 0.5)), make_ambient(0.0, 2),
+        lambda u, v: [u - u * u * u / 3 + u * v * v, v - v * v * v / 3 + v * u * u, u * u - v * v])
+
+
 def _outcome(fn, *args):
     try:
         result = fn(*args)
     except (ArithmeticError, ValueError) as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):  # a residual field and its evaluated mask
+        return [a.tolist() for a in result]
     return [r.to_dict() for r in result] if isinstance(result, list) else result.to_dict()
 
 
@@ -128,6 +138,24 @@ def test_whole_grid_is_classified_before_its_blocks(monkeypatch):
         assert identities.classify_minimality(blocked) == identities.classify_minimality(one)
         assert _outcome(*check) == whole, check
         monkeypatch.undo()
+
+
+def test_partial_skips_cross_block_edges(monkeypatch):
+    # at 9x9 the centre, point 40, is the one point where T = 0 and so S = 0
+    spec = _enneper()
+    checks = [(identities.run_suite, spec, (9, 9)),
+              (identities.residual_field, spec, "metric_change", (9, 9), 0.02)]
+    whole = [_outcome(*check) for check in checks]
+    rows = {row["identity_id"]: row for row in whole[0]}
+    for row_id in ("simons_reduced", "simons_log", "metric_change", "inverse_operator_codazzi"):
+        assert rows[row_id]["warnings"][0].startswith("skipped at 1 of 81 points: "), row_id
+    assert all(row["passed"] for row in rows.values())
+    assert np.flatnonzero(~np.array(whole[1][1])).tolist() == [40]
+    # 81 = 8 * 10 + 1: point 40 opens the fifth block
+    monkeypatch.setattr(geometry, "BLOCK_COEFFS", 10 * 3 * jets._NCOEF[jets.MAX_ORDER])
+    blocked = SampleGrid(spec, 9, 9)
+    assert len(blocked.blocks) == 9 and blocked.blocks[4].start == 40
+    assert [_outcome(*check) for check in checks] == whole
 
 
 def _catalog_specs():

@@ -27,7 +27,8 @@ from prodsurf.identities import (
     mu_integrand,
     pmc_residual,
     run_suite,
-    t_field_residuals,
+    t_field_alpha_residual,
+    t_field_grad_residual,
     t_laplacian_residual,
 )
 
@@ -401,9 +402,9 @@ class TestTFieldIdentities:
     ])
     def test_vertical_field_relations(self, sid, params):
         spec = get_surface(sid, **params)
-        grad_res, alpha_res = t_field_residuals(_at(spec))
-        assert grad_res < 1e-9
-        assert alpha_res < 1e-9
+        gp = _at(spec)
+        assert t_field_grad_residual(gp) < 1e-9
+        assert t_field_alpha_residual(gp) < 1e-9
 
 
 class TestGridReport:
@@ -432,7 +433,7 @@ class TestGridReport:
         gp = grid_geometry(get_surface("slice", kappa=1.0), 5, 5)
 
         def always_skip():
-            return np.zeros(25), {"not applicable here": np.ones(25, dtype=bool)}
+            return np.ma.masked_array(np.zeros(25), np.ones(25, dtype=bool))
 
         assert grid_report(gp, "x", always_skip, 5, 5, 1.0) is None
 
@@ -443,15 +444,11 @@ class TestGridReport:
             values = np.full(25, 2.0)
             values[3] = 100.0  # skipped, so neither the maximum nor in the mean
             values[4] = 4.0
-            low = np.zeros(25, dtype=bool)
-            low[[0, 3]] = True
-            singular = np.zeros(25, dtype=bool)
-            singular[10] = True
-            return values, {"low": low, "singular": singular}
+            return np.ma.masked_array(values, np.isin(np.arange(25), [0, 3, 10]))
 
-        report = grid_report(grid_geometry(spec, 5, 5), "x", residual, 5, 5, 5.0)
-        assert report.warnings == ["skipped at 2 of 25 points: low",
-                                   "skipped at 1 of 25 points: singular"]
+        report = grid_report(grid_geometry(spec, 5, 5), "simons_log", residual, 5, 5, 5.0)
+        assert report.warnings == [
+            f"skipped at 3 of 25 points: |S| below the floor {codazzi.S_NORM_FLOOR}"]
         assert report.max_abs == 4.0
         assert report.argmax == grid_points(spec, 5, 5, 0.02)[4]
         assert report.mean_abs == pytest.approx((21 * 2.0 + 4.0) / 22)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsurf import catalog
+from prodsurf.geometry import grid_geometry
 from prodsurf.spaceforms import (
     AmbientModel,
     ConstraintError,
@@ -113,6 +115,18 @@ class TestProjection:
         m = make_ambient(1.0, 2)
         with pytest.raises(ConstraintError):
             project_to_product_tangent(m, _v([1.5, 0.0, 0.0, 0.0]), _v([0.0, 1.0, 0.0, 0.0]))
+
+    def test_one_point_broadcasts_over_a_batch(self):
+        # the same stack of vectors at every point of a 25-point chart, given once
+        spec = catalog.instantiate("circle_cylinder", {"kappa": 1.0, "r": 0.6, "pad": 2})
+        gp = grid_geometry(spec, 5, 5)
+        w = np.eye(spec.ambient.flat_dim)[None]
+        once = project_to_product_tangent(spec.ambient, gp.f, Jet2.constant(w, 0))
+        every = project_to_product_tangent(
+            spec.ambient, gp.f, Jet2.constant(np.broadcast_to(w, (25,) + w.shape[1:]), 0))
+        assert once.order == every.order == 0
+        assert np.array_equal(once.c, every.c)
+        assert once.c.T.flags.c_contiguous
 
     def test_flat_model_is_identity(self):
         m = make_ambient(0.0, 2)

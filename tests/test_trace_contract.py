@@ -6,11 +6,14 @@ module and name; a deleted or renamed function would break a traced run
 only read, except by the one traced operation below, which puts every
 original back.  The jet micro-kernel of a traced run, ``perfbench/jetkernel.py``,
 reads float-built jets through the public accessors; it is loaded the same
-way and run once against its own oracles.
+way and run once against its own oracles.  The benchmark's output checks,
+``perfbench/workloads.py``, name the report rows of each minimality class;
+they are loaded the same way and held to ``identities.ROWS``.
 """
 
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ def _load(name):
     spec = importlib.util.spec_from_file_location(f"prodsurf_bench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -76,3 +80,12 @@ def test_jet_kernel_oracles_hold():
     metrics, errors = jetkernel.run(jets, 1)
     assert errors == []
     assert set(metrics) == {"jets.mul_us", "jets.compose_us"}
+
+
+def test_benchmark_row_classes_are_the_suite_rows():
+    """A row added to ``identities.ROWS``, or moved to another class, would fail
+    the benchmark's verify check (``perfbench/run.py``)."""
+    workloads = _load("workloads")
+    for minimal, want in ((True, workloads.MINIMAL_ROWS), (False, workloads.NONMINIMAL_ROWS)):
+        got = {row[0] for row in identities._class_rows(minimal)}
+        assert got == want, minimal

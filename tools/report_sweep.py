@@ -123,13 +123,16 @@ DENSE = [
 
 
 def commands() -> list[list[str]]:
-    """The fixed sweep: twenty commands per surface, then :data:`DENSE`,
+    """The fixed sweep: twenty-eight commands per surface, then :data:`DENSE`,
     :data:`CHECKER_BRANCHES` and :data:`EXTRA`.
 
     ``normS`` and ``detS`` take the angle operator (``--tilde``) on the
-    minimal entries, which have no PMC operator, and the per-point Codazzi
-    residual is the row of the surface's class.  The first surface of each
-    catalog id also samples ``K`` and ``normT`` at 65x65.
+    minimal entries, which have no PMC operator.  Every suite row has a
+    per-point residual field: the Codazzi row of the surface's class, and
+    the non-minimal rows on every entry, so that they exit 2 on the minimal
+    ones.  The list is written out, not read from the package, so that the
+    same sweep runs on an older checkout.  The first surface of each catalog
+    id also samples ``K`` and ``normT`` at 65x65.
     """
     out, dense = [], set()
     for sid, params in SURFACES:
@@ -149,7 +152,10 @@ def commands() -> list[list[str]]:
                 for q in ("normS", "detS")]
         codazzi_row = "codazzi_angle" if sid in MINIMAL_IDS else "codazzi_pmc"
         out += [["field", *base, "--grid", "7x7", "--quantity", f"residual:{q}"]
-                for q in (codazzi_row, "simons_sq", "metric_change", "t_field_grad")]
+                for q in (codazzi_row, "operator_trace", "operator_norm_det", "simons_sq",
+                          "simons_reduced", "simons_log", "metric_change", "t_laplacian",
+                          "t_field_grad", "t_field_alpha", "curvature_formula",
+                          "mu_consistency")]
         if sid not in dense:
             dense.add(sid)
             out += [["field", *base, "--grid", "65x65", "--quantity", q] for q in ("K", "normT")]
