@@ -60,7 +60,7 @@ def _build_slice(p: dict[str, float]) -> SurfaceSpec:
     expected = {"K": kappa, "normT": 0.0, "normH": 0.0, "detS_tilde": 0.0,
                 "normS_tilde2": 0.0}
     return SurfaceSpec("slice", dict(p), ((0.2 * s, 1.8 * s), (0.0, TWO_PI)),
-                       make_ambient(kappa, 2), chart, expected, minimal=True)
+                       make_ambient(kappa, 2), chart, expected)
 
 
 def _build_vertical_cylinder(p: dict[str, float]) -> SurfaceSpec:
@@ -74,7 +74,7 @@ def _build_vertical_cylinder(p: dict[str, float]) -> SurfaceSpec:
                 "normS_tilde2": 0.5}
     return SurfaceSpec("vertical_geodesic_cylinder", dict(p),
                        ((-1.5 * s, 1.5 * s), (-1.0, 1.0)), make_ambient(kappa, 2), chart,
-                       expected, minimal=True)
+                       expected)
 
 
 def _check_circle_radius(kappa: float, r: float, slack: float = 1.0) -> None:
@@ -111,7 +111,7 @@ def _build_circle_cylinder(p: dict[str, float]) -> SurfaceSpec:
         "principal_min": 0.0,
     }
     return SurfaceSpec("circle_cylinder", dict(p), ((0.0, TWO_PI), (-1.0, 1.0)),
-                       make_ambient(kappa, 2 + pad), chart, expected, minimal=False)
+                       make_ambient(kappa, 2 + pad), chart, expected)
 
 
 def _build_cor32(p: dict[str, float]) -> SurfaceSpec:
@@ -143,8 +143,7 @@ def _build_cor32(p: dict[str, float]) -> SurfaceSpec:
         "detS_tilde": -(st ** 4) / 4.0,
         "normS_tilde2": (st ** 4) / 2.0,
     }
-    return SurfaceSpec("cor32_flat_minimal", dict(p), domain, ambient, chart, expected,
-                       minimal=True)
+    return SurfaceSpec("cor32_flat_minimal", dict(p), domain, ambient, chart, expected)
 
 
 def _build_perturbed_control(p: dict[str, float]) -> SurfaceSpec:
@@ -157,7 +156,7 @@ def _build_perturbed_control(p: dict[str, float]) -> SurfaceSpec:
 
     expected = {"pmc_residual_exceeds": 1e-3, "constraint_residual": 0.0}
     return SurfaceSpec("perturbed_control", dict(p), ((0.0, TWO_PI), (0.0, TWO_PI)),
-                       make_ambient(kappa, 2), chart, expected, minimal=False)
+                       make_ambient(kappa, 2), chart, expected)
 
 
 _ENTRIES: list[CatalogEntry] = [

@@ -5,8 +5,8 @@ of order 4 unless the caller reads fewer derivatives: first fundamental
 form, Christoffel symbols, second fundamental form (as the surface-normal
 part of projected flat second derivatives), mean curvature vector, the
 tangential/normal split of the vertical field, shape operators, and
-intrinsic Gaussian curvature via the Brioschi formula.  An orthonormal
-normal frame is built only on demand: no sum over one needs it.
+intrinsic Gaussian curvature via the Brioschi formula.  No normal frame is
+built: every sum over one is a contraction of alpha.
 
 The intrinsic curvature is computed purely from the metric so that the
 structure equations checked elsewhere (Gauss equation, curvature formula)
@@ -17,12 +17,11 @@ metric, with every check on the chart, at once, and each other group of
 quantities on the first read of one of its names, so a caller pays only for
 what it reads.
 
-Points are always evaluated as a batch: every jet carries one row per point
-and the per-point choices of the normal frame become masks; a single point
-is a batch of one.  A sample grid is evaluated in consecutive blocks of
-bounded size (:class:`SampleGrid`), each one batch that its caller passes to
-every evaluator that reads it.  Value arrays carry the point axis first, and
-an error names the first offending point.
+Points are always evaluated as a batch: every jet carries one row per point,
+and a single point is a batch of one.  A sample grid is evaluated in
+consecutive blocks of bounded size (:class:`SampleGrid`), each one batch that
+its caller passes to every evaluator that reads it.  Value arrays carry the
+point axis first, and an error names the first offending point.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from .spaceforms import (
 
 MINIMAL_TOL = 1e-8
 MINIMAL_WARN_BAND = 1e-6
-FRAME_DROP_TOL = 1e-10
 NORMALITY_TOL = 1e-10
 # Brioschi's K reads the metric to order 2, every other reader to chart order - 2.
 METRIC_ORDER = 2
-# normal_frame_jets differentiates xi once; no row reads the frame.
+# normal_frame_jets differentiates its vectors once; no row reads a frame.
 FRAME_ORDER = 1
 # Chart-jet coefficients of one evaluation block of a grid (see SampleGrid): a
 # 65x65 order-3 K field splits into 2-3 blocks, an order-1 normT field and every
@@ -71,10 +69,6 @@ class MinimalSurfaceError(ValueError):
     """Operation requires |H| above the minimality threshold."""
 
 
-class FrameError(ArithmeticError):
-    """Gram-Schmidt failed to produce a full normal frame."""
-
-
 @dataclass
 class SurfaceSpec:
     """A chart domain plus an immersion formula into a product model."""
@@ -85,7 +79,6 @@ class SurfaceSpec:
     ambient: AmbientModel
     chart: Callable[[Jet2, Jet2], list[Jet2]]
     expected: dict[str, float] = field(default_factory=dict)
-    minimal: bool = False
 
     def geom(self, u, v) -> "GeomPoint":
         """Geometry at the points (u, v): :func:`evaluate_chart` of this spec."""
@@ -106,9 +99,7 @@ class GeomPoint:
       ``H_val``, ``normH2``, ``normH``;
     - vertical split: ``T_up``, ``T_flat``, ``eta``, ``normT2``, ``normT``,
       ``T_val``, ``eta_val``;
-    - Brioschi curvature: ``K``, ``K_val``;
-    - normal frame, read by no row or checker: ``xi``, ``h``, ``A``.  A
-      :class:`FrameError` surfaces on the first read of one of these.
+    - Brioschi curvature: ``K``, ``K_val``.
 
     Jets keep the orders their readers use, for a chart of order m (the
     ``order`` of :func:`evaluate_chart`, 4 by default): ``fu``, ``fv`` m - 1,
@@ -117,10 +108,9 @@ class GeomPoint:
 
     A GeomPoint holds N points, N = 1 for a float point: its jets are
     batched, ``u``, ``v``, ``normH``, ``normT`` and ``K_val`` are arrays of
-    length N, the other value arrays carry a leading axis of length N, and
-    ``xi``, ``h`` and ``A`` are arrays of shape (N, codim, ...).  A flat
-    vector is one jet of component shape (flat_dim,): ``f``, ``fu``, ``fv``,
-    ``H``, ``T_flat``, ``eta``; ``alpha_flat`` stacks alpha(d_u, d_u),
+    length N, and the other value arrays carry a leading axis of length N.  A
+    flat vector is one jet of component shape (flat_dim,): ``f``, ``fu``,
+    ``fv``, ``H``, ``T_flat``, ``eta``; ``alpha_flat`` stacks alpha(d_u, d_u),
     alpha(d_u, d_v) and alpha(d_v, d_v).  A chart tensor is one jet too:
     ``g`` and ``ginv`` of shape (2, 2), ``gamma`` of shape (2, 2, 2) indexed
     [k, i, j], ``T_up`` of shape (2,).  Every coefficient and value array is
@@ -300,18 +290,6 @@ def grad_norm_sq(phi: Jet2, ginv_val: np.ndarray):
     return quad_form(np.ascontiguousarray(phi.gradient), np.asarray(ginv_val, dtype=float))
 
 
-def _sign_flips(unit: np.ndarray) -> np.ndarray:
-    """Where a unit vector's first component above 1e-9 in size is negative.
-
-    The sign convention of every auxiliary normal of :func:`_normal_frames`,
-    whose vectors :func:`normal_frame_jets` extends; components are the last
-    axis.
-    """
-    big = np.abs(unit) > 1e-9
-    lead = np.take_along_axis(unit, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
-    return big.any(axis=-1) & (lead < 0)
-
-
 def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
     """Normal part of flat jet vectors inside the product tangent space.
 
@@ -326,55 +304,15 @@ def _normal_part_jets(model: AmbientModel, f, fu, fv, ginv, w) -> Jet2:
     return w - t[1][..., None] * fv
 
 
-def _normal_frames(gp: GeomPoint) -> np.ndarray:
-    """Orthonormal frames of the normal spaces inside the product tangent space.
+def normal_frame_jets(gp: GeomPoint, xi: np.ndarray) -> Jet2:
+    """Flat vectors ``xi`` (point axis first), held constant in the flat space
+    and projected onto the normal space, as one jet of order :data:`FRAME_ORDER`.
 
-    One frame per point of ``gp``, shape (points, n - 1, flat_dim).  Seeded
-    with H/|H| where the point is non-minimal, then the normal parts of the
-    canonical flat axes in fixed order; near-dependent candidates are
-    dropped.  Auxiliary vectors get a deterministic sign (first component
-    above threshold made positive).  Each point's choices are masks, so every
-    point gets the frame it would get on its own.
-    """
-    model, normH = gp.spec.ambient, gp.normH
-    npts, dim = gp.f_val.shape
-    need = model.n - 1
-    sig = np.asarray(model.signature)
-    rows = np.arange(npts)
-    frame = np.zeros((npts, need, dim))
-    count = np.zeros(npts, dtype=np.intp)
-    seeded = normH > MINIMAL_TOL
-    frame[seeded, 0] = gp.H_val[seeded] / normH[seeded, None]
-    count[seeded] = 1
-    axes = _normal_part(gp, np.eye(dim)[None])  # [n, axis, :]
-    for axis in range(dim):
-        open_ = count < need
-        if not open_.any():
-            break
-        w = axes[:, axis]
-        for j in range(need):
-            inner = np.where(j < count, np.sum(sig * w * frame[:, j], axis=-1), 0.0)
-            w = w - inner[:, None] * frame[:, j]
-        nrm = np.sqrt(np.maximum(np.sum(sig * w * w, axis=-1), 0.0))
-        take = open_ & ~(nrm < FRAME_DROP_TOL)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = w / nrm[:, None]
-        unit = np.where(_sign_flips(unit)[:, None], -unit, unit)
-        frame[rows[take], count[take]] = unit[take]
-        count += take
-    bad = first_where(count != need)
-    if bad is not None:
-        raise FrameError(f"normal frame incomplete: {count[bad]} of {need}")
-    return frame
-
-
-def normal_frame_jets(gp: GeomPoint) -> Jet2:
-    """Jet-valued normal frame, on demand: each vector of ``gp.xi``, held
-    constant in the flat space and projected onto the normal space, as one
-    jet of component shape (n - 1, flat_dim) and order :data:`FRAME_ORDER`.
+    No command calls it; ``perfbench/tracer.py`` spans the name until the
+    benchmark is refreshed.
     """
     return _normal_part_jets(gp.spec.ambient, gp.f, gp.fu, gp.fv, gp.ginv,
-                             Jet2.constant(gp.xi, FRAME_ORDER))
+                             Jet2.constant(xi, FRAME_ORDER))
 
 
 def _values(x: Jet2) -> np.ndarray:
@@ -477,20 +415,11 @@ def _curvature_stage(gp: GeomPoint):
     return K, K.value
 
 
-def _frame_stage(gp: GeomPoint):
-    """Normal frame xi, and per frame vector h_i = <alpha, xi_i> and A_i = g^{-1} h_i."""
-    xi = _normal_frames(gp)
-    sig = np.asarray(gp.spec.ambient.signature)
-    h = np.sum(gp.alpha_val[:, None] * sig * xi[:, :, None, None, :], axis=-1)
-    return xi, h, np.matmul(gp.ginv_val[:, None], h)
-
-
 _STAGES = (
     (_christoffel_stage, ("gamma", "gamma_val")),
     (_second_form_stage, ("alpha_flat", "alpha_val", "H", "H_val", "normH2", "normH")),
     (_vertical_stage, ("T_up", "T_flat", "eta", "normT2", "normT", "T_val", "eta_val")),
     (_curvature_stage, ("K", "K_val")),
-    (_frame_stage, ("xi", "h", "A")),
 )
 _STAGE_OF = {name: (stage, names) for stage, names in _STAGES for name in names}
 # Every geometry name of a GeomPoint: the coordinates, the eager stage, then the lazy stages.

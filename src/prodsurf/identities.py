@@ -49,37 +49,40 @@ _FLOOR = f"|S| below the floor {codazzi.S_NORM_FLOOR}"
 _SINGULAR = f"operator singular (|det S| <= {codazzi.SINGULAR_TOL})"
 
 # The suite's rows in report order: (id, default tolerance, the surfaces it
-# applies to ("minimal", "non-minimal" or "both"), the reason for the points
-# its evaluator masks, evaluator).  An evaluator takes a batch ``gp`` and the
-# operator of the surface's class over it (the angle operator on a minimal
-# surface, else the PMC one), and looks its function up when called.
+# applies to ("minimal", "non-minimal" or "both"), whether its evaluator reads
+# the operator, the reason for the points its evaluator masks, evaluator).  An
+# evaluator takes a batch ``gp`` and the operator of the surface's class over
+# it (the angle operator on a minimal surface, else the PMC one; None for a
+# row that does not read it), and looks its function up when called.
 ROWS = [
-    ("codazzi_pmc", 1e-9, "non-minimal", None, lambda gp, s: codazzi.codazzi_residual(gp, s)),
-    ("codazzi_angle", 1e-9, "minimal", None, lambda gp, s: codazzi.codazzi_residual(gp, s)),
-    ("operator_trace", 1e-10, "both", None, lambda gp, s: codazzi.trace_residual(s)),
-    ("operator_norm_det", 1e-10, "both", None,
+    ("codazzi_pmc", 1e-9, "non-minimal", True, None,
+     lambda gp, s: codazzi.codazzi_residual(gp, s)),
+    ("codazzi_angle", 1e-9, "minimal", True, None, lambda gp, s: codazzi.codazzi_residual(gp, s)),
+    ("operator_trace", 1e-10, "both", True, None, lambda gp, s: codazzi.trace_residual(s)),
+    ("operator_norm_det", 1e-10, "both", True, None,
      lambda gp, s: codazzi.s_norm_det_identity(_values(s), gp.g_val)),
-    ("simons_sq", 1e-7, "both", None,
+    ("simons_sq", 1e-7, "both", True, None,
      lambda gp, s: codazzi.simons_quadratic_residual(gp, s)),
-    ("simons_reduced", 1e-7, "both", _FLOOR,
+    ("simons_reduced", 1e-7, "both", True, _FLOOR,
      lambda gp, s: codazzi.simons_reduced_residual(gp, s)),
-    ("simons_log", 1e-7, "both", _FLOOR, lambda gp, s: codazzi.simons_log_residual(gp, s)),
-    ("metric_change", 1e-8, "both", _SINGULAR, lambda gp, s: codazzi.metric_change(gp, s)[2]),
-    ("inverse_operator_codazzi", 1e-9, "both", _SINGULAR,
+    ("simons_log", 1e-7, "both", True, _FLOOR, lambda gp, s: codazzi.simons_log_residual(gp, s)),
+    ("metric_change", 1e-8, "both", True, _SINGULAR,
+     lambda gp, s: codazzi.metric_change(gp, s)[2]),
+    ("inverse_operator_codazzi", 1e-9, "both", True, _SINGULAR,
      lambda gp, s: codazzi.inverse_codazzi_residual(gp, s)),
-    ("ambient_codazzi", 1e-8, "both", None, lambda gp, s: ambient_codazzi_residual(gp)),
-    ("gauss_equation", 1e-8, "both", None, lambda gp, s: gauss_equation_residual(gp)),
-    ("t_laplacian", 1e-9, "both", None, lambda gp, s: t_laplacian_residual(gp)),
-    ("t_field_grad", 1e-9, "both", None, lambda gp, s: t_field_grad_residual(gp)),
-    ("t_field_alpha", 1e-9, "both", None, lambda gp, s: t_field_alpha_residual(gp)),
-    ("curvature_formula", 1e-9, "non-minimal", None,
+    ("ambient_codazzi", 1e-8, "both", False, None, lambda gp, s: ambient_codazzi_residual(gp)),
+    ("gauss_equation", 1e-8, "both", False, None, lambda gp, s: gauss_equation_residual(gp)),
+    ("t_laplacian", 1e-9, "both", False, None, lambda gp, s: t_laplacian_residual(gp)),
+    ("t_field_grad", 1e-9, "both", False, None, lambda gp, s: t_field_grad_residual(gp)),
+    ("t_field_alpha", 1e-9, "both", False, None, lambda gp, s: t_field_alpha_residual(gp)),
+    ("curvature_formula", 1e-9, "non-minimal", True, None,
      lambda gp, s: curvature_formula_residual(gp, s)),
-    ("mu_consistency", 1e-9, "non-minimal", None,
+    ("mu_consistency", 1e-9, "non-minimal", False, None,
      lambda gp, s: mu_integrand(gp) + 2.0 * aux_det_sum(gp)),
-    ("pmc", 1e-9, "both", None, lambda gp, s: pmc_values(gp)),
+    ("pmc", 1e-9, "both", False, None, lambda gp, s: pmc_values(gp)),
 ]
 DEFAULT_TOLERANCES: dict[str, float] = {row_id: tol for row_id, tol, *_ in ROWS}
-_SKIP_REASONS = {row_id: why for row_id, _, _, why, _ in ROWS if why}
+_SKIP_REASONS = {row_id: why for row_id, _, _, _, why, _ in ROWS if why}
 
 
 @dataclass
@@ -376,19 +379,20 @@ def _grid_rows(spec: SurfaceSpec, grid: tuple[int, int], margin: float, rows_of)
     The class is decided on |H| over the whole grid.  ``rows_of(minimal)``
     gives the entries of :data:`ROWS` to run; each comes back as
     ``(identity_id, fn)`` with ``fn()`` the row over the whole grid, and the
-    operator of the class is built once per batch for all of them.  On a
-    grid of one block ``fn`` runs the evaluator itself over that batch.  On
-    a larger grid every row is evaluated block by block as the block is
-    evaluated, and only its masked residuals are kept; ``fn()`` joins them
-    in point order.
+    operator of the class is built once per batch for all of them, when one
+    of them reads it.  On a grid of one block ``fn`` runs the evaluator
+    itself over that batch.  On a larger grid every row is evaluated block
+    by block as the block is evaluated, and only its masked residuals are
+    kept; ``fn()`` joins them in point order.
     """
     points = SampleGrid(spec, grid[0], grid[1], margin)
     minimal, class_warnings = classify_minimality(points)
     rows = rows_of(minimal)
+    reads_s = any(row[3] for row in rows)
 
     def batch_rows(gp):
-        s = codazzi.operator_jets(gp, "angle" if minimal else "pmc")
-        return [functools.partial(row[4], gp, s) for row in rows]
+        s = codazzi.operator_jets(gp, "angle" if minimal else "pmc") if reads_s else None
+        return [functools.partial(row[5], gp, s) for row in rows]
 
     if points.single is not None:
         fns = batch_rows(points.single)

@@ -397,9 +397,6 @@ class Jet2:
     def d_v(self) -> "Jet2":
         return self._derivative("d_v", _DV_SRC, _DV_FACT)
 
-    def d(self, direction: int) -> "Jet2":
-        return self.d_u() if direction == 0 else self.d_v()
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

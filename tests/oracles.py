@@ -1,8 +1,10 @@
-"""Independent finite-difference oracles used by the tests.
+"""Independent finite-difference oracles and value references used by the tests.
 
-Everything here differentiates plain float values by central differences, so
+The oracles differentiate plain float values by central differences, so
 agreement with the jet pipeline is a genuine cross-check: the only shared
-ingredient is the chart evaluation itself.
+ingredient is the chart evaluation itself.  The normal projection and the
+reference normal frame work on values alone, one point at a time where that
+is simplest.
 """
 
 from __future__ import annotations
@@ -115,11 +117,43 @@ def normal_part_values(gp, w) -> np.ndarray:
     return w - (c0 * fu_val + c1 * fv_val)
 
 
+def normal_frame(gp) -> np.ndarray:
+    """An orthonormal frame of the normal space inside the product tangent
+    space at each point of ``gp``, shape (N, n - 1, flat_dim).
+
+    H/|H| comes first where |H| > 1e-8; Gram-Schmidt over the normal parts of
+    the flat axes fills the rest, dropping vectors below 1e-10.  The sums
+    checked against it do not depend on the frame, so no sign is chosen.
+    """
+    model = gp.spec.ambient
+    sig = np.asarray(model.signature)
+    axes = normal_part_values(gp, np.eye(model.flat_dim)[None])
+    frames = []
+    for k in range(len(gp.u)):
+        frame = [gp.H_val[k] / gp.normH[k]] if gp.normH[k] > 1e-8 else []
+        for w in axes[k]:
+            for e in frame:
+                w = w - np.dot(sig * w, e) * e
+            norm = np.sqrt(max(np.dot(sig * w, w), 0.0))
+            if norm >= 1e-10 and len(frame) < model.n - 1:
+                frame.append(w / norm)
+        assert len(frame) == model.n - 1, (k, len(frame))
+        frames.append(frame)
+    return np.array(frames)
+
+
+def frame_operators(gp, frame: np.ndarray) -> np.ndarray:
+    """``shape_operator`` of each vector of ``frame``, shape (N, n - 1, 2, 2)."""
+    from prodsurf.geometry import shape_operator
+
+    return np.stack([shape_operator(gp, frame[:, i]) for i in range(frame.shape[1])], axis=1)
+
+
 def fd_ambient_codazzi_residual(spec, u, v, xi_val: np.ndarray, h: float) -> float:
     """Fundamental-equation residual with A_xi and its normal field differenced.
 
     The normal field is ``xi_val``, a flat vector normal to the surface at
-    the centre (a frame vector ``gp.xi[0, i]``, or ``gp.eta_val[0]``),
+    the centre (a vector of :func:`normal_frame`, or ``gp.eta_val[0]``),
     projected onto the normal space at each probe point.  Both the A_xi matrix
     and that field are differenced by central differences; Christoffels and
     the normal part of the field's derivative are taken at the centre.  No

@@ -20,7 +20,7 @@ from prodsurf.jets import Jet2, matrix
 from prodsurf.spaceforms import constraint_residual
 
 from conftest import laplace_beltrami
-from oracles import fd1, fd2, fd_laplace_beltrami
+from oracles import fd1, fd2, fd_laplace_beltrami, frame_operators, normal_frame
 
 GRID = (33, 33)
 
@@ -278,8 +278,9 @@ def test_criterion_09_frame_invariance():
             rng = np.random.default_rng(42)
             for (u, v) in grid_points(spec, 3, 3):
                 gp = spec.geom(u, v)
-                xi, normH = gp.xi[0], gp.normH[0]
-                base_det = sum(np.linalg.det(a) for a in gp.A[0, 1:])
+                frame, normH = normal_frame(gp), gp.normH[0]
+                base_det = sum(np.linalg.det(a) for a in frame_operators(gp, frame)[0, 1:])
+                xi = frame[0]
                 base_mu = identities.mu_integrand(gp)[0]
                 for _ in range(10):
                     angle = rng.uniform(0.0, 2.0 * math.pi)

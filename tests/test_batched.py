@@ -2,8 +2,8 @@
 
 A point is evaluated as a batch of one, ``evaluate_chart(spec, u, v)``, so it
 cannot see the other points of a grid: agreement at every grid point, bit for
-bit, pins the per-point masks (frame seeding, dropped axes, skipped points) of
-the batched path.
+bit, pins the per-point masks (the minimality class, skipped points) of the
+batched path.
 """
 
 import math
@@ -19,7 +19,6 @@ from prodsurf.geometry import (
     evaluate_chart,
     grid_geometry,
     normal_connection_derivative,
-    normal_frame_jets,
 )
 from prodsurf.jets import Jet2
 from prodsurf.spaceforms import make_ambient
@@ -39,7 +38,7 @@ def _evaluators(minimal):
     matrix; the second dict's rows mask the points where their identity is
     undefined."""
     class_rows = identities._class_rows(minimal)
-    rows = {row_id: fn for row_id, _, _, reason, fn in class_rows if reason is None}
+    rows = {row_id: fn for row_id, _, _, _, reason, fn in class_rows if reason is None}
     rows.update({
         "grad_tensor": codazzi.grad_tensor_norm_sq,
         "operator": lambda gp, s: s.value,
@@ -47,7 +46,7 @@ def _evaluators(minimal):
     })
     if not minimal:
         rows["mu_integrand"] = lambda gp, s: identities.mu_integrand(gp)
-    masking = {row_id: fn for row_id, _, _, reason, fn in class_rows if reason}
+    masking = {row_id: fn for row_id, _, _, _, reason, fn in class_rows if reason}
     return rows, masking
 
 
@@ -80,19 +79,18 @@ def test_batch_equals_one_point_calls(sid, params):
                 _same(masked[name].data[k], got.data, (name, k))
 
 
-def test_mixed_frame_choices_match_one_point_calls():
-    # a tilted graph with |H| about 3e-6 |u| / 1.1: the frame is unseeded on
-    # the column u = 0 and seeded with H/|H| elsewhere, with |H| inside the
-    # conditioning band on the columns next to it and above the band beyond
+def test_mixed_minimality_rows_match_one_point_calls():
+    # a tilted graph with |H| about 3e-6 |u| / 1.1: minimal on the column u = 0,
+    # with |H| inside the conditioning band on the columns next to it and above
+    # the band beyond
     def chart(u, v):
         return [u, v, 1e-6 * u * u * u + 0.3 * u + 0.2 * v]
 
     spec = SurfaceSpec("graph", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2), chart)
     gp = grid_geometry(spec, 9, 9)
-    seeded = gp.normH > MINIMAL_TOL
+    above = gp.normH > MINIMAL_TOL
     banded = gp.normH <= MINIMAL_WARN_BAND
-    assert (seeded & ~banded).any() and (seeded & banded).any() and (~seeded).any()
-    frame = normal_frame_jets(gp)
+    assert (above & ~banded).any() and (above & banded).any() and (~above).any()
     rows = {
         "ambient_codazzi": identities.ambient_codazzi_residual,
         "gauss": identities.gauss_equation_residual,
@@ -103,11 +101,6 @@ def test_mixed_frame_choices_match_one_point_calls():
     batch = {name: fn(gp) for name, fn in rows.items()}
     for k in range(len(gp.u)):
         one = evaluate_chart(spec, gp.u[k], gp.v[k])
-        _same(gp.xi[k], one.xi, ("xi", k))
-        for xi_batch, xi_one in zip(frame, normal_frame_jets(one)):
-            for a, b in zip(xi_batch, xi_one):
-                order = min(a.order, b.order)
-                _same(a.truncate(order).c[k], b.truncate(order).c, ("frame", k))
         for name, fn in rows.items():
             _same(batch[name][k], fn(one), (name, k))
 

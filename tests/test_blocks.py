@@ -140,6 +140,27 @@ def test_whole_grid_is_classified_before_its_blocks(monkeypatch):
         monkeypatch.undo()
 
 
+def test_rows_without_the_operator_run_where_it_is_undefined(monkeypatch):
+    # the tail graph is non-minimal with |H| < 1e-8 on most of it, so its PMC
+    # operator is undefined there: rows that do not read it still run everywhere
+    spec = _tail_graph()
+    rows = ("ambient_codazzi", "gauss_equation", "t_laplacian", "t_field_grad",
+            "t_field_alpha", "pmc")
+    whole = [_outcome(identities.residual_field, spec, row, (9, 9), 0.02) for row in rows]
+    for row, (values, evaluated) in zip(rows, whole):
+        assert len(values) == 81 and all(evaluated), row
+    raising = [(identities.residual_field, spec, "codazzi_pmc", (9, 9), 0.02),
+               (identities.run_suite, spec, (9, 9))]
+    for check in raising:
+        assert _outcome(*check)[0] == "MinimalSurfaceError", check
+    monkeypatch.setattr(geometry, "BLOCK_COEFFS", 9 * 3 * jets._NCOEF[jets.MAX_ORDER])
+    assert len(SampleGrid(spec, 9, 9).blocks) == 9
+    assert [_outcome(identities.residual_field, spec, row, (9, 9), 0.02)
+            for row in rows] == whole
+    for check in raising:
+        assert _outcome(*check)[0] == "MinimalSurfaceError", check
+
+
 def test_partial_skips_cross_block_edges(monkeypatch):
     # at 9x9 the centre, point 40, is the one point where T = 0 and so S = 0
     spec = _enneper()

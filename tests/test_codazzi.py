@@ -210,7 +210,7 @@ def _flat_chart():
         return [uj, vj, Jet2.constant(0.0, uj.order)]
 
     return SurfaceSpec("flat_chart", {}, ((-1.0, 1.0), (-1.0, 1.0)), make_ambient(0.0, 2),
-                       chart, minimal=True)
+                       chart)
 
 
 def _varying_norm_codazzi_field():

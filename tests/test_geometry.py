@@ -26,7 +26,7 @@ from prodsurf.jets import Jet2
 from prodsurf.spaceforms import make_ambient
 
 from conftest import generic_chart, get_surface, laplace_beltrami
-from oracles import fd_laplace_beltrami, normal_part_values
+from oracles import fd_laplace_beltrami, frame_operators, normal_frame, normal_part_values
 
 
 def _metric_jets(e_fn, f_fn, g_fn, u0, v0, order=4):
@@ -68,7 +68,7 @@ class TestEvaluateChart:
         assert gp.normH == pytest.approx(0.5, abs=1e-12)
         assert gp.K_val == pytest.approx(0.0, abs=1e-11)
         assert gp.normT == pytest.approx(1.0, abs=1e-12)
-        lo, hi = np.sort(np.linalg.eigvals(gp.A[0, 0]))
+        lo, hi = np.sort(np.linalg.eigvals(frame_operators(gp, normal_frame(gp))[0, 0]))
         assert (lo, hi) == pytest.approx((0.0, 1.0), abs=1e-10)
 
     def test_domain_violation(self):
@@ -206,7 +206,7 @@ class TestShapeOperator:
     def test_slice_all_zero(self):
         spec = get_surface("slice", kappa=1.0)
         gp = spec.geom(1.0, 0.5)
-        assert np.abs(shape_operator(gp, gp.xi[0, 0])).max() < 1e-12
+        assert np.abs(shape_operator(gp, normal_frame(gp)[0, 0])).max() < 1e-12
 
     def test_circle_cylinder_eigenvalues(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=math.pi / 4)
@@ -217,8 +217,9 @@ class TestShapeOperator:
     def test_linearity_in_normal(self):
         spec = get_surface("circle_cylinder", kappa=-1.0, r=0.3)
         gp = spec.geom(1.0, 0.0)
-        a1 = shape_operator(gp, gp.xi[0, 0])
-        a2 = shape_operator(gp, 2.0 * gp.xi[0, 0])
+        xi = normal_frame(gp)[0, 0]
+        a1 = shape_operator(gp, xi)
+        a2 = shape_operator(gp, 2.0 * xi)
         assert np.allclose(a2, 2.0 * a1, atol=1e-12)
 
     def test_non_normal_rejected(self):
@@ -226,7 +227,7 @@ class TestShapeOperator:
         gp = spec.geom(2.0, 0.1)
         tangent = np.array([c.value for c in gp.fu])
         with pytest.raises(NotNormalError):
-            shape_operator(gp, gp.xi[0, 0] + 0.5 * tangent)
+            shape_operator(gp, normal_frame(gp)[0, 0] + 0.5 * tangent)
 
 
 class TestNormalConnection:
@@ -393,17 +394,18 @@ class TestPointInvariants:
         for (u, v) in _sample_points(spec):
             gp = spec.geom(u, v)
             g_val, eta_val, normH = gp.g_val[0], gp.eta_val[0], gp.normH[0]
+            ops = frame_operators(gp, normal_frame(gp))[0]
             assert np.linalg.det(g_val) > 1e-12
             # unit vertical field splits orthogonally
             eta2 = float(np.dot(sig * eta_val, eta_val))
             assert gp.normT2.value[0] + eta2 == pytest.approx(1.0, abs=1e-10)
             # frame traces: 2|H| along the mean-curvature direction, 0 beyond
             if normH > 1e-8:
-                assert np.trace(gp.A[0, 0]) == pytest.approx(2.0 * normH, abs=1e-10)
-                for a in gp.A[0, 1:]:
+                assert np.trace(ops[0]) == pytest.approx(2.0 * normH, abs=1e-10)
+                for a in ops[1:]:
                     assert abs(np.trace(a)) < 1e-10
             # g-self-adjointness of every shape operator
-            for a in gp.A[0]:
+            for a in ops:
                 gs = g_val @ a
                 assert abs(gs[0, 1] - gs[1, 0]) < 1e-10
             # trace A_eta = 2 <H, eta>
@@ -411,21 +413,31 @@ class TestPointInvariants:
             h_eta = float(np.dot(sig * gp.H_val[0], eta_val))
             assert np.trace(a_eta) == pytest.approx(2.0 * h_eta, abs=1e-10)
 
-    def test_frame_count_matches_codimension(self):
-        spec = get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2)
-        xi = spec.geom(1.0, 0.3).xi[0]
-        assert len(xi) == spec.ambient.n - 1 == 3
+    @pytest.mark.parametrize("spec", [
+        get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2),
+        get_surface("circle_cylinder", kappa=-1.0, r=0.5, pad=2),
+        *(generic_chart(kappa) for kappa in (1.0, -1.0, 0.0)),
+    ], ids=["pad2_kappa1", "pad2_kappa-1", "generic_S4", "generic_H4", "generic_R4"])
+    def test_frame_count_matches_codimension(self, spec):
+        # the reference frame of the tests: n - 1 orthonormal normals, H/|H| first
+        gp = grid_geometry(spec, 5, 5)
+        xi, codim = normal_frame(gp), spec.ambient.n - 1
+        assert xi.shape == (25, codim, spec.ambient.flat_dim) and codim == 3
         sig = np.asarray(spec.ambient.signature)
-        for i, x in enumerate(xi):
-            for j, y in enumerate(xi):
-                expected = 1.0 if i == j else 0.0
-                assert float(np.dot(sig * x, y)) == pytest.approx(expected, abs=1e-12)
+        gram = np.einsum("nik,njk->nij", sig * xi, xi)
+        assert np.abs(gram - np.eye(codim)).max() < 1e-12
+        for i in range(codim):
+            geometry._check_normal(gp, xi[:, i])
+        seeded = gp.normH > 1e-8
+        assert seeded.any()
+        assert np.array_equal(xi[seeded, 0], gp.H_val[seeded] / gp.normH[seeded, None])
 
 
 class TestFrameInvariance:
     def test_aux_det_sum_under_rotations(self):
         spec = get_surface("circle_cylinder", kappa=1.0, r=0.6, pad=2)
         gp = spec.geom(1.2, 0.4)
+        xi = normal_frame(gp)[0]
         base = aux_det_sum(gp)
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -435,8 +447,8 @@ class TestFrameInvariance:
             if rng.random() < 0.5:
                 q = q @ np.diag([1.0, -1.0])
             mixed = [
-                q[0, 0] * gp.xi[0, 1] + q[0, 1] * gp.xi[0, 2],
-                q[1, 0] * gp.xi[0, 1] + q[1, 1] * gp.xi[0, 2],
+                q[0, 0] * xi[1] + q[0, 1] * xi[2],
+                q[1, 0] * xi[1] + q[1, 1] * xi[2],
             ]
             rotated = sum(np.linalg.det(shape_operator(gp, x)) for x in mixed)
             assert rotated == pytest.approx(base, abs=1e-10)
@@ -537,8 +549,6 @@ class TestBatchedGeometry:
         for k, (u, v) in enumerate(grid_points(spec, 9, 9)):
             grid_gp = SimpleNamespace(**_point(batch, k))
             one = evaluate_chart(spec, u, v)
-            # same frame choices: H seeding, dropped axes and signs
-            assert grid_gp.xi.shape[1] == one.xi.shape[1] == spec.ambient.n - 1
             for name in names:
                 got, want = _arrays(getattr(grid_gp, name)), _arrays(getattr(one, name))
                 assert len(got) == len(want), name
@@ -586,13 +596,13 @@ class TestBatchedGeometry:
         def no_frame(*args):
             raise AssertionError("a normal frame was built")
 
-        monkeypatch.setattr(geometry, "_normal_frames", no_frame)
+        monkeypatch.setattr(geometry, "normal_frame_jets", no_frame)
         assert [_run_cli(argv) for argv in argvs] == free
         assert {code for code, _, _ in free} <= {0, 1, 2}
 
     @pytest.mark.parametrize("quantity,unread", [
-        ("K", ("_normal_part_jets", "_normal_frames", "christoffels")),
-        ("normT", ("_normal_part_jets", "_normal_frames", "gauss_curvature_brioschi")),
+        ("K", ("_normal_part_jets", "christoffels")),
+        ("normT", ("_normal_part_jets", "gauss_curvature_brioschi")),
     ])
     def test_field_runs_only_the_stage_it_reads(self, quantity, unread, monkeypatch):
         counts = _count_calls(monkeypatch, *unread)
@@ -676,8 +686,6 @@ class TestBatchedGeometry:
             gp.alpha_flat[1][2].c[3] = 1.0
         with pytest.raises(ValueError):
             gp.g_val[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            gp.xi[1][0] = 0.0
         with pytest.raises(ValueError):  # a staged name read first here
             gp.eta[0].c[0, 0] = 1.0
         with pytest.raises(ValueError):

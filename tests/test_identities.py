@@ -33,7 +33,7 @@ from prodsurf.identities import (
 )
 
 from conftest import generic_chart, get_surface
-from oracles import fd1, fd_ambient_codazzi_residual
+from oracles import fd1, fd_ambient_codazzi_residual, frame_operators, normal_frame
 
 
 def _cmc_graph():
@@ -93,7 +93,7 @@ class TestAmbientCodazzi:
         spec = get_surface(sid, **params)
         gp = _at(spec)
         u, v = float(gp.u[0]), float(gp.v[0])
-        for xi in [*gp.xi[0], gp.eta_val[0]]:
+        for xi in [*normal_frame(gp)[0], gp.eta_val[0]]:
             paired = gp.chart_norm(_paired(gp, xi[None]))[0]
             assert paired < 1e-13
             err_h, err_h2 = (abs(fd_ambient_codazzi_residual(spec, u, v, xi, h) - paired)
@@ -126,7 +126,7 @@ class TestAmbientCodazzi:
         # covariant derivative must agree at O(h^2)
         spec = get_surface("cor32_flat_minimal", kappa=1.0, theta=math.pi / 4)
         u, v = _probe(spec)
-        for xi in spec.geom(u, v).xi[0]:
+        for xi in normal_frame(spec.geom(u, v))[0]:
             err_h = fd_ambient_codazzi_residual(spec, u, v, xi, 1e-3)
             err_h2 = fd_ambient_codazzi_residual(spec, u, v, xi, 5e-4)
             assert err_h < 1e-5
@@ -178,7 +178,7 @@ class TestFrameFreeSums:
                              ids=[f"{s.catalog_id}{s.params}" for s in SUM_CHARTS])
     def test_contractions_equal_the_frame_sums(self, spec):
         gp = grid_geometry(spec, 9, 9)
-        a = gp.A  # one matrix per frame vector, H/|H| first
+        a = frame_operators(gp, normal_frame(gp))  # one matrix per frame vector, H/|H| first
         at = np.matmul(a, gp.T_val[:, None, :, None])[..., 0]
         frame = {  # mu: |alpha|^2 less the H/|H| term, the sum over a[:, 1:]
             "aux_det_sum": (aux_det_sum(gp), np.linalg.det(a[:, 1:]).sum(axis=1)),
@@ -273,7 +273,7 @@ class TestTLaplacian:
         assert all(r.passed for r in reports.values())
         gp = spec.geom(0.9, 1.0)
         assert gp.normH == pytest.approx(0.5, abs=1e-12)
-        w = gp.A[0, 0] @ gp.T_val[0]
+        w = frame_operators(gp, normal_frame(gp))[0, 0] @ gp.T_val[0]
         assert float(w @ gp.g_val[0] @ w) > 1e-2
 
     @pytest.mark.parametrize("params", [

@@ -5,8 +5,8 @@ geometry keeps.
 At its table order every command prints the bytes it prints at order 4, and
 one order lower it fails with the jet order guard's message instead of
 reading derivatives the jets do not hold.  Inside a chart, the metric, the
-on-demand normal frame and the operator of the ``S^{-1}`` Codazzi row keep only the
-orders their readers use, and ``verify`` prints the bytes it prints with
+projected vectors of ``normal_frame_jets`` and the operator of the ``S^{-1}``
+Codazzi row keep only the orders their readers use, and ``verify`` prints the bytes it prints with
 those jets at full order.
 """
 
@@ -20,6 +20,8 @@ import pytest
 
 from prodsurf import catalog, cli, geometry, identities, jets, theorems
 from prodsurf.jets import Jet2
+
+from oracles import normal_frame
 
 # One surface per catalog id, and whether it is minimal.
 SURFACES = [
@@ -144,9 +146,6 @@ GEOMETRY_ORDERS = {
     "eta_val": (None, None, None, None),
     "K": (RAISES, RAISES, 0, 0),
     "K_val": (RAISES, RAISES, None, None),
-    "xi": (RAISES, None, None, None),
-    "h": (RAISES, None, None, None),
-    "A": (RAISES, None, None, None),
     "normal_frame_jets": (RAISES, 1, 1, 1),
 }
 WARPED_PAD2 = ("circle_cylinder", {"kappa": -1.0, "r": 0.4, "warp": -0.2, "pad": 2}, False)
@@ -167,7 +166,8 @@ def test_geometry_names_keep_their_table_orders():
         gp = geometry.grid_geometry(spec, 3, 3, order=m)
         for name, orders in GEOMETRY_ORDERS.items():
             try:
-                value = (geometry.normal_frame_jets(gp) if name == "normal_frame_jets"
+                value = (geometry.normal_frame_jets(gp, normal_frame(gp))
+                         if name == "normal_frame_jets"
                          else getattr(gp, name))
             except ValueError:
                 got = RAISES
