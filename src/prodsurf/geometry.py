@@ -92,8 +92,11 @@ class GeomPoint:
     :func:`evaluate_chart` computes the chart jets and the metric, the fields
     below, at once.  Every other name of :data:`GEOMETRY_NAMES` belongs to one
     lazy stage, which runs the first time any of its names is read and at most
-    once per GeomPoint:
+    once per GeomPoint; :data:`GEOMETRY_NAMES` lists them after the eager
+    names, ``ginv`` first:
 
+    - inverse metric: ``ginv``, ``ginv_val`` (``field K`` builds none, as
+      Brioschi's K reads only ``g``);
     - Christoffels: ``gamma``, ``gamma_val``;
     - second fundamental form: ``alpha_flat``, ``alpha_val``, ``H``,
       ``H_val``, ``normH2``, ``normH``;
@@ -124,9 +127,7 @@ class GeomPoint:
     fu: Jet2
     fv: Jet2
     g: Jet2
-    ginv: Jet2
     g_val: np.ndarray
-    ginv_val: np.ndarray
 
     def __getattr__(self, name):
         # Reached only for a name not set yet: run the stage that computes it.
@@ -366,10 +367,8 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
     if bad is not None:
         raise DegenerateMetricError(
             f"det g = {float(detg.value[bad])!r} at ({ua[bad]}, {va[bad]})")
-    ginv = inverse_jet(g, detg)
 
-    gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, ginv=ginv,
-                   g_val=_values(g), ginv_val=_values(ginv))
+    gp = GeomPoint(spec=spec, u=ua, v=va, f=f, fu=fu, fv=fv, g=g, g_val=_values(g))
     for f_ in fields(gp):
         if f_.name != "spec":
             _freeze(getattr(gp, f_.name))
@@ -377,6 +376,11 @@ def evaluate_chart(spec: SurfaceSpec, u: float | np.ndarray, v: float | np.ndarr
 
 
 # Each lazy stage of a GeomPoint returns the values of its names, in order.
+
+def _inverse_stage(gp: GeomPoint):
+    ginv = inverse_jet(gp.g, det_jet(gp.g))
+    return ginv, _values(ginv)
+
 
 def _christoffel_stage(gp: GeomPoint):
     gamma = christoffels(gp.g, gp.ginv)
@@ -416,6 +420,7 @@ def _curvature_stage(gp: GeomPoint):
 
 
 _STAGES = (
+    (_inverse_stage, ("ginv", "ginv_val")),
     (_christoffel_stage, ("gamma", "gamma_val")),
     (_second_form_stage, ("alpha_flat", "alpha_val", "H", "H_val", "normH2", "normH")),
     (_vertical_stage, ("T_up", "T_flat", "eta", "normT2", "normT", "T_val", "eta_val")),

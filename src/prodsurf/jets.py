@@ -25,10 +25,14 @@ built from a float keeps a plain ``(w,)`` array, one point against a batch.
 
 A product has one summation order: each coefficient sums its terms left to
 right from 0.0, in multiplication-table order; :func:`component_sum` sums
-components the same way.  A product runs the slot kernel (:func:`_slot_table`)
-over chunks of points, gathering consecutive slots together while a gathered
-operand stays within ``_GATHER_BYTES``: at order 4, 289 scalar points take two
-gathers per operand instead of nine.  A product, ``sin``, ``cos`` or ``exp`` of
+components the same way.  A product of order 1 or more runs the slot kernel
+(:func:`_slot_table`) over chunks of points, gathering consecutive slots
+together while a gathered operand stays within ``_GATHER_BYTES``: at order 4,
+289 scalar points take two gathers per operand instead of nine.  An order-0
+product is one multiply plus 0.0, the kernel's sum of its one term.  A
+composition (:func:`_compose`) is Horner's rule in products, except along a
+coordinate line, where it writes its series with no product and the same
+bits.  A product, ``sin``, ``cos`` or ``exp`` of
 a point therefore gives the bits of that point's row in any batch.  ``log``,
 ``sqrt``, ``powf`` and reciprocals do too for a batch of one, but not always
 for a float-built jet: they raise the constant term to a power, and NumPy's
@@ -174,6 +178,10 @@ def _batch_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     (``+= 0.0`` turns a first term of -0.0 into 0.0), in chunks of points
     whose widest gather stays within ``_GATHER_BYTES``.
     """
+    if m == 0:  # one term: the kernel's acc = a0 * b0; acc += 0.0
+        out = np.multiply(a[..., :1], b[..., :1], order="F")
+        out += 0.0
+        return out
     order, pick, groupings = _SLOT_TABLES[m]
     shape = a.shape[:-1]
     if shape != b.shape[:-1]:
@@ -483,7 +491,29 @@ def _reciprocal(b: Jet2) -> Jet2:
 
 
 def _compose(a: Jet2, coeffs: list) -> Jet2:
-    """Horner evaluation of sum_k coeffs[k] * (a - a0)^k."""
+    """Horner evaluation of sum_k coeffs[k] * (a - a0)^k.
+
+    Where a - a0 is p du (or p dv) at every point, each Horner product has one
+    nonzero term per coefficient; every other term multiplies a zero and gives
+    +-0.0, which a product's running sum, never -0.0, absorbs.  So the series
+    is written directly with Horner's bits: coefficient k of that variable is
+    c_k times p, k times over, each product plus 0.0, with c_k = 0.0 +
+    coeffs[k] (coeffs[m] as given), and every other coefficient is +0.0.  A
+    line result holding inf or NaN takes Horner, whose products 0 * inf give
+    NaN where the line series has none.
+    """
+    t, m = a.c.T, a.order
+    if m and not t[3:].any() and not (t[1].any() and t[2].any()):
+        u = bool(t[1].any())
+        p = t[1 if u else 2].T
+        line = [coeffs[m]]  # the coefficients of that variable, power 0 first
+        for k in range(m - 1, -1, -1):
+            line = [0.0 + coeffs[k]] + [x * p + 0.0 for x in line]
+        c = np.zeros(t.shape).T
+        for k, x in enumerate(line):
+            c[..., _IDX[(k, 0) if u else (0, k)]] = x
+        if np.isfinite(c).all():
+            return Jet2(c, m)
     w = Jet2(a.c.copy("K"), a.order)
     w.c.T[0] = 0.0
     out = Jet2.constant(coeffs[-1], a.order)

@@ -601,7 +601,7 @@ class TestBatchedGeometry:
         assert {code for code, _, _ in free} <= {0, 1, 2}
 
     @pytest.mark.parametrize("quantity,unread", [
-        ("K", ("_normal_part_jets", "christoffels")),
+        ("K", ("_normal_part_jets", "christoffels", "inverse_jet")),
         ("normT", ("_normal_part_jets", "gauss_curvature_brioschi")),
     ])
     def test_field_runs_only_the_stage_it_reads(self, quantity, unread, monkeypatch):
@@ -692,6 +692,16 @@ class TestBatchedGeometry:
             gp.T_val[0, 0] = 1.0
         # arithmetic on the views is unaffected
         assert (gp.K * 2.0).value == pytest.approx(2.0 * gp.K_val)
+
+    def test_inverse_metric_is_a_lazy_read_only_stage(self):
+        spec = catalog.instantiate("circle_cylinder", {"kappa": -1.0, "r": 0.4, "warp": -0.2})
+        gp = grid_geometry(spec, 5, 5)
+        assert not {"ginv", "ginv_val"} & vars(gp).keys()  # the eager stage builds none
+        want = geometry.inverse_jet(gp.g, geometry.det_jet(gp.g))
+        assert np.array_equal(gp.ginv.c, want.c) and np.array_equal(gp.ginv_val, want.value)
+        for name in ("ginv", "ginv_val", "gamma", "K"):  # frozen like every stage name
+            x = getattr(gp, name)
+            assert not (x.c if isinstance(x, Jet2) else x).flags.writeable, name
 
 
 @pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))

@@ -403,6 +403,22 @@ class TestBatchProductKernel:
         assert not np.isnan(got).any()
         assert np.isfinite(np.delete(got, 5, axis=0)).all()
 
+    @pytest.mark.parametrize("shapes", [
+        ((17, 2, 6), (17, 1, 6)), ((17, 1, 6), (17, 2, 6)),  # broadcast components
+        ((6,), (17, 6)), ((17, 3, 6), (6,)), ((6,), (6,)),  # float-built operands
+    ])
+    def test_order_zero_product_is_one_multiply_plus_zero(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]) + 10 * len(shapes[1]))
+        a, b = (_special_coefficients(rng, shape) for shape in shapes)
+        a[..., 0].flat[:4] = [-0.0, np.inf, np.nan, 0.0]  # the constant terms the product reads
+        b[..., 0].flat[:4] = [2.0, -0.0, 1.0, -3.0]
+        a, b = (x if x.ndim == 1 else _coefficient_major(x) for x in (a, b))
+        want = _reference_products(a, b, 0)
+        for got in (jets._batch_product(*jets._aligned(a, b), 0),
+                    (Jet2(a, 2) * Jet2(b[..., :1].copy(), 0)).c):
+            assert _same_bits(got, want)  # -0.0 * 2.0 sums to +0.0
+            assert got.T.flags.c_contiguous  # coefficient-major
+
 
 def _same_bits(got, want):
     """Equal shapes and bits, signs of zero included; any NaN matches a NaN."""
@@ -508,6 +524,113 @@ class TestFloatPointAgainstItsBatchRow:
         for k in range(self.N):
             one = fn(self._inputs(x[k:k + 1], y[k:k + 1])[1]).c
             assert np.array_equal(one[0], batch[k]), (name, k)
+
+
+def _horner(a, coeffs):
+    """sum_k coeffs[k] (a - a0)^k by Horner's rule in jet products."""
+    w = Jet2(a.c.copy("K"), a.order)
+    w.c.T[0] = 0.0
+    out = Jet2.constant(coeffs[-1], a.order)
+    for k in range(len(coeffs) - 2, -1, -1):
+        out = out * w
+        out.c[..., 0] += coeffs[k]
+    return out
+
+
+LINE_FUNCTIONS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
+                  "sqrt": jets.sqrt, "powf": lambda a: jets.powf(a, 1.5),
+                  "reciprocal": lambda a: 1.0 / a}
+
+
+def _line(c0, p, which, order):
+    """The jet c0 + p u (or c0 + p v): constant terms and slopes per point, or floats."""
+    c0, p = np.asarray(c0, dtype=float), np.asarray(p, dtype=float)
+    c = np.zeros(np.broadcast_shapes(c0.shape, p.shape) + (jets._NCOEF[order],))
+    c[..., 0] = c0
+    c[..., 1 if which == "u" else 2] = p
+    return Jet2(_coefficient_major(c) if c.ndim > 1 else c, order)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    product = jets._batch_product
+
+    def counting(a, b, m):
+        calls.append(m)
+        return product(a, b, m)
+
+    monkeypatch.setattr(jets, "_batch_product", counting)
+    return calls
+
+
+class TestLineComposition:
+    """Along a coordinate line a composition writes its series with no product,
+    and gives the bits of Horner's rule."""
+
+    def _horner_result(self, fn, a):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jets, "_compose", _horner)
+            return fn(a).c
+
+    @pytest.mark.parametrize("name", LINE_FUNCTIONS)
+    @pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+    @pytest.mark.parametrize("which", ["u", "v"])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_line_matches_horner(self, name, order, which, batched, monkeypatch):
+        rng = np.random.default_rng(order)
+        fn = LINE_FUNCTIONS[name]
+        calls = _count_products(monkeypatch)
+        for slope in (1.7, -0.6, 0.0, -0.0):
+            c0 = rng.uniform(0.3, 2.0, 17) if batched else 0.8
+            p = slope * rng.uniform(0.5, 2.0, 17) if batched else slope
+            a = _line(c0, p, which, order)
+            want = self._horner_result(fn, a)
+            calls.clear()
+            got = fn(a).c
+            assert calls == [] and _same_bits(got, want), slope
+            assert got.ndim == 1 or got.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_vector_line_and_zero_constant_term(self, name, which, monkeypatch):
+        # sin at +-0.0 holds -0.0 coefficients; each component takes its own slope
+        rng = np.random.default_rng(5)
+        c0 = np.concatenate([np.zeros((2, 3)), np.full((2, 3), -0.0),
+                             rng.uniform(-2.0, 2.0, (13, 3))])
+        a = _line(c0, rng.uniform(-2.0, 2.0, (17, 3)), which, jets.MAX_ORDER)
+        fn = LINE_FUNCTIONS[name]
+        want = self._horner_result(fn, a)
+        calls = _count_products(monkeypatch)
+        got = fn(a).c
+        assert calls == [] and _same_bits(got, want)
+        assert got.shape == (17, 3, jets.NCOEF) and got.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", LINE_FUNCTIONS)
+    def test_one_point_off_a_line_takes_horner_for_the_batch(self, name, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = _line(rng.uniform(0.3, 2.0, 9), rng.uniform(-1.0, 1.0, 9), "u", jets.MAX_ORDER)
+        a.c[4, jets._IDX[(1, 1)]] = 0.25  # a u v term at point 4
+        fn = LINE_FUNCTIONS[name]
+        calls = _count_products(monkeypatch)
+        got = fn(a).c
+        assert calls  # Horner ran
+        assert _same_bits(got, self._horner_result(fn, a))
+        for k in range(9):  # each point alone, on a line but for point 4
+            assert _same_bits(got[k], fn(Jet2(a.c[k:k + 1], a.order)).c[0]), (name, k)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_overflowing_exp_places_inf_and_nan_as_horner(self, batched):
+        c0 = np.array([800.0, 1.0, 800.0]) if batched else 800.0
+        p = np.array([0.5, 0.5, -0.0]) if batched else 0.5
+        a = _line(c0, p, "v", jets.MAX_ORDER)
+        got, want = jets.exp(a).c, self._horner_result(jets.exp, a)
+        assert np.isnan(want).any() and _same_bits(got, want)
+
+    def test_sin_of_a_coordinate_makes_no_product(self, monkeypatch):
+        x = np.linspace(0.1, 2.0, 289)
+        calls = _count_products(monkeypatch)
+        jets.sin(Jet2.variable("u", x, 4))
+        assert calls == []
 
 
 def _assert_stored(jet, order, shape=None):

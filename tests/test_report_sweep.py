@@ -57,5 +57,7 @@ def test_sweep_prints_its_peak_rss_and_wall_time(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "commands", lambda: [CYLINDER])
     path = tmp_path / "sweep.json"
     assert sweep.sweep(str(path)) == 0
-    assert re.fullmatch(r"sweep peak RSS \d+\.\d MiB, wall \d+\.\d s\n", capsys.readouterr().err)
+    assert re.fullmatch(r"sweep peak RSS \d+\.\d MiB, wall \d+\.\d s\n"
+                        r"sweep wall by kind verify \d+\.\d s, hypothesis 0\.0 s, field 0\.0 s, "
+                        r"catalog 0\.0 s\n", capsys.readouterr().err)
     assert list(json.loads(path.read_text())) == [" ".join(CYLINDER)]

@@ -13,7 +13,8 @@ certifies to ``[value, flag]``: a verify row to its ``max_abs`` and
 (and its ``status``), a field to its sampled values.  A command that raises
 instead of returning an exit code is recorded as ``"uncaught <name>"``, and
 the sweep then exits 1.  Last, the sweep prints its peak RSS (``ru_maxrss``)
-and wall time on stderr; they are not part of the JSON.
+and wall time on stderr, then one line of wall seconds per command kind
+(:data:`KINDS`); they are not part of the JSON.
 
 ``--compare`` lists every command whose output moved, with the largest change
 of a certified number, and exits 1 if any exit code or flag changed.
@@ -65,6 +66,9 @@ SURFACES = [
 ]
 
 MINIMAL_IDS = ("slice", "vertical_geodesic_cylinder", "cor32_flat_minimal")
+
+# The command kinds, by first argument, whose wall seconds the sweep prints.
+KINDS = ("verify", "hypothesis", "field", "catalog")
 
 # Commands that must fail validation, and the listing itself.
 EXTRA = [
@@ -205,8 +209,12 @@ def run_one(argv: list[str]) -> list:
 
 
 def sweep(path: str) -> int:
+    results, by_kind = {}, dict.fromkeys(KINDS, 0.0)
     start = time.perf_counter()
-    results = {" ".join(argv): run_one(argv) for argv in commands()}
+    for argv in commands():
+        began = time.perf_counter()
+        results[" ".join(argv)] = run_one(argv)
+        by_kind[argv[0]] += time.perf_counter() - began
     wall = time.perf_counter() - start
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)
@@ -216,6 +224,8 @@ def sweep(path: str) -> int:
     print(f"{len(results)} commands, {len(raised)} uncaught exceptions -> {path}")
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"sweep peak RSS {peak:.1f} MiB, wall {wall:.1f} s", file=sys.stderr)
+    print("sweep wall by kind " + ", ".join(f"{kind} {s:.1f} s" for kind, s in by_kind.items()),
+          file=sys.stderr)
     return 1 if raised else 0
 
 
